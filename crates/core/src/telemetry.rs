@@ -36,12 +36,11 @@ use tempriv_net::ids::{FlowId, NodeId};
 use tempriv_net::traffic::TrafficModel;
 use tempriv_queueing::erlang::erlang_b;
 use tempriv_runtime::{Runtime, TelemetrySink};
-use tempriv_sim::profile::PhaseTimer;
 use tempriv_telemetry::{
     memprof, BtqParams, DigestProbe, FlightLog, FlightRecorder, FlowAoi, FlowPrivacyConfig,
     MemBreakdown, MemScopeTimer, MemSnapshot, MetricsRegistry, PhaseBreakdown, PhaseProfiler,
-    PrivacyProbe, PrivacySeries, RecordingProbe, RunDigest, SimProbe, SimTelemetry, SpanRecord,
-    SpanSet, TelemetrySnapshot, TheoryCheck, TheoryReport, TheoryTolerance, TraceCtx,
+    PrivacyProbe, PrivacySeries, RecordingProbe, RunDigest, SimTelemetry, SpanRecord, SpanSet,
+    TelemetrySnapshot, TheoryCheck, TheoryReport, TheoryTolerance, TraceCtx,
 };
 
 use crate::buffer::BufferPolicy;
@@ -483,30 +482,6 @@ pub struct JobMem {
     pub peak_rss_bytes: Option<u64>,
 }
 
-/// Runs `sim` with `base` (plus whichever optional probe halves are
-/// active), keeping probe composition monomorphized without enumerating
-/// every on/off combination at the call site: the caller picks the base
-/// probe type (metrics alone, or metrics paired with a digest probe) and
-/// this helper handles the remaining three optional halves.
-fn run_with_base<P: SimProbe, T: PhaseTimer>(
-    sim: &NetworkSimulation,
-    base: &mut P,
-    flight: Option<&mut FlightRecorder>,
-    privacy: Option<&mut PrivacyProbe>,
-    timer: Option<&mut T>,
-) -> SimOutcome {
-    match (flight, privacy, timer) {
-        (Some(f), Some(p), Some(t)) => sim.run_profiled(&mut ((base, f), p), t),
-        (Some(f), None, Some(t)) => sim.run_profiled(&mut (base, f), t),
-        (None, Some(p), Some(t)) => sim.run_profiled(&mut (base, p), t),
-        (None, None, Some(t)) => sim.run_profiled(base, t),
-        (Some(f), Some(p), None) => sim.run_probed(&mut ((base, f), p)),
-        (Some(f), None, None) => sim.run_probed(&mut (base, f)),
-        (None, Some(p), None) => sim.run_probed(&mut (base, p)),
-        (None, None, None) => sim.run_probed(base),
-    }
-}
-
 /// Runs a job's simulations, recording telemetry when the runtime has a
 /// [`TelemetrySink`] and running the plain, probe-free path otherwise.
 ///
@@ -524,6 +499,7 @@ pub struct JobTelemetryCollector<'a> {
     span_batch: usize,
     digest_window: usize,
     mem_profile: bool,
+    node_metrics: bool,
     epoch: std::time::Instant,
     job_ctx: TraceCtx,
     /// Parent span id for the job span: the serve/CLI root span when the
@@ -545,8 +521,10 @@ impl<'a> JobTelemetryCollector<'a> {
     /// active only when the runtime carries a telemetry sink; flight
     /// recording additionally requires the sink's
     /// [`trace_capacity`](TelemetrySink::trace_capacity) to be non-zero,
-    /// and the streaming privacy observatory its
-    /// [`privacy_interval`](TelemetrySink::privacy_interval).
+    /// the streaming privacy observatory its
+    /// [`privacy_interval`](TelemetrySink::privacy_interval), and the
+    /// per-node metrics its [`node_metrics`](TelemetrySink::node_metrics)
+    /// gate.
     #[must_use]
     pub fn for_job(runtime: &'a Runtime, index: usize) -> Self {
         let sink = runtime.telemetry_sink();
@@ -568,6 +546,7 @@ impl<'a> JobTelemetryCollector<'a> {
             span_batch: sink.map_or(0, TelemetrySink::span_batch),
             digest_window: sink.map_or(0, TelemetrySink::digest_window),
             mem_profile: sink.is_some_and(TelemetrySink::mem_profile),
+            node_metrics: sink.is_some_and(TelemetrySink::node_metrics),
             epoch: sink.map_or_else(std::time::Instant::now, TelemetrySink::epoch),
             job_ctx: root.child(index as u64),
             job_parent,
@@ -603,9 +582,9 @@ impl<'a> JobTelemetryCollector<'a> {
             return sim.run();
         }
         let started = std::time::Instant::now();
-        let mut probe = RecordingProbe::new(sim.routing().len());
-        // Optional probe halves compose through the pair probe, which
-        // fans every hook out to both sides in one monomorphized pass.
+        let mut metrics = self
+            .node_metrics
+            .then(|| RecordingProbe::new(sim.routing().len()));
         let mut flight =
             (self.trace_capacity > 0).then(|| FlightRecorder::with_capacity(self.trace_capacity));
         let mut privacy = (self.privacy_interval > 0)
@@ -620,79 +599,42 @@ impl<'a> JobTelemetryCollector<'a> {
             memprof::set_enabled(true);
             MemScopeTimer::new()
         });
-        // Optional instrumentation composes through monomorphized pair
-        // probes and a statically dispatched timer, so every disabled
-        // half costs nothing on the event path. The digest probe picks
-        // the *base* probe type, the profiler and mem timer pair up as
-        // the timer, and the other halves stay a single match.
-        let outcome = match (digest.as_mut(), profiler.as_mut(), mem_timer.as_mut()) {
-            (Some(d), Some(p), Some(m)) => {
-                let mut timer = (p, m);
-                run_with_base(
-                    sim,
-                    &mut (&mut probe, d),
-                    flight.as_mut(),
-                    privacy.as_mut(),
-                    Some(&mut timer),
-                )
-            }
-            (Some(d), Some(p), None) => run_with_base(
-                sim,
-                &mut (&mut probe, d),
-                flight.as_mut(),
+        // Every family is an optional observer: an `Option` probe or
+        // timer forwards to `Some` and costs one predictable branch when
+        // `None`, so one monomorphized stack covers every on/off mix.
+        let outcome = sim.run_profiled(
+            &mut (
+                ((metrics.as_mut(), digest.as_mut()), flight.as_mut()),
                 privacy.as_mut(),
-                Some(p),
             ),
-            (Some(d), None, Some(m)) => run_with_base(
-                sim,
-                &mut (&mut probe, d),
-                flight.as_mut(),
-                privacy.as_mut(),
-                Some(m),
-            ),
-            (Some(d), None, None) => run_with_base::<_, PhaseProfiler>(
-                sim,
-                &mut (&mut probe, d),
-                flight.as_mut(),
-                privacy.as_mut(),
-                None,
-            ),
-            (None, Some(p), Some(m)) => {
-                let mut timer = (p, m);
-                run_with_base(
-                    sim,
-                    &mut probe,
-                    flight.as_mut(),
-                    privacy.as_mut(),
-                    Some(&mut timer),
-                )
-            }
-            (None, Some(p), None) => {
-                run_with_base(sim, &mut probe, flight.as_mut(), privacy.as_mut(), Some(p))
-            }
-            (None, None, Some(m)) => {
-                run_with_base(sim, &mut probe, flight.as_mut(), privacy.as_mut(), Some(m))
-            }
-            (None, None, None) => run_with_base::<_, PhaseProfiler>(
-                sim,
-                &mut probe,
-                flight.as_mut(),
-                privacy.as_mut(),
-                None,
-            ),
-        };
+            &mut (profiler.as_mut(), mem_timer.as_mut()),
+        );
         let flight_log = flight.map(|f| f.finish(outcome.end_time));
         let privacy_series = privacy.map(|p| p.finish(outcome.end_time));
-        let telemetry = probe.finish(outcome.end_time);
-        let mut theory = theory_report(sim, &telemetry, &self.tolerance);
-        if let Some(log) = &flight_log {
-            for check in residence_checks(sim, log, &self.tolerance) {
-                theory.push(check);
+        // The theory and residence checks read the recorder's per-node
+        // series, so they run only when the metrics family is on.
+        if let Some(metrics) = metrics {
+            let telemetry = metrics.finish(outcome.end_time);
+            let mut theory = theory_report(sim, &telemetry, &self.tolerance);
+            if let Some(log) = &flight_log {
+                for check in residence_checks(sim, log, &self.tolerance) {
+                    theory.push(check);
+                }
             }
+            self.job
+                .spans
+                .record(label, started.elapsed().as_secs_f64());
+            let aoi = flight_log
+                .as_ref()
+                .map(FlightLog::aoi_by_flow)
+                .unwrap_or_default();
+            self.job.scenarios.push(ScenarioTelemetry {
+                label: label.to_string(),
+                sim: telemetry,
+                theory,
+                aoi,
+            });
         }
-        self.job
-            .spans
-            .record(label, started.elapsed().as_secs_f64());
         if let Some(profiler) = profiler {
             // Scenario children hang off the job span; index 0 is
             // reserved for the job itself, so scenarios start at 1.
@@ -715,16 +657,6 @@ impl<'a> JobTelemetryCollector<'a> {
                 profile: profiler.finish(),
             });
         }
-        let aoi = flight_log
-            .as_ref()
-            .map(FlightLog::aoi_by_flow)
-            .unwrap_or_default();
-        self.job.scenarios.push(ScenarioTelemetry {
-            label: label.to_string(),
-            sim: telemetry,
-            theory,
-            aoi,
-        });
         if let Some(log) = flight_log {
             self.trace.scenarios.push(ScenarioTrace {
                 label: label.to_string(),
@@ -771,8 +703,10 @@ impl<'a> JobTelemetryCollector<'a> {
     /// to the job's sink slots. No-op when collection is inactive.
     pub fn finish(mut self) {
         if let Some((sink, index)) = self.sink {
-            let json = serde_json::to_string(&self.job).expect("job telemetry serializes");
-            sink.attach(index, json);
+            if self.node_metrics {
+                let json = serde_json::to_string(&self.job).expect("job telemetry serializes");
+                sink.attach(index, json);
+            }
             if !self.trace.scenarios.is_empty() {
                 let json = serde_json::to_string(&self.trace).expect("job trace serializes");
                 sink.attach_trace(index, json);

@@ -10,7 +10,11 @@ use tempriv_core::telemetry::{theory_report, TelemetryExport};
 use tempriv_net::convergecast::Convergecast;
 use tempriv_net::traffic::TrafficModel;
 use tempriv_queueing::erlang::erlang_b;
-use tempriv_telemetry::{FlightRecorder, RecordingProbe, SimTelemetry, TheoryTolerance};
+use tempriv_sim::profile::NoopPhaseTimer;
+use tempriv_telemetry::{
+    DigestProbe, FlightRecorder, NullProbe, PhaseProfiler, RecordingProbe, SimTelemetry,
+    TheoryTolerance,
+};
 
 /// A single source one hop from the sink: the source node is one queue,
 /// which makes it a textbook single-station system.
@@ -213,6 +217,47 @@ fn flight_recording_does_not_perturb_the_simulation() {
     assert_eq!(lineages.len() as u64, created);
     let delivered = lineages.iter().filter(|l| l.span().is_some()).count() as u64;
     assert_eq!(delivered, plain.total_delivered());
+}
+
+#[test]
+fn optional_probes_and_timers_match_their_plain_counterparts() {
+    // `None` is `NullProbe`/`NoopPhaseTimer` and `Some(p)` is `p`: the
+    // same outcome digest and rng draws either way, and a wrapped
+    // observer records exactly what the bare one does.
+    let sim = single_queue(BufferPolicy::paper_rcad(), 0.5, 10.0, 500);
+    let plain = sim.run_profiled(&mut NullProbe, &mut NoopPhaseTimer);
+    let none = sim.run_profiled(&mut None::<RecordingProbe>, &mut None::<PhaseProfiler>);
+    assert_eq!(plain.digest(), none.digest());
+    assert_eq!(plain.rng_draws, none.rng_draws);
+    assert!(plain.rng_draws > 0, "the run consumed randomness");
+
+    let n = sim.routing().len();
+    let (mut bare, mut bare_digest) = (RecordingProbe::new(n), DigestProbe::new(64));
+    let mut bare_timer = PhaseProfiler::new();
+    let bare_out = sim.run_profiled(&mut (&mut bare, &mut bare_digest), &mut bare_timer);
+    let mut some = (Some(RecordingProbe::new(n)), Some(DigestProbe::new(64)));
+    let mut some_timer = Some(PhaseProfiler::new());
+    let some_out = sim.run_profiled(&mut some, &mut some_timer);
+    for out in [&bare_out, &some_out] {
+        assert_eq!(out.digest(), plain.digest());
+        assert_eq!(out.rng_draws, plain.rng_draws);
+    }
+    let (Some(rec), Some(digest)) = some else {
+        unreachable!("both probes were constructed");
+    };
+    assert_eq!(
+        rec.finish(some_out.end_time),
+        bare.finish(bare_out.end_time)
+    );
+    assert_eq!(digest.finish().root, bare_digest.finish().root);
+    // Wall seconds differ run to run; the switch counts per phase do not.
+    let counts = |b: tempriv_telemetry::PhaseBreakdown| -> Vec<u64> {
+        b.phases.iter().map(|p| p.count).collect()
+    };
+    assert_eq!(
+        counts(some_timer.expect("constructed").finish()),
+        counts(bare_timer.finish())
+    );
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! The sink never participates in cache keys or result digests, so
 //! enabling telemetry cannot change experiment outputs.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -18,18 +18,25 @@ use std::time::Instant;
 /// runtime and job closures.
 ///
 /// Thread-safe: jobs run on pool workers, each writing only its own
-/// slot. Next to the telemetry slots the sink keeps four parallel blob
-/// families: *trace* slots for flight-recorder blobs (with the ring
-/// capacity the run's recorders should use,
-/// [`TelemetrySink::trace_capacity`], 0 = tracing off), *privacy*
-/// slots for streaming privacy-observatory series (with the snapshot
-/// interval [`TelemetrySink::privacy_interval`], 0 = observatory off),
+/// slot. The telemetry slots hold the per-node metrics family (the
+/// recording probe's occupancy series and theory checks), gated by
+/// [`TelemetrySink::node_metrics`], on by default. Next to them the
+/// sink keeps five parallel blob families: *trace* slots for
+/// flight-recorder blobs (with the ring capacity the run's recorders
+/// should use, [`TelemetrySink::trace_capacity`], 0 = tracing off),
+/// *privacy* slots for streaming privacy-observatory series (with the
+/// snapshot interval [`TelemetrySink::privacy_interval`], 0 =
+/// observatory off),
 /// *span* slots for cross-layer span/profile blobs (with the phase
 /// switch batch [`TelemetrySink::span_batch`], 0 = span tracing off),
 /// *audit* slots for determinism-audit digest blobs (with the
 /// checkpoint window [`TelemetrySink::digest_window`], 0 = audit off),
 /// and *mem* slots for allocation-ledger blobs (gated by
 /// [`TelemetrySink::mem_profile`], off by default).
+///
+/// A serve job records the audit family always; privacy, spans and
+/// flight only when its spec asks; per-node metrics never — no serve
+/// endpoint reads that blob, and it is the largest one a job makes.
 ///
 /// For span tracing the sink also carries a root trace context — two
 /// raw ids set by the layer that minted the trace (e.g. the HTTP
@@ -50,6 +57,7 @@ pub struct TelemetrySink {
     digest_window: AtomicUsize,
     mem_slots: Mutex<Vec<Option<String>>>,
     mem_profile: AtomicUsize,
+    node_metrics: AtomicBool,
     root_trace_id: AtomicU64,
     root_span_id: AtomicU64,
     epoch: Instant,
@@ -77,6 +85,7 @@ impl TelemetrySink {
             digest_window: AtomicUsize::new(0),
             mem_slots: Mutex::new(Vec::new()),
             mem_profile: AtomicUsize::new(0),
+            node_metrics: AtomicBool::new(true),
             root_trace_id: AtomicU64::new(0),
             root_span_id: AtomicU64::new(0),
             epoch: Instant::now(),
@@ -121,6 +130,19 @@ impl TelemetrySink {
     #[must_use]
     pub fn trace_capacity(&self) -> usize {
         self.trace_capacity.load(Ordering::Relaxed)
+    }
+
+    /// Turns the per-node metrics family on or off for this run. On (the
+    /// default) means jobs run the recording probe, build the theory
+    /// report and attach a telemetry blob; off means they attach none.
+    pub fn set_node_metrics(&self, on: bool) {
+        self.node_metrics.store(on, Ordering::Relaxed);
+    }
+
+    /// Whether jobs should record per-node metrics this run.
+    #[must_use]
+    pub fn node_metrics(&self) -> bool {
+        self.node_metrics.load(Ordering::Relaxed)
     }
 
     /// Attaches job `index`'s telemetry blob (JSON). Silently ignored if
@@ -502,6 +524,18 @@ mod tests {
         assert!(sink.mem_profile());
         sink.set_mem_profile(false);
         assert!(!sink.mem_profile());
+    }
+
+    #[test]
+    fn node_metrics_defaults_to_on() {
+        let sink = TelemetrySink::new();
+        assert!(sink.node_metrics());
+        sink.set_node_metrics(false);
+        assert!(!sink.node_metrics());
+        sink.reset(2);
+        assert!(!sink.node_metrics(), "the gate survives reset");
+        sink.set_node_metrics(true);
+        assert!(sink.node_metrics());
     }
 
     #[test]

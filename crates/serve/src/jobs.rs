@@ -168,9 +168,11 @@ impl JobSpec {
 }
 
 /// Runs a canonical spec to completion and returns the result rows as
-/// canonical JSON. When `sink` is given, the runtime streams per-point
-/// privacy blobs into it as the sweep progresses (the SSE endpoint polls
-/// the same sink); the sink's privacy interval is set from the spec.
+/// canonical JSON. When `sink` is given, each point attaches its audit
+/// digest, plus privacy, span and flight blobs when the spec asks for
+/// them; the runtime streams privacy blobs into it as the sweep
+/// progresses (the SSE endpoint polls the same sink). Per-node metrics
+/// are switched off: no serve endpoint reads them.
 ///
 /// # Errors
 ///
@@ -187,7 +189,9 @@ pub fn execute(spec: &JobSpec, sink: Option<Arc<TelemetrySink>>) -> Result<Strin
     if let Some(sink) = &sink {
         // Every instrumented serve job carries the determinism audit:
         // the digest probe is cheap, observes only, and lets the digest
-        // endpoint attest any cold run.
+        // endpoint attest any cold run. No endpoint reads the per-node
+        // metrics blob, so serve never records it.
+        sink.set_node_metrics(false);
         sink.set_digest_window(DEFAULT_DIGEST_WINDOW);
         sink.set_privacy_interval(spec.privacy_interval);
         if spec.trace {
@@ -326,6 +330,33 @@ mod tests {
         let second = execute(&spec, None).unwrap();
         assert_eq!(first, second, "same spec must produce identical bytes");
         assert!(first.starts_with('['), "rows serialize as a JSON array");
+    }
+
+    #[test]
+    fn plain_execute_records_the_audit_and_no_node_metrics() {
+        let spec = tiny_spec();
+        let sink = Arc::new(TelemetrySink::new());
+        let rows = execute(&spec, Some(Arc::clone(&sink))).unwrap();
+        assert!(sink.get_audit(0).is_some(), "every serve job is audited");
+        assert_eq!(sink.get(0), None, "serve never records per-node metrics");
+        assert_eq!(rows, execute(&spec, None).unwrap());
+
+        // The same spec with the metrics family on: identical rows and
+        // an identical audit, so the gate only drops an observer.
+        let metered = Arc::new(TelemetrySink::new());
+        metered.set_digest_window(DEFAULT_DIGEST_WINDOW);
+        let runtime = Runtime::builder()
+            .workers(1)
+            .telemetry_sink(Arc::clone(&metered))
+            .build()
+            .unwrap();
+        assert_eq!(execute_rows(&spec, &runtime).unwrap(), rows);
+        assert!(
+            metered.get(0).is_some(),
+            "the metrics family records when on"
+        );
+        let audit = collect_digest(&sink, spec.points()).expect("audited");
+        assert_eq!(collect_digest(&metered, spec.points()), Some(audit));
     }
 
     #[test]

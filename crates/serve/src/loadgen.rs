@@ -1,6 +1,7 @@
 //! `tempriv bench serve` — a load driver that hammers the serve API with
 //! concurrent, multi-tenant, mixed warm/cold submissions and reports
-//! latency percentiles, throughput, and cache hit-rate.
+//! latency percentiles, throughput, cache hit-rate, the mean wall time
+//! of the jobs that simulated, and the server's peak RSS.
 //!
 //! The driver spawns an in-process server (unless pointed at an external
 //! one), then `concurrency` client threads pull submission slots from a
@@ -125,6 +126,17 @@ pub struct LoadReport {
     pub submit_latency_ms: LatencyMs,
     /// Submit-to-done latency of cold jobs (queue wait + simulation).
     pub cold_complete_ms: LatencyMs,
+    /// Mean server-side wall time of the jobs that ran a simulation
+    /// (pickup to finish, no queue wait), from the whole-millisecond
+    /// `wall_ms` each job reports. Absent in reports written before the
+    /// field existed.
+    #[serde(default)]
+    pub cold_job_wall_ms_mean: f64,
+    /// Peak resident set size of the server process in MiB, scraped
+    /// from its `/metrics` at the end of the run; `None` off-Linux and
+    /// in reports written before the field existed.
+    #[serde(default)]
+    pub peak_rss_mb: Option<f64>,
     /// hits / (hits + misses) reported by the server's `/metrics`.
     pub cache_hit_rate: f64,
     /// Whether a warm resubmission returned bytes identical to the cold
@@ -139,6 +151,7 @@ struct Tally {
     failed: usize,
     submit_ms: Vec<f64>,
     complete_ms: Vec<f64>,
+    job_wall_ms: Vec<f64>,
     errors: Vec<String>,
 }
 
@@ -180,6 +193,7 @@ pub fn run_load(params: &LoadParams) -> Result<LoadReport, String> {
         failed: 0,
         submit_ms: Vec::new(),
         complete_ms: Vec::new(),
+        job_wall_ms: Vec::new(),
         errors: Vec::new(),
     });
     let started = Instant::now();
@@ -209,6 +223,9 @@ pub fn run_load(params: &LoadParams) -> Result<LoadReport, String> {
                         if let Some(ms) = one.complete_ms {
                             tally.complete_ms.push(ms);
                         }
+                        if let Some(ms) = one.job_wall_ms {
+                            tally.job_wall_ms.push(ms);
+                        }
                     }
                     Err(message) => {
                         let mut tally = tally.lock().expect("tally lock");
@@ -230,6 +247,13 @@ pub fn run_load(params: &LoadParams) -> Result<LoadReport, String> {
 
     let metrics_text = request(&addr, "GET", "/metrics", &[], &[])?.text();
     let cache_hit_rate = parse_gauge(&metrics_text, "tempriv_serve_cache_hit_rate").unwrap_or(0.0);
+    let peak_rss_mb = parse_gauge(&metrics_text, "tempriv_mem_rss_peak_bytes")
+        .map(|bytes| bytes / (1024.0 * 1024.0));
+    let cold_job_wall_ms_mean = if tally.job_wall_ms.is_empty() {
+        0.0
+    } else {
+        tally.job_wall_ms.iter().sum::<f64>() / tally.job_wall_ms.len() as f64
+    };
 
     if let Some(handle) = handle {
         let _ = request(&addr, "POST", "/v1/shutdown", &[], &[]);
@@ -250,6 +274,8 @@ pub fn run_load(params: &LoadParams) -> Result<LoadReport, String> {
         throughput_rps: params.submissions as f64 / elapsed_s.max(1e-9),
         submit_latency_ms: LatencyMs::from_samples(tally.submit_ms),
         cold_complete_ms: LatencyMs::from_samples(tally.complete_ms),
+        cold_job_wall_ms_mean,
+        peak_rss_mb,
         cache_hit_rate,
         warm_bytes_identical,
     })
@@ -261,6 +287,8 @@ struct OneSubmission {
     retries: usize,
     submit_ms: f64,
     complete_ms: Option<f64>,
+    /// Server-reported wall time, for jobs that ran a simulation.
+    job_wall_ms: Option<f64>,
 }
 
 /// Submits one job (retrying through `429`s) and, for cold jobs, polls
@@ -294,10 +322,11 @@ fn drive_one(addr: &str, tenant: &str, spec: &str) -> Result<OneSubmission, Stri
             retries,
             submit_ms,
             complete_ms: None,
+            job_wall_ms: None,
         });
     }
     let id = extract_id(&body).ok_or_else(|| format!("no id in submit response: {body}"))?;
-    let failed = loop {
+    let done = loop {
         let status = request(
             addr,
             "GET",
@@ -307,8 +336,16 @@ fn drive_one(addr: &str, tenant: &str, spec: &str) -> Result<OneSubmission, Stri
         )?;
         let text = status.text();
         if text.contains("\"state\":\"done\"") {
-            break !text.contains("\"ok\":true");
+            break text;
         }
+    };
+    let failed = !done.contains("\"ok\":true");
+    // A queued job can still be answered from the cache when an
+    // identical submission finished first; only simulated jobs count.
+    let job_wall_ms = if failed || done.contains("\"cached\":true") {
+        None
+    } else {
+        parse_field(&done, "wall_ms")
     };
     Ok(OneSubmission {
         warm,
@@ -316,6 +353,7 @@ fn drive_one(addr: &str, tenant: &str, spec: &str) -> Result<OneSubmission, Stri
         retries,
         submit_ms,
         complete_ms: Some(issued.elapsed().as_secs_f64() * 1e3),
+        job_wall_ms,
     })
 }
 
@@ -364,6 +402,13 @@ fn extract_id(body: &str) -> Option<String> {
     Some(rest.split('"').next()?.to_string())
 }
 
+/// The numeric value of top-level field `name` in a flat JSON object.
+fn parse_field(json: &str, name: &str) -> Option<f64> {
+    let rest = json.split(&format!("\"{name}\":")).nth(1)?;
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
 fn parse_gauge(metrics_text: &str, name: &str) -> Option<f64> {
     metrics_text
         .lines()
@@ -399,6 +444,15 @@ mod tests {
     }
 
     #[test]
+    fn field_parsing_reads_a_status_number() {
+        let done = "{\"id\":\"j3\",\"state\":\"done\",\"ok\":true,\
+                    \"cached\":false,\"wall_ms\":12,\"digest\":\"ab\"}";
+        assert_eq!(parse_field(done, "wall_ms"), Some(12.0));
+        assert_eq!(parse_field("{\"wall_ms\":7}", "wall_ms"), Some(7.0));
+        assert_eq!(parse_field(done, "absent"), None);
+    }
+
+    #[test]
     fn spec_json_is_distinct_per_index_and_parses() {
         let a = spec_json("fig3", 60, 0);
         let b = spec_json("fig3", 60, 1);
@@ -429,5 +483,9 @@ mod tests {
         assert_eq!(report.failed, 0);
         assert_eq!(report.submit_latency_ms.count, 24);
         assert!(report.throughput_rps > 0.0);
+        assert!(report.cold_job_wall_ms_mean.is_finite());
+        if cfg!(target_os = "linux") {
+            assert!(report.peak_rss_mb.is_some_and(|mb| mb > 0.0));
+        }
     }
 }

@@ -361,15 +361,16 @@ fn run_job(state: &ServerState, id: &str) {
             * 1e3;
         // Every cold job runs instrumented: the determinism audit needs
         // a sink even when neither SSE privacy streaming nor span
-        // tracing was requested.
-        let sink = {
-            let sink = Arc::new(TelemetrySink::new());
-            if let Some(ctx) = entry.ctx {
-                sink.set_root_ctx(ctx.trace_id, ctx.span_id);
-            }
+        // tracing was requested. Only the trace export and the SSE
+        // stream read the sink after pickup, so only those jobs keep it
+        // on the entry; a plain job's audit is frozen into the cache.
+        let sink = Arc::new(TelemetrySink::new());
+        if let Some(ctx) = entry.ctx {
+            sink.set_root_ctx(ctx.trace_id, ctx.span_id);
+        }
+        if entry.spec.trace || entry.spec.privacy_interval > 0 {
             entry.live = Some(Arc::clone(&sink));
-            Some(sink)
-        };
+        }
         let picked = (
             entry.spec.clone(),
             entry.key.clone(),
@@ -396,16 +397,14 @@ fn run_job(state: &ServerState, id: &str) {
             digest: content_digest(rows.as_bytes()),
             error: None,
         },
-        None => match execute(&spec, sink.clone()) {
+        None => match execute(&spec, Some(Arc::clone(&sink))) {
             Ok(rows) => {
                 state.cache.put(&key, &rows);
                 // Freeze the cold run's audit digests alongside the
                 // rows: a warm hit later serves these exact bytes, so
                 // warm and cold digest responses share one root.
-                if let Some(sink) = &sink {
-                    if let Some(digest) = collect_digest(sink, spec.points()) {
-                        state.cache.put(&digest_key(&key), &digest);
-                    }
+                if let Some(digest) = collect_digest(&sink, spec.points()) {
+                    state.cache.put(&digest_key(&key), &digest);
                 }
                 Outcome {
                     ok: true,
@@ -487,6 +486,15 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
     } else {
         let response = route(state, &request);
         let _ = response.write_to(&mut stream);
+        // Shutdown takes effect only once its reply is written: after
+        // the accept loop sees the flag the process may exit, taking
+        // this thread (and an unsent reply) with it.
+        if request.method == "POST" && request.path == "/v1/shutdown" {
+            state.shutdown.store(true, Ordering::SeqCst);
+            state.queue_cv.notify_all();
+            // Poke the accept loop so it observes the flag.
+            let _ = TcpStream::connect(state.addr);
+        }
     }
     let mut metrics = state.metrics.lock().expect("metrics lock");
     metrics.observe_request(started.elapsed().as_secs_f64() * 1e3);
@@ -501,13 +509,7 @@ fn route(state: &ServerState, request: &Request) -> Response {
             metrics.refresh_mem();
             Response::text(200, metrics.to_prometheus())
         }
-        ("POST", "/v1/shutdown") => {
-            state.shutdown.store(true, Ordering::SeqCst);
-            state.queue_cv.notify_all();
-            // Poke the accept loop so it observes the flag.
-            let _ = TcpStream::connect(state.addr);
-            Response::json(200, "{\"status\":\"shutting down\"}")
-        }
+        ("POST", "/v1/shutdown") => Response::json(200, "{\"status\":\"shutting down\"}"),
         ("POST", "/v1/jobs") => submit(state, request),
         ("GET", path) => {
             if let Some(rest) = path.strip_prefix("/v1/jobs/") {

@@ -116,16 +116,34 @@ impl<T: PhaseTimer + ?Sized> PhaseTimer for &mut T {
     }
 }
 
+/// An optional timer: `Some(t)` forwards every switch to `t`, `None`
+/// behaves as [`NoopPhaseTimer`] (reporting `EngineLoop`) at the cost of
+/// one predictable branch per switch.
+impl<T: PhaseTimer> PhaseTimer for Option<T> {
+    #[inline]
+    fn switch(&mut self, phase: Phase) -> Phase {
+        match self {
+            Some(timer) => timer.switch(phase),
+            None => Phase::EngineLoop,
+        }
+    }
+}
+
 /// Fans one phase switch out to two timers (e.g. a wall-clock profiler
-/// paired with an allocation-scope timer). The pair reports the first
-/// timer's notion of the previous phase; both receive every switch, so
-/// their attributions stay aligned.
+/// paired with an allocation-scope timer). Both receive every switch,
+/// so two tracking timers agree on the previous phase; a no-op half
+/// (`None`, [`NoopPhaseTimer`]) always reports `EngineLoop`, so the pair
+/// reports the other half's answer whenever the first says `EngineLoop`.
 impl<A: PhaseTimer, B: PhaseTimer> PhaseTimer for (A, B) {
     #[inline]
     fn switch(&mut self, phase: Phase) -> Phase {
-        let prev = self.0.switch(phase);
-        let _ = self.1.switch(phase);
-        prev
+        let first = self.0.switch(phase);
+        let second = self.1.switch(phase);
+        if first == Phase::EngineLoop {
+            second
+        } else {
+            first
+        }
     }
 }
 
@@ -151,5 +169,43 @@ mod tests {
         assert_eq!(timer.switch(Phase::Probe), Phase::EngineLoop);
         let by_ref: &mut NoopPhaseTimer = &mut timer;
         assert_eq!(by_ref.switch(Phase::Create), Phase::EngineLoop);
+    }
+
+    /// Remembers the current phase, so `switch` reports a real previous
+    /// phase instead of the default `EngineLoop`.
+    struct Tracking(Phase);
+
+    impl PhaseTimer for Tracking {
+        fn switch(&mut self, phase: Phase) -> Phase {
+            std::mem::replace(&mut self.0, phase)
+        }
+    }
+
+    #[test]
+    fn option_timer_forwards_or_acts_as_noop() {
+        let mut some = Some(Tracking(Phase::EngineLoop));
+        assert_eq!(some.switch(Phase::Arrive), Phase::EngineLoop);
+        assert_eq!(some.switch(Phase::Probe), Phase::Arrive);
+        assert_eq!(some.as_ref().map(|t| t.0), Some(Phase::Probe));
+        let mut none: Option<Tracking> = None;
+        assert_eq!(none.switch(Phase::Arrive), Phase::EngineLoop);
+        assert_eq!(none.switch(Phase::Probe), Phase::EngineLoop);
+    }
+
+    #[test]
+    fn pair_reports_the_tracking_half_whichever_side_it_is_on() {
+        let mut left = (Some(Tracking(Phase::EngineLoop)), None::<Tracking>);
+        let mut right = (None::<Tracking>, Some(Tracking(Phase::EngineLoop)));
+        let mut both = (Tracking(Phase::EngineLoop), Tracking(Phase::EngineLoop));
+        for (phase, prev) in [
+            (Phase::Arrive, Phase::EngineLoop),
+            (Phase::Probe, Phase::Arrive),
+            (Phase::Arrive, Phase::Probe),
+            (Phase::EngineLoop, Phase::Arrive),
+        ] {
+            assert_eq!(left.switch(phase), prev);
+            assert_eq!(right.switch(phase), prev);
+            assert_eq!(both.switch(phase), prev);
+        }
     }
 }

@@ -210,6 +210,78 @@ impl<A: SimProbe, B: SimProbe> SimProbe for (A, B) {
     }
 }
 
+/// An optional probe: `Some(p)` forwards every hook to `p`, `None` is a
+/// [`NullProbe`] at the cost of one predictable branch per hook. Lets a
+/// caller stack a run-time-chosen set of observers into one statically
+/// typed probe instead of matching over every on/off combination.
+impl<P: SimProbe> SimProbe for Option<P> {
+    fn on_occupancy(&mut self, node: usize, now: SimTime, depth: u64) {
+        if let Some(p) = self {
+            p.on_occupancy(node, now, depth);
+        }
+    }
+
+    fn on_preemption(&mut self, node: usize, now: SimTime) {
+        if let Some(p) = self {
+            p.on_preemption(node, now);
+        }
+    }
+
+    fn on_drop(&mut self, node: usize, now: SimTime) {
+        if let Some(p) = self {
+            p.on_drop(node, now);
+        }
+    }
+
+    fn on_flush(&mut self, node: usize, now: SimTime, batch: u64) {
+        if let Some(p) = self {
+            p.on_flush(node, now, batch);
+        }
+    }
+
+    fn on_arrival(&mut self, node: usize, now: SimTime) {
+        if let Some(p) = self {
+            p.on_arrival(node, now);
+        }
+    }
+
+    fn on_delivery(&mut self, flow: usize, now: SimTime, latency: f64) {
+        if let Some(p) = self {
+            p.on_delivery(flow, now, latency);
+        }
+    }
+
+    fn on_high_water(&mut self, node: usize, high_water: u64) {
+        if let Some(p) = self {
+            p.on_high_water(node, high_water);
+        }
+    }
+
+    fn on_packet(&mut self, now: SimTime, event: PacketEvent) {
+        if let Some(p) = self {
+            p.on_packet(now, event);
+        }
+    }
+
+    fn on_engine_stats(&mut self, events: u64, peak_fes: u64) {
+        if let Some(p) = self {
+            p.on_engine_stats(events, peak_fes);
+        }
+    }
+
+    fn on_queue_stats(&mut self, footprint: u64, compactions: u64) {
+        if let Some(p) = self {
+            p.on_queue_stats(footprint, compactions);
+        }
+    }
+
+    fn on_run_end(&mut self, end: SimTime) {
+        if let Some(p) = self {
+            p.on_run_end(end);
+        }
+    }
+}
+
 /// One event retained in the [`RecordingProbe`]'s bounded trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeEvent {
