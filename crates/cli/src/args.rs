@@ -69,6 +69,43 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
+    /// Checks the command line against what a subcommand accepts: at most
+    /// `positionals` positional arguments (the command words included),
+    /// `--key value` options named in `options`, and bare flags named in
+    /// `flags`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first stray positional, unknown option, flag given a
+    /// value, or option given none.
+    pub fn expect_only(
+        &self,
+        positionals: usize,
+        options: &[&str],
+        flags: &[&str],
+    ) -> Result<(), String> {
+        if let Some(stray) = self.positional.get(positionals) {
+            return Err(format!("unexpected argument `{stray}`"));
+        }
+        for (key, value) in &self.options {
+            if flags.contains(&key.as_str()) {
+                return Err(format!("--{key} takes no value (got `{value}`)"));
+            }
+            if !options.contains(&key.as_str()) {
+                return Err(format!("unknown option --{key}"));
+            }
+        }
+        for key in &self.flags {
+            if options.contains(&key.as_str()) {
+                return Err(format!("--{key} needs a value"));
+            }
+            if !flags.contains(&key.as_str()) {
+                return Err(format!("unknown option --{key}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Parses option `--key` as `T`, with a default.
     ///
     /// # Errors
@@ -153,6 +190,32 @@ mod tests {
         let args = Args::parse(["calc", "--verbose"]);
         assert!(args.flag("verbose"));
         assert_eq!(args.option("verbose"), None);
+    }
+
+    #[test]
+    fn expect_only_names_the_first_offender() {
+        let ok = Args::parse(["sweep", "--points", "2", "--quiet"]);
+        assert_eq!(ok.expect_only(1, &["points"], &["quiet"]), Ok(()));
+        let stray = Args::parse(["sweep", "fig3"]);
+        assert_eq!(
+            stray.expect_only(1, &[], &[]),
+            Err("unexpected argument `fig3`".to_string())
+        );
+        let unknown = Args::parse(["sweep", "--bogus", "1"]);
+        assert_eq!(
+            unknown.expect_only(1, &["points"], &[]),
+            Err("unknown option --bogus".to_string())
+        );
+        let valued_flag = Args::parse(["sweep", "--quiet", "fig3"]);
+        assert!(valued_flag
+            .expect_only(1, &[], &["quiet"])
+            .unwrap_err()
+            .contains("takes no value"));
+        let bare_option = Args::parse(["sweep", "--points"]);
+        assert_eq!(
+            bare_option.expect_only(1, &["points"], &[]),
+            Err("--points needs a value".to_string())
+        );
     }
 
     #[test]

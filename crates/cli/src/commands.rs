@@ -20,7 +20,9 @@ use tempriv_infotheory::bounds::{btq_packet_bound_nats, btq_stream_bound_nats};
 use tempriv_infotheory::DEFAULT_STREAMING_BINS;
 use tempriv_queueing::erlang::{erlang_b, min_servers_for_loss, service_rate_for_loss};
 use tempriv_queueing::mm_inf::MmInf;
-use tempriv_runtime::{ManifestReader, ResultCache, Runtime, StderrReporter, TelemetrySink};
+use tempriv_runtime::{
+    BlobKind, ManifestReader, ResultCache, Runtime, StderrReporter, TelemetrySink,
+};
 use tempriv_telemetry::{
     chrome_span_events, memprof, wrap_chrome_events, DigestProbe, FlightRecorder,
     FlowPrivacySummary, LineageOutcome, MemBreakdown, PhaseBreakdown, PrivacyProbe, SimProbe,
@@ -70,8 +72,9 @@ COMMANDS:
                              --telemetry; ledgers journal to --manifest)
         [--quiet]            suppress stderr progress
     resume <run.jsonl>       finish an interrupted sweep from its manifest
-        [--workers N] [--telemetry PATH] [--trace-capacity N]
-        [--privacy-interval N] [--digest-window N] [--quiet]
+        [--workers N] [--cache-dir DIR] [--manifest PATH]
+        [--telemetry PATH] [--trace-capacity N] [--privacy-interval N]
+        [--digest-window N] [--mem-profile] [--quiet]
     report <run.jsonl|dir>   aggregate per-job telemetry from a manifest,
                              or from every *.jsonl manifest in a directory
         [--format F]         text (default), json, or prometheus
@@ -433,6 +436,29 @@ fn cmd_init_config<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     Ok(())
 }
 
+/// Options [`build_runtime`] reads, shared by `sweep` and `resume`.
+const RUNTIME_OPTIONS: [&str; 7] = [
+    "workers",
+    "cache-dir",
+    "manifest",
+    "telemetry",
+    "trace-capacity",
+    "privacy-interval",
+    "digest-window",
+];
+
+/// Bare flags [`build_runtime`] reads.
+const RUNTIME_FLAGS: [&str; 2] = ["mem-profile", "quiet"];
+
+const SWEEP_USAGE: &str = "usage: tempriv sweep [--experiment E] [--points 2,4,...] \
+     [--packets N] [--seed N] [--workers N] [--cache-dir DIR] [--manifest PATH] \
+     [--telemetry PATH] [--trace-capacity N] [--privacy-interval N] \
+     [--digest-window N] [--mem-profile] [--quiet]";
+
+const RESUME_USAGE: &str = "usage: tempriv resume <run.jsonl> [--workers N] \
+     [--cache-dir DIR] [--manifest PATH] [--telemetry PATH] [--trace-capacity N] \
+     [--privacy-interval N] [--digest-window N] [--mem-profile] [--quiet]";
+
 /// An active telemetry collection: the sink shared with the runtime and
 /// the path the aggregated export will be written to.
 type ActiveTelemetry = (Arc<TelemetrySink>, String);
@@ -472,47 +498,30 @@ fn build_runtime(
     if let Some((sink, _)) = &telemetry {
         builder = builder.telemetry_sink(Arc::clone(sink));
     }
-    if let Some(raw) = args.option("trace-capacity") {
-        let capacity: usize = raw
+    for (flag, kind) in [
+        ("trace-capacity", BlobKind::Trace),
+        ("privacy-interval", BlobKind::Privacy),
+        ("digest-window", BlobKind::Audit),
+    ] {
+        let Some(raw) = args.option(flag) else {
+            continue;
+        };
+        let value: usize = raw
             .parse()
-            .map_err(|_| format!("invalid value for --trace-capacity: `{raw}`"))?;
-        if capacity == 0 {
-            return Err("--trace-capacity must be positive".into());
+            .map_err(|_| format!("invalid value for --{flag}: `{raw}`"))?;
+        if value == 0 {
+            return Err(format!("--{flag} must be positive"));
         }
         let Some((sink, _)) = &telemetry else {
-            return Err("--trace-capacity requires --telemetry".into());
+            return Err(format!("--{flag} requires --telemetry"));
         };
-        sink.set_trace_capacity(capacity);
-    }
-    if let Some(raw) = args.option("privacy-interval") {
-        let interval: usize = raw
-            .parse()
-            .map_err(|_| format!("invalid value for --privacy-interval: `{raw}`"))?;
-        if interval == 0 {
-            return Err("--privacy-interval must be positive".into());
-        }
-        let Some((sink, _)) = &telemetry else {
-            return Err("--privacy-interval requires --telemetry".into());
-        };
-        sink.set_privacy_interval(interval);
-    }
-    if let Some(raw) = args.option("digest-window") {
-        let window: usize = raw
-            .parse()
-            .map_err(|_| format!("invalid value for --digest-window: `{raw}`"))?;
-        if window == 0 {
-            return Err("--digest-window must be positive".into());
-        }
-        let Some((sink, _)) = &telemetry else {
-            return Err("--digest-window requires --telemetry".into());
-        };
-        sink.set_digest_window(window);
+        sink.set(kind, value);
     }
     if args.flag("mem-profile") {
         let Some((sink, _)) = &telemetry else {
             return Err("--mem-profile requires --telemetry".into());
         };
-        sink.set_mem_profile(true);
+        sink.set(BlobKind::Mem, 1);
         // The counting allocator is process-global; once any run wants
         // attribution it stays on (workers may still be counting).
         tempriv_telemetry::memprof::set_enabled(true);
@@ -531,9 +540,9 @@ fn write_telemetry_export(
 ) -> Result<(), String> {
     let export = TelemetryExport::collect(
         experiment,
-        &sink.take_all(),
-        &sink.take_all_privacy(),
-        &sink.take_all_mem(),
+        &sink.take_all(BlobKind::Telemetry),
+        &sink.take_all(BlobKind::Privacy),
+        &sink.take_all(BlobKind::Mem),
     )?;
     std::fs::write(path, export.to_canonical_json())
         .map_err(|e| format!("cannot write telemetry export {path}: {e}"))?;
@@ -605,6 +614,13 @@ fn print_json_rows<W: Write, T: serde::Serialize>(out: &mut W, rows: &[T]) -> Re
 }
 
 fn cmd_sweep<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
+    let options = [
+        &["experiment", "points", "packets", "seed"][..],
+        &RUNTIME_OPTIONS,
+    ]
+    .concat();
+    args.expect_only(1, &options, &RUNTIME_FLAGS)
+        .map_err(|e| format!("{e}\n{SWEEP_USAGE}"))?;
     let mut params = SweepParams::paper_default();
     params.inv_lambdas = args.option_list("points", params.inv_lambdas)?;
     params.packets_per_source = args.option_as("packets", params.packets_per_source)?;
@@ -622,9 +638,9 @@ fn cmd_sweep<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
 }
 
 fn cmd_resume<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
-    let path = args
-        .positional(1)
-        .ok_or("usage: tempriv resume <run.jsonl> [--workers N] [--quiet]")?;
+    let path = args.positional(1).ok_or(RESUME_USAGE)?;
+    args.expect_only(2, &RUNTIME_OPTIONS, &RUNTIME_FLAGS)
+        .map_err(|e| format!("{e}\n{RESUME_USAGE}"))?;
     let manifest = ManifestReader::read(path)?;
     let params: SweepParams = serde_json::from_str(&manifest.header.params_json)
         .map_err(|e| format!("manifest {path}: cannot parse sweep params: {e}"))?;
@@ -659,34 +675,12 @@ fn cmd_resume<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     Ok(())
 }
 
-/// Per-job telemetry blobs of one manifest, in job order.
-fn manifest_blobs(manifest: &ManifestReader) -> Vec<Option<String>> {
+/// Per-job `kind` blobs of one manifest, in job order.
+fn manifest_blobs(manifest: &ManifestReader, kind: BlobKind) -> Vec<Option<String>> {
     let mut blobs: Vec<Option<String>> = vec![None; manifest.header.jobs];
     for record in &manifest.records {
         if let Some(slot) = blobs.get_mut(record.index) {
-            slot.clone_from(&record.telemetry);
-        }
-    }
-    blobs
-}
-
-/// Per-job streaming-privacy blobs of one manifest, in job order.
-fn manifest_privacy_blobs(manifest: &ManifestReader) -> Vec<Option<String>> {
-    let mut blobs: Vec<Option<String>> = vec![None; manifest.header.jobs];
-    for record in &manifest.records {
-        if let Some(slot) = blobs.get_mut(record.index) {
-            slot.clone_from(&record.privacy);
-        }
-    }
-    blobs
-}
-
-/// Per-job allocation-ledger blobs of one manifest, in job order.
-fn manifest_mem_blobs(manifest: &ManifestReader) -> Vec<Option<String>> {
-    let mut blobs: Vec<Option<String>> = vec![None; manifest.header.jobs];
-    for record in &manifest.records {
-        if let Some(slot) = blobs.get_mut(record.index) {
-            slot.clone_from(&record.mem);
+            *slot = record.blob(kind).map(str::to_string);
         }
     }
     blobs
@@ -706,61 +700,41 @@ fn cmd_report<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let path = args
         .positional(1)
         .ok_or("usage: tempriv report <run.jsonl|dir> [--format text|json|prometheus] | tempriv report --bench <dir>")?;
-    let (experiment, blobs, privacy_blobs, mem_blobs, completed) =
-        if std::path::Path::new(path).is_dir() {
-            let entries = std::fs::read_dir(path)
-                .map_err(|e| format!("cannot read directory {path}: {e}"))?;
-            let mut manifests: Vec<std::path::PathBuf> = entries
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
-                .collect();
-            manifests.sort();
-            if manifests.is_empty() {
-                writeln!(
-                    out,
-                    "no completed jobs: {path} contains no .jsonl manifests \
+    let manifests = if std::path::Path::new(path).is_dir() {
+        let entries =
+            std::fs::read_dir(path).map_err(|e| format!("cannot read directory {path}: {e}"))?;
+        let mut paths: Vec<std::path::PathBuf> = entries
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|ext| ext == "jsonl"))
+            .collect();
+        paths.sort();
+        if paths.is_empty() {
+            writeln!(
+                out,
+                "no completed jobs: {path} contains no .jsonl manifests \
                  (run a sweep with --manifest to journal one)"
-                )
-                .map_err(io_err)?;
-                return Ok(());
-            }
-            let mut experiments: Vec<String> = Vec::new();
-            let mut blobs = Vec::new();
-            let mut privacy_blobs = Vec::new();
-            let mut mem_blobs = Vec::new();
-            let mut completed = 0usize;
-            for manifest_path in &manifests {
-                let manifest = ManifestReader::read(manifest_path)?;
-                completed += manifest.records.len();
-                blobs.extend(manifest_blobs(&manifest));
-                privacy_blobs.extend(manifest_privacy_blobs(&manifest));
-                mem_blobs.extend(manifest_mem_blobs(&manifest));
-                if !experiments.contains(&manifest.header.experiment) {
-                    experiments.push(manifest.header.experiment.clone());
-                }
-            }
-            (
-                experiments.join("+"),
-                blobs,
-                privacy_blobs,
-                mem_blobs,
-                completed,
             )
-        } else {
-            let manifest = ManifestReader::read(path)?;
-            let blobs = manifest_blobs(&manifest);
-            let privacy_blobs = manifest_privacy_blobs(&manifest);
-            let mem_blobs = manifest_mem_blobs(&manifest);
-            let completed = manifest.records.len();
-            (
-                manifest.header.experiment,
-                blobs,
-                privacy_blobs,
-                mem_blobs,
-                completed,
-            )
-        };
+            .map_err(io_err)?;
+            return Ok(());
+        }
+        paths
+    } else {
+        vec![std::path::PathBuf::from(path)]
+    };
+    let mut experiments: Vec<String> = Vec::new();
+    let [mut blobs, mut privacy_blobs, mut mem_blobs] = [Vec::new(), Vec::new(), Vec::new()];
+    let mut completed = 0usize;
+    for manifest_path in &manifests {
+        let manifest = ManifestReader::read(manifest_path)?;
+        completed += manifest.records.len();
+        blobs.extend(manifest_blobs(&manifest, BlobKind::Telemetry));
+        privacy_blobs.extend(manifest_blobs(&manifest, BlobKind::Privacy));
+        mem_blobs.extend(manifest_blobs(&manifest, BlobKind::Mem));
+        if !experiments.contains(&manifest.header.experiment) {
+            experiments.push(manifest.header.experiment);
+        }
+    }
     if completed == 0 {
         // An interrupted (or never-started) run: the manifest header is
         // there but no job finished yet — say so instead of rendering a
@@ -773,7 +747,8 @@ fn cmd_report<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
         .map_err(io_err)?;
         return Ok(());
     }
-    let export = TelemetryExport::collect(&experiment, &blobs, &privacy_blobs, &mem_blobs)?;
+    let export =
+        TelemetryExport::collect(&experiments.join("+"), &blobs, &privacy_blobs, &mem_blobs)?;
     match args.option("format").unwrap_or("text") {
         "text" => {
             write!(out, "{}", export.summary_text()).map_err(io_err)?;
@@ -1174,6 +1149,20 @@ fn cmd_trace<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Drains the sink's `kind` blobs and parses every attached one.
+fn take_blobs<T: serde::Deserialize>(
+    sink: &TelemetrySink,
+    kind: BlobKind,
+) -> Result<Vec<T>, String> {
+    sink.take_all(kind)
+        .iter()
+        .flatten()
+        .map(|blob| {
+            serde_json::from_str(blob).map_err(|e| format!("malformed {} blob: {e}", kind.name()))
+        })
+        .collect()
+}
+
 /// `tempriv profile`: run a sweep on a single-worker runtime with the
 /// span tracer and engine self-profiler on, then print the per-phase
 /// wall-time attribution merged across every scenario. The sweep's own
@@ -1196,10 +1185,10 @@ fn cmd_profile<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     }
 
     let sink = Arc::new(TelemetrySink::new());
-    sink.set_span_batch(batch as usize);
+    sink.set(BlobKind::Spans, batch as usize);
     // Phase attribution and allocation attribution share the same
     // switch hooks, so the profiler always carries the memory ledger.
-    sink.set_mem_profile(true);
+    sink.set(BlobKind::Mem, 1);
     memprof::set_enabled(true);
     let root = TraceCtx::root(params.seed, "profile");
     sink.set_root_ctx(root.trace_id, root.span_id);
@@ -1207,7 +1196,7 @@ fn cmd_profile<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     if chrome_out.is_some() {
         // The exported timeline carries packet residences alongside the
         // spans and phase bands.
-        sink.set_trace_capacity(1 << 14);
+        sink.set(BlobKind::Trace, 1 << 14);
     }
     // One worker: profiling shares the core with the simulation, so a
     // fan-out would have jobs contending for cycles and polluting the
@@ -1219,14 +1208,8 @@ fn cmd_profile<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let mut rows = Vec::new();
     run_experiment(&experiment, &params, &runtime, &mut rows)?;
 
-    let mut jobs: Vec<JobSpans> = Vec::new();
-    for blob in sink.take_all_spans().iter().flatten() {
-        jobs.push(serde_json::from_str(blob).map_err(|e| format!("malformed span blob: {e}"))?);
-    }
-    let mut mem_jobs: Vec<JobMem> = Vec::new();
-    for blob in sink.take_all_mem().iter().flatten() {
-        mem_jobs.push(serde_json::from_str(blob).map_err(|e| format!("malformed mem blob: {e}"))?);
-    }
+    let jobs: Vec<JobSpans> = take_blobs(&sink, BlobKind::Spans)?;
+    let mem_jobs: Vec<JobMem> = take_blobs(&sink, BlobKind::Mem)?;
     let mut merged: Option<PhaseBreakdown> = None;
     let mut scenarios = 0usize;
     for job in &jobs {
@@ -1294,9 +1277,7 @@ fn cmd_profile<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
                 phase_tid += 1;
             }
         }
-        for blob in sink.take_all_traces().iter().flatten() {
-            let trace: JobTrace =
-                serde_json::from_str(blob).map_err(|e| format!("malformed trace blob: {e}"))?;
+        for trace in take_blobs::<JobTrace>(&sink, BlobKind::Trace)? {
             for scenario in &trace.scenarios {
                 events.extend(scenario.log.chrome_trace_events());
             }
@@ -1390,8 +1371,8 @@ impl SimProbe for WatchProbe {
 /// progress plus every `tempriv_privacy_*` gauge the manifest's privacy
 /// blobs aggregate to.
 fn manifest_watch_frame(manifest: &ManifestReader) -> Result<String, String> {
-    let blobs = manifest_blobs(manifest);
-    let privacy = manifest_privacy_blobs(manifest);
+    let blobs = manifest_blobs(manifest, BlobKind::Telemetry);
+    let privacy = manifest_blobs(manifest, BlobKind::Privacy);
     let observed = privacy.iter().flatten().count();
     let export = TelemetryExport::collect(&manifest.header.experiment, &blobs, &privacy, &[])?;
     let mut s = format!(
@@ -1619,6 +1600,36 @@ mod tests {
         assert!(out.contains("COMMANDS"));
         let out = run(&[]).unwrap();
         assert!(out.contains("tempriv"));
+    }
+
+    #[test]
+    fn sweep_rejects_a_stray_positional() {
+        // `fig3` is not `--experiment fig3`: refuse rather than silently
+        // running the default Figure-2 sweep.
+        let err = run_raw(&["sweep", "fig3", "--points", "2", "--quiet"]).unwrap_err();
+        assert_eq!(err.exit_code(), 1);
+        assert!(err.message().starts_with("unexpected argument `fig3`\n"));
+        assert!(err.message().ends_with(SWEEP_USAGE));
+    }
+
+    #[test]
+    fn sweep_rejects_an_unknown_option() {
+        let err = run_raw(&["sweep", "--bogus", "1", "--quiet"]).unwrap_err();
+        assert_eq!(err.exit_code(), 1);
+        assert!(err.message().starts_with("unknown option --bogus\n"));
+        assert!(err.message().ends_with(SWEEP_USAGE));
+    }
+
+    #[test]
+    fn resume_rejects_what_its_runtime_does_not_read() {
+        for tokens in [
+            &["resume", "run.jsonl", "extra"][..],
+            &["resume", "run.jsonl", "--points", "2"],
+        ] {
+            let err = run_raw(tokens).unwrap_err();
+            assert_eq!(err.exit_code(), 1);
+            assert!(err.message().ends_with(RESUME_USAGE), "{tokens:?}");
+        }
     }
 
     #[test]
@@ -2049,7 +2060,9 @@ mod tests {
         .unwrap();
         let back = tempriv_runtime::ManifestReader::read(&manifest).unwrap();
         assert_eq!(back.records.len(), 1);
-        let blob = back.records[0].trace.as_deref().expect("trace journaled");
+        let blob = back.records[0]
+            .blob(BlobKind::Trace)
+            .expect("trace journaled");
         let trace: tempriv_core::telemetry::JobTrace = serde_json::from_str(blob).unwrap();
         assert!(!trace.scenarios.is_empty());
         assert!(trace.scenarios.iter().all(|s| !s.log.events.is_empty()));
@@ -2229,7 +2242,9 @@ mod tests {
         .unwrap();
         let back = tempriv_runtime::ManifestReader::read(&manifest).unwrap();
         assert_eq!(back.records.len(), 1);
-        let blob = back.records[0].audit.as_deref().expect("audit journaled");
+        let blob = back.records[0]
+            .blob(BlobKind::Audit)
+            .expect("audit journaled");
         let audit: tempriv_core::telemetry::JobAudit = serde_json::from_str(blob).unwrap();
         assert_eq!(audit.root.len(), 16);
         assert!(!audit.scenarios.is_empty());
@@ -2278,8 +2293,7 @@ mod tests {
         let back = tempriv_runtime::ManifestReader::read(&manifest).unwrap();
         assert_eq!(back.records.len(), 1);
         let blob = back.records[0]
-            .privacy
-            .as_deref()
+            .blob(BlobKind::Privacy)
             .expect("privacy journaled");
         let privacy: tempriv_core::telemetry::JobPrivacy = serde_json::from_str(blob).unwrap();
         assert!(!privacy.scenarios.is_empty());

@@ -1,4 +1,4 @@
-//! Node buffers and the RCAD preemption policy (paper §5).
+//! Buffer policies and the RCAD preemption rule (paper §5).
 //!
 //! A delaying node holds each packet until its private delay timer fires.
 //! With a finite buffer of `k` slots, an arrival that finds the buffer
@@ -10,15 +10,11 @@
 //!   the one with the shortest remaining delay, so the realized delays
 //!   stay closest to the intended distribution — transmits it
 //!   immediately, and buffers the new packet.
-
-use std::collections::{BTreeMap, BTreeSet};
+//!
+//! The per-node buffer that applies these policies is
+//! [`StoreBuffer`](crate::store::StoreBuffer).
 
 use serde::{Deserialize, Serialize};
-use tempriv_net::ids::PacketId;
-use tempriv_net::packet::Packet;
-use tempriv_sim::queue::EventId;
-use tempriv_sim::rng::SimRng;
-use tempriv_sim::time::SimTime;
 
 /// What a node does when a packet arrives and the buffer is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -114,532 +110,9 @@ impl VictimPolicy {
     }
 }
 
-/// One buffered packet with its scheduled release.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BufferedPacket {
-    /// The packet itself.
-    pub packet: Packet,
-    /// When the packet entered the buffer.
-    pub buffered_at: SimTime,
-    /// When its delay timer fires ([`SimTime::MAX`] for mix entries,
-    /// which have no timer).
-    pub release_at: SimTime,
-    /// The pending release event (cancelled on preemption); `None` for
-    /// threshold-mix entries, which are released by batch flushes.
-    pub timer: Option<EventId>,
-}
-
-/// Secondary index kept alongside the entry map so victim selection is
-/// O(log n) instead of a full scan. Which variant (if any) is maintained
-/// depends on the victim policy the buffer was built for — buffers that
-/// never preempt pay nothing.
-///
-/// Every variant reproduces the linear scan's answer *exactly*, including
-/// the smallest-`PacketId` tie-break (asserted by the property tests in
-/// `tests/properties.rs`).
-#[derive(Debug, Default, Clone)]
-enum VictimIndex {
-    /// No index; [`NodeBuffer::select_victim`] falls back to the scan.
-    #[default]
-    None,
-    /// Sorted by `(release_at, id)`: `first()` is the shortest-remaining
-    /// victim, and the largest release time keys the longest-remaining one.
-    ByRelease(BTreeSet<(SimTime, PacketId)>),
-    /// Sorted by `(buffered_at, id)`: `first()` is the oldest victim.
-    ByBuffered(BTreeSet<(SimTime, PacketId)>),
-    /// Sorted packet ids: the random policy draws an index and takes the
-    /// idx-th smallest id, exactly as the scan's `keys().nth(idx)` did.
-    ById(Vec<PacketId>),
-}
-
-impl VictimIndex {
-    fn for_policy(policy: VictimPolicy) -> Self {
-        match policy {
-            VictimPolicy::ShortestRemaining | VictimPolicy::LongestRemaining => {
-                VictimIndex::ByRelease(BTreeSet::new())
-            }
-            VictimPolicy::Oldest => VictimIndex::ByBuffered(BTreeSet::new()),
-            VictimPolicy::Random => VictimIndex::ById(Vec::new()),
-        }
-    }
-}
-
-/// A node's delay buffer: packets keyed by id, with an optional victim
-/// index (see [`NodeBuffer::for_policy`]).
-///
-/// Iteration order is `PacketId` order (a `BTreeMap`), so victim ties
-/// break deterministically and runs reproduce bit-for-bit.
-#[derive(Debug, Default, Clone)]
-pub struct NodeBuffer {
-    entries: BTreeMap<PacketId, BufferedPacket>,
-    index: VictimIndex,
-    high_water: usize,
-}
-
-impl NodeBuffer {
-    /// Creates an empty buffer with no victim index (victim selection
-    /// falls back to the linear scan).
-    #[must_use]
-    pub fn new() -> Self {
-        NodeBuffer {
-            entries: BTreeMap::new(),
-            index: VictimIndex::None,
-            high_water: 0,
-        }
-    }
-
-    /// Creates an empty buffer indexed for `policy`'s victim rule, when
-    /// the policy preempts. Non-preempting policies get the plain buffer,
-    /// so they pay no index-maintenance cost per insert/remove.
-    #[must_use]
-    pub fn for_policy(policy: &BufferPolicy) -> Self {
-        let index = match policy {
-            BufferPolicy::Rcad { victim, .. } => VictimIndex::for_policy(*victim),
-            _ => VictimIndex::None,
-        };
-        NodeBuffer {
-            entries: BTreeMap::new(),
-            index,
-            high_water: 0,
-        }
-    }
-
-    #[inline]
-    fn index_insert(&mut self, entry: &BufferedPacket) {
-        match &mut self.index {
-            VictimIndex::None => {}
-            VictimIndex::ByRelease(set) => {
-                set.insert((entry.release_at, entry.packet.id));
-            }
-            VictimIndex::ByBuffered(set) => {
-                set.insert((entry.buffered_at, entry.packet.id));
-            }
-            VictimIndex::ById(ids) => {
-                let pos = ids
-                    .binary_search(&entry.packet.id)
-                    .expect_err("id cannot already be indexed");
-                ids.insert(pos, entry.packet.id);
-            }
-        }
-    }
-
-    #[inline]
-    fn index_remove(&mut self, entry: &BufferedPacket) {
-        match &mut self.index {
-            VictimIndex::None => {}
-            VictimIndex::ByRelease(set) => {
-                set.remove(&(entry.release_at, entry.packet.id));
-            }
-            VictimIndex::ByBuffered(set) => {
-                set.remove(&(entry.buffered_at, entry.packet.id));
-            }
-            VictimIndex::ById(ids) => {
-                let pos = ids
-                    .binary_search(&entry.packet.id)
-                    .expect("indexed id must be present");
-                ids.remove(pos);
-            }
-        }
-    }
-
-    /// Number of buffered packets.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if nothing is buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The most packets this buffer has ever held simultaneously.
-    #[must_use]
-    pub const fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Inserts a packet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the packet id is already buffered here (a packet cannot
-    /// occupy two slots).
-    pub fn insert(&mut self, entry: BufferedPacket) {
-        let id = entry.packet.id;
-        self.index_insert(&entry);
-        let prev = self.entries.insert(id, entry);
-        assert!(prev.is_none(), "packet {id} already buffered");
-        self.high_water = self.high_water.max(self.entries.len());
-    }
-
-    /// Removes and returns the packet with the given id.
-    #[must_use]
-    pub fn remove(&mut self, id: PacketId) -> Option<BufferedPacket> {
-        let entry = self.entries.remove(&id)?;
-        self.index_remove(&entry);
-        Some(entry)
-    }
-
-    /// Chooses a victim according to `policy`; `None` if empty.
-    ///
-    /// Ties break toward the smallest packet id. When the buffer carries
-    /// the matching index (see [`NodeBuffer::for_policy`]) this is
-    /// O(log n); otherwise it falls back to
-    /// [`NodeBuffer::select_victim_scan`]. Both paths consume the same
-    /// RNG draws and return the same victim.
-    #[must_use]
-    pub fn select_victim(&self, policy: VictimPolicy, rng: &mut SimRng) -> Option<PacketId> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        match (policy, &self.index) {
-            (VictimPolicy::ShortestRemaining, VictimIndex::ByRelease(set)) => {
-                set.first().map(|&(_, id)| id)
-            }
-            (VictimPolicy::LongestRemaining, VictimIndex::ByRelease(set)) => {
-                // Max release time, ties toward the smallest id: every key
-                // at or above `(max_release, PacketId(0))` shares the
-                // maximal release time, so the range's first entry is the
-                // smallest id among them.
-                let &(max_release, _) = set.last()?;
-                set.range((max_release, PacketId(0))..)
-                    .next()
-                    .map(|&(_, id)| id)
-            }
-            (VictimPolicy::Oldest, VictimIndex::ByBuffered(set)) => set.first().map(|&(_, id)| id),
-            (VictimPolicy::Random, VictimIndex::ById(ids)) => {
-                let idx = rng.sample_index(ids.len());
-                Some(ids[idx])
-            }
-            _ => self.select_victim_scan(policy, rng),
-        }
-    }
-
-    /// The reference linear scan over the entry map. Kept public so the
-    /// property tests can pit the indexed path against it; buffers built
-    /// with [`NodeBuffer::new`] use it implicitly.
-    #[must_use]
-    pub fn select_victim_scan(&self, policy: VictimPolicy, rng: &mut SimRng) -> Option<PacketId> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        let id = match policy {
-            VictimPolicy::ShortestRemaining => self
-                .entries
-                .iter()
-                .min_by_key(|(id, e)| (e.release_at, **id))
-                .map(|(id, _)| *id)?,
-            VictimPolicy::LongestRemaining => {
-                // max by release time, ties toward smallest id.
-                self.entries
-                    .iter()
-                    .max_by(|(ida, a), (idb, b)| {
-                        a.release_at.cmp(&b.release_at).then_with(|| idb.cmp(ida))
-                    })
-                    .map(|(id, _)| *id)?
-            }
-            VictimPolicy::Random => {
-                let idx = rng.sample_index(self.entries.len());
-                *self.entries.keys().nth(idx).expect("index in range")
-            }
-            VictimPolicy::Oldest => self
-                .entries
-                .iter()
-                .min_by_key(|(id, e)| (e.buffered_at, **id))
-                .map(|(id, _)| *id)?,
-        };
-        Some(id)
-    }
-
-    /// Iterates over buffered entries in packet-id order.
-    pub fn iter(&self) -> impl Iterator<Item = &BufferedPacket> {
-        self.entries.values()
-    }
-
-    /// Removes and returns every buffered entry in packet-id order (a
-    /// threshold-mix flush).
-    pub fn drain_all(&mut self) -> Vec<BufferedPacket> {
-        self.clear_index();
-        std::mem::take(&mut self.entries).into_values().collect()
-    }
-
-    /// Drains every buffered entry in packet-id order into `out`
-    /// (clearing it first) — the allocation-free flush the driver uses so
-    /// threshold-mix batches reuse one scratch buffer for the whole run.
-    pub fn drain_all_into(&mut self, out: &mut Vec<BufferedPacket>) {
-        out.clear();
-        self.clear_index();
-        let entries = std::mem::take(&mut self.entries);
-        out.extend(entries.into_values());
-    }
-
-    fn clear_index(&mut self) {
-        match &mut self.index {
-            VictimIndex::None => {}
-            VictimIndex::ByRelease(set) | VictimIndex::ByBuffered(set) => set.clear(),
-            VictimIndex::ById(ids) => ids.clear(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempriv_net::ids::{FlowId, NodeId};
-    use tempriv_sim::queue::EventQueue;
-    use tempriv_sim::rng::RngFactory;
-
-    fn entry(q: &mut EventQueue<()>, id: u64, buffered_at: f64, release_at: f64) -> BufferedPacket {
-        let timer = Some(q.push(SimTime::from_units(release_at), ()));
-        BufferedPacket {
-            packet: Packet::new(
-                PacketId(id),
-                FlowId(0),
-                NodeId(0),
-                id as u32,
-                SimTime::from_units(buffered_at),
-                0.0,
-            ),
-            buffered_at: SimTime::from_units(buffered_at),
-            release_at: SimTime::from_units(release_at),
-            timer,
-        }
-    }
-
-    fn rng() -> SimRng {
-        RngFactory::new(8).stream(0)
-    }
-
-    #[test]
-    fn shortest_remaining_picks_earliest_release() {
-        let mut q = EventQueue::new();
-        let mut buf = NodeBuffer::new();
-        buf.insert(entry(&mut q, 1, 0.0, 50.0));
-        buf.insert(entry(&mut q, 2, 1.0, 20.0));
-        buf.insert(entry(&mut q, 3, 2.0, 35.0));
-        let v = buf
-            .select_victim(VictimPolicy::ShortestRemaining, &mut rng())
-            .unwrap();
-        assert_eq!(v, PacketId(2));
-    }
-
-    #[test]
-    fn longest_remaining_picks_latest_release() {
-        let mut q = EventQueue::new();
-        let mut buf = NodeBuffer::new();
-        buf.insert(entry(&mut q, 1, 0.0, 50.0));
-        buf.insert(entry(&mut q, 2, 1.0, 20.0));
-        let v = buf
-            .select_victim(VictimPolicy::LongestRemaining, &mut rng())
-            .unwrap();
-        assert_eq!(v, PacketId(1));
-    }
-
-    #[test]
-    fn oldest_picks_earliest_buffered() {
-        let mut q = EventQueue::new();
-        let mut buf = NodeBuffer::new();
-        buf.insert(entry(&mut q, 5, 3.0, 10.0));
-        buf.insert(entry(&mut q, 6, 1.0, 90.0));
-        let v = buf.select_victim(VictimPolicy::Oldest, &mut rng()).unwrap();
-        assert_eq!(v, PacketId(6));
-    }
-
-    #[test]
-    fn random_victim_is_a_member() {
-        let mut q = EventQueue::new();
-        let mut buf = NodeBuffer::new();
-        for i in 0..5 {
-            buf.insert(entry(&mut q, i, 0.0, 10.0 + i as f64));
-        }
-        let mut r = rng();
-        for _ in 0..50 {
-            let v = buf.select_victim(VictimPolicy::Random, &mut r).unwrap();
-            assert!(v.0 < 5);
-        }
-    }
-
-    #[test]
-    fn ties_break_by_packet_id() {
-        let mut q = EventQueue::new();
-        let mut buf = NodeBuffer::new();
-        buf.insert(entry(&mut q, 9, 0.0, 10.0));
-        buf.insert(entry(&mut q, 2, 0.0, 10.0));
-        let mut r = rng();
-        assert_eq!(
-            buf.select_victim(VictimPolicy::ShortestRemaining, &mut r),
-            Some(PacketId(2))
-        );
-        assert_eq!(
-            buf.select_victim(VictimPolicy::LongestRemaining, &mut r),
-            Some(PacketId(2))
-        );
-        assert_eq!(
-            buf.select_victim(VictimPolicy::Oldest, &mut r),
-            Some(PacketId(2))
-        );
-    }
-
-    #[test]
-    fn empty_buffer_has_no_victim() {
-        let buf = NodeBuffer::new();
-        assert_eq!(
-            buf.select_victim(VictimPolicy::ShortestRemaining, &mut rng()),
-            None
-        );
-        assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn remove_round_trips() {
-        let mut q = EventQueue::new();
-        let mut buf = NodeBuffer::new();
-        buf.insert(entry(&mut q, 4, 0.0, 10.0));
-        assert_eq!(buf.len(), 1);
-        let got = buf.remove(PacketId(4)).unwrap();
-        assert_eq!(got.packet.id, PacketId(4));
-        assert!(buf.remove(PacketId(4)).is_none());
-        assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn drain_all_empties_in_id_order() {
-        let mut q = EventQueue::new();
-        let mut buf = NodeBuffer::new();
-        buf.insert(entry(&mut q, 7, 0.0, 10.0));
-        buf.insert(entry(&mut q, 3, 1.0, 20.0));
-        let drained = buf.drain_all();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].packet.id, PacketId(3));
-        assert_eq!(drained[1].packet.id, PacketId(7));
-        assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn high_water_tracks_peak_not_current() {
-        let mut q = EventQueue::new();
-        let mut buf = NodeBuffer::new();
-        assert_eq!(buf.high_water(), 0);
-        buf.insert(entry(&mut q, 1, 0.0, 10.0));
-        buf.insert(entry(&mut q, 2, 0.0, 20.0));
-        buf.insert(entry(&mut q, 3, 0.0, 30.0));
-        assert_eq!(buf.high_water(), 3);
-        let _ = buf.remove(PacketId(1));
-        let _ = buf.remove(PacketId(2));
-        assert_eq!(buf.len(), 1);
-        assert_eq!(buf.high_water(), 3, "draining does not lower the mark");
-        let _ = buf.drain_all();
-        assert_eq!(buf.high_water(), 3);
-    }
-
-    fn rcad(victim: VictimPolicy) -> BufferPolicy {
-        BufferPolicy::Rcad {
-            capacity: 10,
-            victim,
-        }
-    }
-
-    #[test]
-    fn indexed_buffers_agree_with_scan() {
-        // Same contents, same policy: the indexed fast path and the
-        // reference scan must pick the same victim, including on release
-        // and buffered-time ties (ids 2 and 9 tie everywhere).
-        for policy in [
-            VictimPolicy::ShortestRemaining,
-            VictimPolicy::LongestRemaining,
-            VictimPolicy::Oldest,
-        ] {
-            let mut q = EventQueue::new();
-            let mut buf = NodeBuffer::for_policy(&rcad(policy));
-            for (id, buffered, release) in [
-                (9, 0.0, 10.0),
-                (2, 0.0, 10.0),
-                (5, 1.0, 50.0),
-                (7, 2.0, 5.0),
-            ] {
-                buf.insert(entry(&mut q, id, buffered, release));
-            }
-            let mut r = rng();
-            let fast = buf.select_victim(policy, &mut r);
-            let slow = buf.select_victim_scan(policy, &mut rng());
-            assert_eq!(fast, slow, "{policy:?}");
-        }
-    }
-
-    #[test]
-    fn random_index_matches_scan_draw_for_draw() {
-        let mut q = EventQueue::new();
-        let mut indexed = NodeBuffer::for_policy(&rcad(VictimPolicy::Random));
-        let mut plain = NodeBuffer::new();
-        for (id, buffered, release) in [(4, 0.0, 9.0), (1, 0.5, 7.0), (8, 1.0, 3.0)] {
-            indexed.insert(entry(&mut q, id, buffered, release));
-            plain.insert(entry(&mut q, id + 100, buffered, release));
-        }
-        let _ = plain.remove(PacketId(104));
-        let _ = plain.remove(PacketId(101));
-        let _ = plain.remove(PacketId(108));
-        for (id, buffered, release) in [(4, 0.0, 9.0), (1, 0.5, 7.0), (8, 1.0, 3.0)] {
-            plain.insert(entry(&mut q, id + 200, buffered, release));
-        }
-        // Two identically seeded RNG streams: both paths must consume
-        // exactly one draw per selection and pick the idx-th smallest id.
-        let (mut ra, mut rb) = (rng(), rng());
-        for _ in 0..20 {
-            let a = indexed
-                .select_victim(VictimPolicy::Random, &mut ra)
-                .unwrap();
-            let b = plain.select_victim(VictimPolicy::Random, &mut rb).unwrap();
-            assert_eq!(a.0, b.0 - 200);
-            assert_eq!(ra.draws(), rb.draws());
-        }
-    }
-
-    #[test]
-    fn index_survives_removals() {
-        let policy = VictimPolicy::ShortestRemaining;
-        let mut q = EventQueue::new();
-        let mut buf = NodeBuffer::for_policy(&rcad(policy));
-        buf.insert(entry(&mut q, 1, 0.0, 10.0));
-        buf.insert(entry(&mut q, 2, 0.0, 20.0));
-        buf.insert(entry(&mut q, 3, 0.0, 30.0));
-        assert_eq!(buf.select_victim(policy, &mut rng()), Some(PacketId(1)));
-        let _ = buf.remove(PacketId(1));
-        assert_eq!(buf.select_victim(policy, &mut rng()), Some(PacketId(2)));
-        let _ = buf.remove(PacketId(2));
-        let _ = buf.remove(PacketId(3));
-        assert_eq!(buf.select_victim(policy, &mut rng()), None);
-    }
-
-    #[test]
-    fn drain_all_into_reuses_scratch() {
-        let mut q = EventQueue::new();
-        let mut buf = NodeBuffer::for_policy(&rcad(VictimPolicy::Oldest));
-        let mut scratch = vec![entry(&mut q, 99, 0.0, 1.0)]; // stale content
-        buf.insert(entry(&mut q, 7, 0.0, 10.0));
-        buf.insert(entry(&mut q, 3, 1.0, 20.0));
-        buf.drain_all_into(&mut scratch);
-        assert_eq!(scratch.len(), 2);
-        assert_eq!(scratch[0].packet.id, PacketId(3));
-        assert_eq!(scratch[1].packet.id, PacketId(7));
-        assert!(buf.is_empty());
-        // The index was cleared with the entries: refilling works.
-        buf.insert(entry(&mut q, 5, 2.0, 30.0));
-        assert_eq!(
-            buf.select_victim(VictimPolicy::Oldest, &mut rng()),
-            Some(PacketId(5))
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "already buffered")]
-    fn duplicate_insert_rejected() {
-        let mut q = EventQueue::new();
-        let mut buf = NodeBuffer::new();
-        buf.insert(entry(&mut q, 1, 0.0, 10.0));
-        buf.insert(entry(&mut q, 1, 1.0, 20.0));
-    }
 
     #[test]
     fn policy_helpers() {

@@ -9,11 +9,10 @@
 //! Events and cross-shard handoffs ship plain slot indices.
 //!
 //! [`StoreBuffer`] is the companion per-node buffer: a `PacketId`-sorted
-//! `Vec` of `(id, slot)` entries plus optional sorted victim-index `Vec`s
-//! that replicate the exact selection and tie-break semantics of
-//! [`crate::buffer::NodeBuffer`]'s BTreeSet indexes (which remain as the
-//! reference model for the property tests) — same victims, same RNG draw
-//! counts, byte-identical outcomes.
+//! `Vec` of `(id, slot)` entries plus an optional sorted victim-index
+//! `Vec`. The property tests (`tests/properties.rs`) pit it against a
+//! linear-scan reference model over a plain `Vec` — same victims, same
+//! smallest-`PacketId` tie-breaks, same RNG draw counts.
 //!
 //! [`Packet`]: tempriv_net::packet::Packet
 
@@ -213,7 +212,7 @@ impl PacketStore {
 }
 
 /// Which sorted victim index a [`StoreBuffer`] maintains, decided once
-/// from the buffer policy exactly as `NodeBuffer::for_policy` does.
+/// from the buffer policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VictimKeys {
     /// No index: drop-tail, unlimited, mixes, and random victims (the
@@ -324,12 +323,14 @@ impl StoreBuffer {
         }
     }
 
-    /// Picks the packet `policy` sacrifices, identically (selection and
-    /// RNG draws) to `NodeBuffer::select_victim`: shortest-remaining is
-    /// the earliest `(release, id)`; longest-remaining the maximal
-    /// release with the smallest id among ties; oldest the earliest
-    /// `(buffered, id)`; random one uniform index draw into the
-    /// id-sorted entries.
+    /// Picks the packet `policy` sacrifices; `None` if empty. Ties break
+    /// toward the smallest packet id: shortest-remaining is the earliest
+    /// `(release, id)`; longest-remaining the maximal release with the
+    /// smallest id among ties; oldest the earliest `(buffered, id)`;
+    /// random one uniform index draw into the id-sorted entries (the
+    /// other policies never draw). The buffer must have been built by
+    /// [`StoreBuffer::for_policy`] for an RCAD policy with this victim
+    /// rule, which keeps the matching index.
     pub fn select_victim(&self, policy: VictimPolicy, rng: &mut SimRng) -> Option<PacketId> {
         if self.entries.is_empty() {
             return None;
@@ -375,16 +376,33 @@ mod tests {
     }
 
     fn store_with(packets: &[(u64, f64)]) -> (PacketStore, Vec<u32>) {
+        store_parked(
+            &packets
+                .iter()
+                .map(|&(pid, r)| (pid, 0.0, r))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// A store holding `(pid, buffered_at, release_at)` parked packets.
+    fn store_parked(packets: &[(u64, f64, f64)]) -> (PacketStore, Vec<u32>) {
         let mut store = PacketStore::new();
         let slots = packets
             .iter()
-            .map(|&(pid, release)| {
+            .map(|&(pid, buffered, release)| {
                 let slot = store.alloc(PacketId(pid), FlowId(0), NodeId(1), t(0.0), 0.0);
-                store.park(slot, t(0.0), t(release), None);
+                store.park(slot, t(buffered), t(release), None);
                 slot
             })
             .collect();
         (store, slots)
+    }
+
+    fn rcad(victim: VictimPolicy) -> BufferPolicy {
+        BufferPolicy::Rcad {
+            capacity: 10,
+            victim,
+        }
     }
 
     #[test]
@@ -480,5 +498,52 @@ mod tests {
             Some(PacketId(1))
         );
         assert!(buf.remove(&store, PacketId(42)).is_none());
+    }
+
+    #[test]
+    fn ties_break_by_packet_id() {
+        // Ids 9 and 2 tie on both buffered and release time.
+        let (store, slots) = store_parked(&[(9, 0.0, 10.0), (2, 0.0, 10.0)]);
+        for victim in [
+            VictimPolicy::ShortestRemaining,
+            VictimPolicy::LongestRemaining,
+            VictimPolicy::Oldest,
+        ] {
+            let mut buf = StoreBuffer::for_policy(&rcad(victim));
+            for &s in &slots {
+                buf.insert(&store, s);
+            }
+            let mut rng = RngFactory::new(8).stream(0);
+            assert_eq!(
+                buf.select_victim(victim, &mut rng),
+                Some(PacketId(2)),
+                "{victim:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_buffer_has_no_victim() {
+        let mut rng = RngFactory::new(8).stream(0);
+        for victim in [
+            VictimPolicy::ShortestRemaining,
+            VictimPolicy::LongestRemaining,
+            VictimPolicy::Random,
+            VictimPolicy::Oldest,
+        ] {
+            let buf = StoreBuffer::for_policy(&rcad(victim));
+            assert!(buf.is_empty());
+            assert_eq!(buf.select_victim(victim, &mut rng), None, "{victim:?}");
+        }
+        assert_eq!(rng.draws(), 0, "an empty buffer draws nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "already buffered")]
+    fn duplicate_insert_rejected() {
+        let (store, slots) = store_with(&[(1, 10.0)]);
+        let mut buf = StoreBuffer::for_policy(&rcad(VictimPolicy::ShortestRemaining));
+        buf.insert(&store, slots[0]);
+        buf.insert(&store, slots[0]);
     }
 }

@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 use tempriv_net::ids::{FlowId, NodeId};
 use tempriv_net::traffic::TrafficModel;
 use tempriv_queueing::erlang::erlang_b;
-use tempriv_runtime::{Runtime, TelemetrySink};
+use tempriv_runtime::{BlobKind, Runtime, TelemetrySink};
 use tempriv_telemetry::{
     memprof, BtqParams, DigestProbe, FlightLog, FlightRecorder, FlowAoi, FlowPrivacyConfig,
     MemBreakdown, MemScopeTimer, MemSnapshot, MetricsRegistry, PhaseBreakdown, PhaseProfiler,
@@ -494,12 +494,9 @@ pub struct JobMem {
 #[derive(Debug)]
 pub struct JobTelemetryCollector<'a> {
     sink: Option<(&'a TelemetrySink, usize)>,
-    trace_capacity: usize,
-    privacy_interval: usize,
-    span_batch: usize,
-    digest_window: usize,
-    mem_profile: bool,
-    node_metrics: bool,
+    /// The sink's per-[`BlobKind`] settings, read once per job (all 0
+    /// without a sink).
+    settings: [usize; 6],
     epoch: std::time::Instant,
     job_ctx: TraceCtx,
     /// Parent span id for the job span: the serve/CLI root span when the
@@ -518,13 +515,9 @@ pub struct JobTelemetryCollector<'a> {
 
 impl<'a> JobTelemetryCollector<'a> {
     /// A collector for job `index` of a run on `runtime`. Collection is
-    /// active only when the runtime carries a telemetry sink; flight
-    /// recording additionally requires the sink's
-    /// [`trace_capacity`](TelemetrySink::trace_capacity) to be non-zero,
-    /// the streaming privacy observatory its
-    /// [`privacy_interval`](TelemetrySink::privacy_interval), and the
-    /// per-node metrics its [`node_metrics`](TelemetrySink::node_metrics)
-    /// gate.
+    /// active only when the runtime carries a telemetry sink, and each
+    /// family only when the sink's [`setting`](TelemetrySink::setting)
+    /// for its [`BlobKind`] is non-zero.
     #[must_use]
     pub fn for_job(runtime: &'a Runtime, index: usize) -> Self {
         let sink = runtime.telemetry_sink();
@@ -541,12 +534,7 @@ impl<'a> JobTelemetryCollector<'a> {
             .map_or(0, |(_, span_id)| span_id);
         JobTelemetryCollector {
             sink: sink.map(|sink| (sink, index)),
-            trace_capacity: sink.map_or(0, TelemetrySink::trace_capacity),
-            privacy_interval: sink.map_or(0, TelemetrySink::privacy_interval),
-            span_batch: sink.map_or(0, TelemetrySink::span_batch),
-            digest_window: sink.map_or(0, TelemetrySink::digest_window),
-            mem_profile: sink.is_some_and(TelemetrySink::mem_profile),
-            node_metrics: sink.is_some_and(TelemetrySink::node_metrics),
+            settings: BlobKind::ALL.map(|kind| sink.map_or(0, |sink| sink.setting(kind))),
             epoch: sink.map_or_else(std::time::Instant::now, TelemetrySink::epoch),
             job_ctx: root.child(index as u64),
             job_parent,
@@ -582,20 +570,17 @@ impl<'a> JobTelemetryCollector<'a> {
             return sim.run();
         }
         let started = std::time::Instant::now();
-        let mut metrics = self
-            .node_metrics
-            .then(|| RecordingProbe::new(sim.routing().len()));
-        let mut flight =
-            (self.trace_capacity > 0).then(|| FlightRecorder::with_capacity(self.trace_capacity));
-        let mut privacy = (self.privacy_interval > 0)
-            .then(|| privacy_probe_for(sim, self.privacy_interval as u64));
-        let mut profiler = (self.span_batch > 0)
-            .then(|| PhaseProfiler::with_batch(u32::try_from(self.span_batch).unwrap_or(u32::MAX)));
-        let mut digest = (self.digest_window > 0).then(|| DigestProbe::new(self.digest_window));
+        let on = |kind: BlobKind| Some(self.settings[kind as usize]).filter(|&n| n > 0);
+        let mut metrics = on(BlobKind::Telemetry).map(|_| RecordingProbe::new(sim.routing().len()));
+        let mut flight = on(BlobKind::Trace).map(FlightRecorder::with_capacity);
+        let mut privacy = on(BlobKind::Privacy).map(|n| privacy_probe_for(sim, n as u64));
+        let mut profiler = on(BlobKind::Spans)
+            .map(|n| PhaseProfiler::with_batch(u32::try_from(n).unwrap_or(u32::MAX)));
+        let mut digest = on(BlobKind::Audit).map(DigestProbe::new);
         // The allocation-scope timer rides the same phase-switch hooks
         // as the profiler; it must be constructed *after* the probes so
         // their setup allocations stay outside its baseline.
-        let mut mem_timer = self.mem_profile.then(|| {
+        let mut mem_timer = on(BlobKind::Mem).map(|_| {
             memprof::set_enabled(true);
             MemScopeTimer::new()
         });
@@ -698,59 +683,57 @@ impl<'a> JobTelemetryCollector<'a> {
         outcome
     }
 
-    /// Serializes the collected telemetry (and, when flight recording or
-    /// the privacy observatory was on, those blobs too) and attaches them
-    /// to the job's sink slots. No-op when collection is inactive.
+    /// Serializes every family the job recorded and attaches each blob
+    /// to the job's sink slot for its [`BlobKind`]. No-op when
+    /// collection is inactive.
     pub fn finish(mut self) {
-        if let Some((sink, index)) = self.sink {
-            if self.node_metrics {
-                let json = serde_json::to_string(&self.job).expect("job telemetry serializes");
-                sink.attach(index, json);
-            }
-            if !self.trace.scenarios.is_empty() {
-                let json = serde_json::to_string(&self.trace).expect("job trace serializes");
-                sink.attach_trace(index, json);
-            }
-            if !self.privacy.scenarios.is_empty() {
-                let json = serde_json::to_string(&self.privacy).expect("job privacy serializes");
-                sink.attach_privacy(index, json);
-            }
-            if !self.audit.scenarios.is_empty() {
-                self.audit.root = self.audit.compute_root();
-                let json = serde_json::to_string(&self.audit).expect("job audit serializes");
-                sink.attach_audit(index, json);
-            }
-            if !self.mem.scenarios.is_empty() {
-                self.mem.process = Some(memprof::snapshot());
-                self.mem.peak_rss_bytes = memprof::peak_rss_bytes();
-                let json = serde_json::to_string(&self.mem).expect("job mem serializes");
-                sink.attach_mem(index, json);
-            }
-            if self.span_batch > 0 {
-                #[allow(clippy::cast_possible_truncation)]
-                let start_us = self
-                    .job_started
-                    .saturating_duration_since(self.epoch)
-                    .as_micros() as u64;
-                #[allow(clippy::cast_possible_truncation)]
-                let dur_us = self.job_started.elapsed().as_micros() as u64;
-                // The job span leads the blob so readers see parents
-                // before children.
-                self.spans.spans.insert(
-                    0,
-                    SpanRecord {
-                        trace_id: self.job_ctx.trace_id,
-                        span_id: self.job_ctx.span_id,
-                        parent_id: self.job_parent,
-                        name: format!("job {index}"),
-                        layer: "job".to_string(),
-                        start_us,
-                        dur_us,
-                    },
-                );
-                let json = serde_json::to_string(&self.spans).expect("job spans serialize");
-                sink.attach_spans(index, json);
-            }
+        let Some((sink, index)) = self.sink else {
+            return;
+        };
+        let attach = |kind: BlobKind, json: Result<String, serde_json::Error>| {
+            sink.attach(kind, index, json.expect("job blob serializes"));
+        };
+        if self.settings[BlobKind::Telemetry as usize] > 0 {
+            attach(BlobKind::Telemetry, serde_json::to_string(&self.job));
+        }
+        if !self.trace.scenarios.is_empty() {
+            attach(BlobKind::Trace, serde_json::to_string(&self.trace));
+        }
+        if !self.privacy.scenarios.is_empty() {
+            attach(BlobKind::Privacy, serde_json::to_string(&self.privacy));
+        }
+        if !self.audit.scenarios.is_empty() {
+            self.audit.root = self.audit.compute_root();
+            attach(BlobKind::Audit, serde_json::to_string(&self.audit));
+        }
+        if !self.mem.scenarios.is_empty() {
+            self.mem.process = Some(memprof::snapshot());
+            self.mem.peak_rss_bytes = memprof::peak_rss_bytes();
+            attach(BlobKind::Mem, serde_json::to_string(&self.mem));
+        }
+        if self.settings[BlobKind::Spans as usize] > 0 {
+            #[allow(clippy::cast_possible_truncation)]
+            let start_us = self
+                .job_started
+                .saturating_duration_since(self.epoch)
+                .as_micros() as u64;
+            #[allow(clippy::cast_possible_truncation)]
+            let dur_us = self.job_started.elapsed().as_micros() as u64;
+            // The job span leads the blob so readers see parents
+            // before children.
+            self.spans.spans.insert(
+                0,
+                SpanRecord {
+                    trace_id: self.job_ctx.trace_id,
+                    span_id: self.job_ctx.span_id,
+                    parent_id: self.job_parent,
+                    name: format!("job {index}"),
+                    layer: "job".to_string(),
+                    start_us,
+                    dur_us,
+                },
+            );
+            attach(BlobKind::Spans, serde_json::to_string(&self.spans));
         }
     }
 }
@@ -1363,8 +1346,10 @@ mod tests {
         assert!(collector.enabled());
         let _ = collector.run(&sim, "unlimited");
         collector.finish();
-        assert_eq!(sink.get(0), None);
-        let blob = sink.get(1).expect("job 1 attached telemetry");
+        assert_eq!(sink.get(BlobKind::Telemetry, 0), None);
+        let blob = sink
+            .get(BlobKind::Telemetry, 1)
+            .expect("job 1 attached telemetry");
         let job: JobTelemetry = serde_json::from_str(&blob).unwrap();
         assert_eq!(job.scenarios.len(), 1);
         assert_eq!(job.scenarios[0].label, "unlimited");
@@ -1434,7 +1419,7 @@ mod tests {
     fn collector_traces_when_capacity_is_set() {
         use std::sync::Arc;
         let sink = Arc::new(TelemetrySink::new());
-        sink.set_trace_capacity(1 << 16);
+        sink.set(BlobKind::Trace, 1 << 16);
         sink.reset(1);
         let runtime = Runtime::builder()
             .workers(1)
@@ -1455,7 +1440,7 @@ mod tests {
         collector.finish();
         // Tracing observes without perturbing the outcome.
         assert_eq!(outcome, sim.run());
-        let blob = sink.get_trace(0).expect("trace attached");
+        let blob = sink.get(BlobKind::Trace, 0).expect("trace attached");
         let trace: JobTrace = serde_json::from_str(&blob).unwrap();
         assert_eq!(trace.scenarios.len(), 1);
         let log = &trace.scenarios[0].log;
@@ -1466,7 +1451,7 @@ mod tests {
         assert!(delivered > 0);
         // The Exp(mu) residence checks rode into the theory report and
         // pass on an unlimited-buffer exponential run.
-        let telemetry_blob = sink.get(0).unwrap();
+        let telemetry_blob = sink.get(BlobKind::Telemetry, 0).unwrap();
         let job: JobTelemetry = serde_json::from_str(&telemetry_blob).unwrap();
         let residence: Vec<&TheoryCheck> = job.scenarios[0]
             .theory
@@ -1560,7 +1545,7 @@ mod tests {
     fn collector_attaches_privacy_blob_when_interval_is_set() {
         use std::sync::Arc;
         let sink = Arc::new(TelemetrySink::new());
-        sink.set_privacy_interval(25);
+        sink.set(BlobKind::Privacy, 25);
         sink.reset(1);
         let runtime = Runtime::builder()
             .workers(1)
@@ -1573,7 +1558,9 @@ mod tests {
         collector.finish();
         // The observatory observes without perturbing the outcome.
         assert_eq!(outcome, sim.run());
-        let blob = sink.get_privacy(0).expect("privacy blob attached");
+        let blob = sink
+            .get(BlobKind::Privacy, 0)
+            .expect("privacy blob attached");
         let privacy: JobPrivacy = serde_json::from_str(&blob).unwrap();
         assert_eq!(privacy.scenarios.len(), 1);
         assert_eq!(privacy.scenarios[0].label, "unlimited");
@@ -1604,7 +1591,7 @@ mod tests {
     fn collector_attaches_spans_and_profiles_when_batch_is_set() {
         use std::sync::Arc;
         let sink = Arc::new(TelemetrySink::new());
-        sink.set_span_batch(16);
+        sink.set(BlobKind::Spans, 16);
         sink.set_root_ctx(0xdead_beef, 0x1234_5678);
         sink.reset(1);
         let runtime = Runtime::builder()
@@ -1626,7 +1613,7 @@ mod tests {
             serde_json::to_string(&plain).unwrap(),
             "profiled outcome serializes byte-identically"
         );
-        let blob = sink.get_spans(0).expect("spans attached");
+        let blob = sink.get(BlobKind::Spans, 0).expect("spans attached");
         let spans: JobSpans = serde_json::from_str(&blob).unwrap();
         // Job span first, then one scenario span, all on one trace.
         assert_eq!(spans.spans.len(), 2);
@@ -1669,7 +1656,7 @@ mod tests {
     fn aoi_rides_the_flight_recording_into_gauges() {
         use std::sync::Arc;
         let sink = Arc::new(TelemetrySink::new());
-        sink.set_trace_capacity(1 << 16);
+        sink.set(BlobKind::Trace, 1 << 16);
         sink.reset(1);
         let runtime = Runtime::builder()
             .workers(1)
@@ -1680,7 +1667,7 @@ mod tests {
         let mut collector = JobTelemetryCollector::for_job(&runtime, 0);
         let _ = collector.run(&sim, "unlimited");
         collector.finish();
-        let blob = sink.get(0).unwrap();
+        let blob = sink.get(BlobKind::Telemetry, 0).unwrap();
         let job: JobTelemetry = serde_json::from_str(&blob).unwrap();
         let aoi = &job.scenarios[0].aoi;
         assert!(!aoi.is_empty(), "flight recording yields AoI per flow");
@@ -1751,7 +1738,7 @@ mod tests {
     fn collector_attaches_audit_blob_when_window_is_set() {
         use std::sync::Arc;
         let sink = Arc::new(TelemetrySink::new());
-        sink.set_digest_window(256);
+        sink.set(BlobKind::Audit, 256);
         sink.reset(1);
         let runtime = Runtime::builder()
             .workers(1)
@@ -1763,7 +1750,7 @@ mod tests {
         let outcome = collector.run(&sim, "rcad");
         collector.finish();
         assert_eq!(outcome, sim.run(), "auditing does not perturb the run");
-        let blob = sink.get_audit(0).expect("audit blob attached");
+        let blob = sink.get(BlobKind::Audit, 0).expect("audit blob attached");
         let audit: JobAudit = serde_json::from_str(&blob).unwrap();
         assert_eq!(audit.scenarios.len(), 1);
         assert_eq!(audit.scenarios[0].label, "rcad");

@@ -8,8 +8,41 @@ use tempriv_core::buffer::{BufferPolicy, VictimPolicy};
 use tempriv_core::config::{ExperimentConfig, LayoutSpec};
 use tempriv_core::delay::{DelayPlan, DelayStrategy};
 use tempriv_core::metrics::evaluate_adversary;
+use tempriv_net::ids::{FlowId, NodeId, PacketId};
 use tempriv_net::traffic::TrafficModel;
-use tempriv_sim::rng::RngFactory;
+use tempriv_sim::rng::{RngFactory, SimRng};
+use tempriv_sim::time::SimTime;
+
+/// The reference victim rule: a linear scan over buffered
+/// `(id, buffered_at, release_at)` entries in any order. Ties break
+/// toward the smallest id; Random takes one `sample_index` draw and picks
+/// the idx-th smallest id; the other policies never draw.
+fn select_victim_scan(
+    entries: &[(PacketId, SimTime, SimTime)],
+    policy: VictimPolicy,
+    rng: &mut SimRng,
+) -> Option<PacketId> {
+    if entries.is_empty() {
+        return None;
+    }
+    let id = match policy {
+        VictimPolicy::ShortestRemaining => entries.iter().min_by_key(|e| (e.2, e.0))?.0,
+        VictimPolicy::LongestRemaining => {
+            entries
+                .iter()
+                .max_by(|a, b| a.2.cmp(&b.2).then_with(|| b.0.cmp(&a.0)))?
+                .0
+        }
+        VictimPolicy::Oldest => entries.iter().min_by_key(|e| (e.1, e.0))?.0,
+        VictimPolicy::Random => {
+            let mut ids: Vec<PacketId> = entries.iter().map(|e| e.0).collect();
+            ids.sort_unstable();
+            ids[rng.sample_index(ids.len())]
+        }
+        _ => unreachable!("the four shipped policies"),
+    };
+    Some(id)
+}
 
 fn arb_traffic() -> impl Strategy<Value = TrafficModel> {
     prop_oneof![
@@ -199,36 +232,25 @@ proptest! {
         }
     }
 
-    /// Victim selection always returns a buffered packet and respects its
-    /// policy on random buffer contents.
+    /// Victim selection always returns a buffered packet, respects its
+    /// policy, and agrees with the scan reference on random buffer
+    /// contents (coarse times, so ties exercise the id tie-break).
     #[test]
     fn victim_selection_respects_policy(
-        entries in prop::collection::vec((0u64..1_000, 0u64..1_000), 1..30),
+        entries in prop::collection::vec((0u64..32, 0u64..32), 1..30),
         policy in arb_victim(),
     ) {
-        use tempriv_core::buffer::{BufferedPacket, NodeBuffer};
-        use tempriv_net::ids::{FlowId, NodeId, PacketId};
-        use tempriv_net::packet::Packet;
-        use tempriv_sim::queue::EventQueue;
-        use tempriv_sim::time::SimTime;
+        use tempriv_core::store::{PacketStore, StoreBuffer};
 
-        let mut q: EventQueue<()> = EventQueue::new();
-        let mut buf = NodeBuffer::new();
+        let mut store = PacketStore::new();
+        let mut buf = StoreBuffer::for_policy(&BufferPolicy::Rcad { capacity: 30, victim: policy });
+        let mut reference = Vec::new();
         for (i, &(buffered, release)) in entries.iter().enumerate() {
-            let timer = Some(q.push(SimTime::from_ticks(release), ()));
-            buf.insert(BufferedPacket {
-                packet: Packet::new(
-                    PacketId(i as u64),
-                    FlowId(0),
-                    NodeId(0),
-                    i as u32,
-                    SimTime::from_ticks(buffered),
-                    0.0,
-                ),
-                buffered_at: SimTime::from_ticks(buffered),
-                release_at: SimTime::from_ticks(release),
-                timer,
-            });
+            let (buffered, release) = (SimTime::from_ticks(buffered), SimTime::from_ticks(release));
+            let slot = store.alloc(PacketId(i as u64), FlowId(0), NodeId(0), buffered, 0.0);
+            store.park(slot, buffered, release, None);
+            buf.insert(&store, slot);
+            reference.push((PacketId(i as u64), buffered, release));
         }
         let mut rng = RngFactory::new(7).stream(0);
         let victim = buf.select_victim(policy, &mut rng).expect("non-empty buffer");
@@ -249,11 +271,14 @@ proptest! {
             VictimPolicy::Random => {}
             _ => unreachable!("strategy only yields the four policies"),
         }
+        let mut r_ref = RngFactory::new(7).stream(0);
+        prop_assert_eq!(Some(victim), select_victim_scan(&reference, policy, &mut r_ref));
+        prop_assert_eq!(rng.draws(), r_ref.draws());
     }
 
     /// The SoA [`PacketStore`]/[`StoreBuffer`] data plane tracks a
     /// boxed-packet reference model (one `Box` per packet plus the
-    /// BTreeSet-indexed `NodeBuffer`) under arbitrary interleavings of
+    /// `select_victim_scan` linear scan) under arbitrary interleavings of
     /// alloc / park / hop / unbuffer / victim-select / free / drain:
     /// identical per-packet state through the accessors, identical
     /// buffered sets, identical victims with identical RNG draw counts,
@@ -269,11 +294,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use std::collections::BTreeMap;
-        use tempriv_core::buffer::{BufferedPacket, NodeBuffer};
         use tempriv_core::store::{PacketStore, StoreBuffer};
-        use tempriv_net::ids::{FlowId, NodeId, PacketId};
-        use tempriv_net::packet::Packet;
-        use tempriv_sim::time::SimTime;
 
         /// One heap-boxed packet record, as the pre-SoA driver kept them.
         struct RefPacket {
@@ -290,7 +311,6 @@ proptest! {
         let policy = BufferPolicy::Rcad { capacity: 16, victim };
         let mut store = PacketStore::new();
         let mut buf = StoreBuffer::for_policy(&policy);
-        let mut refbuf = NodeBuffer::for_policy(&policy);
         let mut model: BTreeMap<PacketId, Box<RefPacket>> = BTreeMap::new();
         let mut buffered: Vec<PacketId> = Vec::new();
         let mut next_pid = 0u64;
@@ -324,7 +344,7 @@ proptest! {
                     }));
                     next_pid += 1;
                 }
-                // Park a loose packet into both buffers (coarse, heavily
+                // Park a loose packet in both worlds (coarse, heavily
                 // colliding timestamps to exercise tie-breaks).
                 2 => {
                     if let Some(&pid) = loose.get(pick as usize % loose.len().max(1)) {
@@ -333,19 +353,6 @@ proptest! {
                         rec.release_at = SimTime::from_ticks(t_rel);
                         store.park(rec.slot, rec.buffered_at, rec.release_at, None);
                         buf.insert(&store, rec.slot);
-                        refbuf.insert(BufferedPacket {
-                            packet: Packet::new(
-                                pid,
-                                rec.flow,
-                                rec.origin,
-                                0,
-                                rec.created_at,
-                                rec.reading,
-                            ),
-                            buffered_at: rec.buffered_at,
-                            release_at: rec.release_at,
-                            timer: None,
-                        });
                         let pos = buffered.partition_point(|&p| p < pid);
                         buffered.insert(pos, pid);
                     }
@@ -359,14 +366,12 @@ proptest! {
                         rec.hops += 1;
                     }
                 }
-                // Un-buffer one packet from both buffers.
+                // Un-buffer one packet in both worlds.
                 4 => {
                     if !buffered.is_empty() {
                         let pid = buffered.remove(pick as usize % buffered.len());
                         let slot = buf.remove(&store, pid);
                         prop_assert_eq!(slot, Some(model[&pid].slot));
-                        let entry = refbuf.remove(pid);
-                        prop_assert_eq!(entry.map(|e| e.packet.id), Some(pid));
                     }
                 }
                 // Free a loose packet (delivered/dropped); the slot goes
@@ -377,15 +382,13 @@ proptest! {
                         store.release(rec.slot);
                     }
                 }
-                // Mix flush: drain both buffers and compare order.
+                // Mix flush: drain in ascending id order.
                 _ => {
                     drained.clear();
                     buf.drain_slots_into(&mut drained);
                     let ids: Vec<PacketId> =
                         drained.iter().map(|&s| store.pid(s)).collect();
-                    let ref_ids: Vec<PacketId> =
-                        refbuf.drain_all().into_iter().map(|e| e.packet.id).collect();
-                    prop_assert_eq!(&ids, &ref_ids, "drain order diverged");
+                    prop_assert_eq!(&ids, &buffered, "drain order diverged");
                     buffered.clear();
                 }
             }
@@ -393,7 +396,6 @@ proptest! {
 
             // Both worlds agree after every operation.
             prop_assert_eq!(store.live(), model.len());
-            prop_assert_eq!(buf.len(), refbuf.len());
             prop_assert_eq!(buf.len(), buffered.len());
             let entry_ids: Vec<PacketId> = buf.entries().iter().map(|&(pid, _)| pid).collect();
             prop_assert_eq!(&entry_ids, &buffered, "buffered id sets diverged");
@@ -412,11 +414,15 @@ proptest! {
             // Identical victims from identical RNG states, with identical
             // draw counts (Random draws exactly once, the rest never).
             if !buffered.is_empty() {
+                let entries: Vec<_> = buffered
+                    .iter()
+                    .map(|pid| (*pid, model[pid].buffered_at, model[pid].release_at))
+                    .collect();
                 let mut r_soa = RngFactory::new(seed).stream(next_pid);
                 let mut r_ref = RngFactory::new(seed).stream(next_pid);
                 prop_assert_eq!(
                     buf.select_victim(victim, &mut r_soa),
-                    refbuf.select_victim(victim, &mut r_ref)
+                    select_victim_scan(&entries, victim, &mut r_ref)
                 );
                 prop_assert_eq!(r_soa.draws(), r_ref.draws());
             }
@@ -427,57 +433,6 @@ proptest! {
                 store.capacity(),
                 peak_live
             );
-        }
-    }
-
-    /// The per-policy victim index reproduces the linear scan's choice
-    /// exactly — including the smallest-`PacketId` tie-break on coarse,
-    /// heavily-colliding timestamps — under arbitrary insert/remove churn.
-    #[test]
-    fn victim_index_matches_scan(
-        victim in arb_victim(),
-        ops in prop::collection::vec((any::<bool>(), 0u64..50, 0u64..16, 0u64..16), 1..120),
-        seed in any::<u64>(),
-    ) {
-        use tempriv_core::buffer::{BufferedPacket, NodeBuffer};
-        use tempriv_net::ids::{FlowId, NodeId, PacketId};
-        use tempriv_net::packet::Packet;
-        use tempriv_sim::time::SimTime;
-
-        let policy = BufferPolicy::Rcad { capacity: 16, victim };
-        let mut buf = NodeBuffer::for_policy(&policy);
-        let mut next_id = 0u64;
-        for &(insert, id_sel, t_buf, t_rel) in &ops {
-            if insert {
-                let buffered_at = SimTime::from_ticks(t_buf);
-                buf.insert(BufferedPacket {
-                    packet: Packet::new(
-                        PacketId(next_id),
-                        FlowId(0),
-                        NodeId(1),
-                        0,
-                        buffered_at,
-                        0.0,
-                    ),
-                    buffered_at,
-                    release_at: SimTime::from_ticks(t_rel),
-                    timer: None,
-                });
-                next_id += 1;
-            } else if !buf.is_empty() {
-                let ids: Vec<PacketId> = buf.iter().map(|e| e.packet.id).collect();
-                let _ = buf.remove(ids[(id_sel as usize) % ids.len()]);
-            }
-            if !buf.is_empty() {
-                // Two rngs at identical state, so Random's single index
-                // draw is the same on both paths.
-                let mut r_index = RngFactory::new(seed).stream(next_id);
-                let mut r_scan = RngFactory::new(seed).stream(next_id);
-                prop_assert_eq!(
-                    buf.select_victim(victim, &mut r_index),
-                    buf.select_victim_scan(victim, &mut r_scan)
-                );
-            }
         }
     }
 }

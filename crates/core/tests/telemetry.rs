@@ -285,7 +285,7 @@ fn pair_probe_halves_see_the_same_run() {
 #[test]
 fn export_round_trips_through_manifest_blobs() {
     use tempriv_core::experiment::{fig2_sweep_with, SweepParams};
-    use tempriv_runtime::{Runtime, TelemetrySink, WorkerPool};
+    use tempriv_runtime::{BlobKind, Runtime, TelemetrySink, WorkerPool};
 
     let sink = std::sync::Arc::new(TelemetrySink::new());
     let runtime = Runtime::builder()
@@ -300,7 +300,7 @@ fn export_round_trips_through_manifest_blobs() {
     };
     let rows = fig2_sweep_with(&params, &runtime);
     assert_eq!(rows.len(), 2);
-    let blobs = sink.take_all();
+    let blobs = sink.take_all(BlobKind::Telemetry);
     assert_eq!(blobs.len(), 2);
     assert!(blobs.iter().all(Option::is_some), "every job instruments");
     let export = TelemetryExport::collect("fig2", &blobs, &[], &[]).unwrap();

@@ -45,4 +45,4 @@ pub use manifest::{JobRecord, JobStatus, ManifestHeader, ManifestReader, Manifes
 pub use observer::{CountingObserver, NullObserver, RunObserver, StderrReporter};
 pub use pool::WorkerPool;
 pub use runner::{Runtime, RuntimeBuilder};
-pub use telemetry::TelemetrySink;
+pub use telemetry::{BlobKind, TelemetrySink};

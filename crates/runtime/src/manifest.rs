@@ -7,10 +7,13 @@
 //! flushed — the moment that job finishes. A crash therefore leaves a
 //! readable prefix; [`ManifestReader`] tolerates a torn final line.
 
+use serde::value::{Error, Value};
 use serde::{Deserialize, Serialize};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+
+use crate::telemetry::BlobKind;
 
 /// How a job's result was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,7 +40,12 @@ pub struct ManifestHeader {
 }
 
 /// One finished job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Serialized with the five scalar fields first, then one key per
+/// [`BlobKind`] in [`BlobKind::ALL`] order (`null` when absent). A record
+/// journaled before a family existed lacks that key and parses with the
+/// blob absent.
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// Job index within the run (also the output row position).
     pub index: usize,
@@ -50,44 +58,64 @@ pub struct JobRecord {
     /// Digest of the serialized outcome (same content-identity family as
     /// the cache keys), for cheap cross-run comparisons.
     pub outcome_digest: String,
-    /// Per-job telemetry blob (JSON, produced by an instrumented run),
-    /// attached only when the run collected telemetry and the job was
-    /// actually computed. `None` for cache-served jobs and for manifests
-    /// written before telemetry existed.
-    #[serde(default)]
-    pub telemetry: Option<String>,
-    /// Per-job flight-recorder trace blob (JSON), attached only when the
-    /// run traced packet lifecycles and the job was actually computed.
-    /// `None` for cache-served jobs and for manifests written before
-    /// tracing existed.
-    #[serde(default)]
-    pub trace: Option<String>,
-    /// Per-job streaming-privacy series blob (JSON), attached only when
-    /// the run enabled the privacy observatory and the job was actually
-    /// computed. `None` for cache-served jobs and for manifests written
-    /// before the observatory existed.
-    #[serde(default)]
-    pub privacy: Option<String>,
-    /// Per-job cross-layer span/profile blob (JSON), attached only when
-    /// the run traced spans and the job was actually computed. `None`
-    /// for cache-served jobs and for manifests written before span
-    /// tracing existed.
-    #[serde(default)]
-    pub spans: Option<String>,
-    /// Per-job determinism-audit digest blob (JSON `RunDigest`: windowed
-    /// checkpoints plus the run-root digest), attached only when the run
-    /// enabled auditing and the job was actually computed. `None` for
-    /// cache-served jobs and for manifests written before auditing
-    /// existed.
-    #[serde(default)]
-    pub audit: Option<String>,
-    /// Per-job allocation-ledger blob (JSON: per-slot allocs/bytes plus
-    /// allocs-per-delivered figures), attached only when the run enabled
-    /// memory profiling and the job was actually computed. `None` for
-    /// cache-served jobs and for manifests written before the memory
-    /// observatory existed.
-    #[serde(default)]
-    pub mem: Option<String>,
+    /// The job's instrumentation blobs (JSON), indexed by [`BlobKind`]
+    /// (`blobs[kind as usize]`; read them with [`JobRecord::blob`]). A
+    /// blob is present only when the run recorded that family and the
+    /// job was actually computed: cache-served jobs carry none.
+    pub blobs: [Option<String>; 6],
+}
+
+impl JobRecord {
+    /// The job's `kind` blob, if one was journaled.
+    #[must_use]
+    pub fn blob(&self, kind: BlobKind) -> Option<&str> {
+        self.blobs[kind as usize].as_deref()
+    }
+}
+
+impl Serialize for JobRecord {
+    fn to_value(&self) -> Value {
+        let mut fields = vec![
+            ("index".to_string(), self.index.to_value()),
+            ("key".to_string(), self.key.to_value()),
+            ("status".to_string(), self.status.to_value()),
+            ("wall_ms".to_string(), self.wall_ms.to_value()),
+            ("outcome_digest".to_string(), self.outcome_digest.to_value()),
+        ];
+        for kind in BlobKind::ALL {
+            fields.push((
+                kind.name().to_string(),
+                self.blobs[kind as usize].to_value(),
+            ));
+        }
+        Value::Map(fields)
+    }
+}
+
+impl Deserialize for JobRecord {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        fn field<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, Error> {
+            v.get(name)
+                .map(|x| T::from_value(x).map_err(|e| e.context(&format!("field `{name}`"))))
+                .transpose()
+        }
+        fn required<T: Deserialize>(v: &Value, name: &str) -> Result<T, Error> {
+            field(v, name)?
+                .ok_or_else(|| Error::new(format!("missing field `{name}` in `JobRecord`")))
+        }
+        let mut blobs: [Option<String>; 6] = Default::default();
+        for kind in BlobKind::ALL {
+            blobs[kind as usize] = field::<Option<String>>(v, kind.name())?.flatten();
+        }
+        Ok(JobRecord {
+            index: required(v, "index")?,
+            key: required(v, "key")?,
+            status: required(v, "status")?,
+            wall_ms: required(v, "wall_ms")?,
+            outcome_digest: required(v, "outcome_digest")?,
+            blobs,
+        })
+    }
 }
 
 /// An append-only, line-buffered manifest writer (thread-safe: jobs
@@ -229,83 +257,47 @@ mod tests {
             status: JobStatus::Computed,
             wall_ms: 12,
             outcome_digest: "00ff".to_string(),
-            telemetry: None,
-            trace: None,
-            privacy: None,
-            spans: None,
-            audit: None,
-            mem: None,
+            blobs: Default::default(),
         }
     }
 
-    #[test]
-    fn pre_telemetry_records_still_parse() {
-        // Manifests written before the telemetry field existed must stay
-        // readable: the field defaults to None when absent.
-        let line = "{\"index\":0,\"key\":\"k\",\"status\":\"Computed\",\
-                    \"wall_ms\":5,\"outcome_digest\":\"ab\"}";
-        let old: JobRecord = serde_json::from_str(line).unwrap();
-        assert_eq!(old.telemetry, None);
-        assert_eq!(old.trace, None);
-        assert_eq!(old.privacy, None);
-        assert_eq!(old.spans, None);
-        assert_eq!(old.audit, None);
-        assert_eq!(old.mem, None);
-        assert_eq!(old.index, 0);
-    }
+    /// Records journaled by the six-field serializer that preceded the
+    /// keyed blob row: one with every family, one cache-served line of
+    /// nulls, one line from before any family existed (no blob keys),
+    /// and that same record as the six-field serializer rewrote it.
+    const FIXTURE: &str = include_str!("../tests/fixtures/job_records.jsonl");
 
     #[test]
-    fn mem_blob_round_trips() {
-        let mut r = record(5);
-        r.mem = Some("{\"slots\":[],\"total_allocs\":0}".to_string());
-        let line = serde_json::to_string(&r).unwrap();
-        let back: JobRecord = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn audit_blob_round_trips() {
-        let mut r = record(4);
-        r.audit = Some("{\"checkpoints\":[],\"root\":\"00\"}".to_string());
-        let line = serde_json::to_string(&r).unwrap();
-        let back: JobRecord = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn spans_blob_round_trips() {
-        let mut r = record(3);
-        r.spans = Some("{\"spans\":[],\"profiles\":[]}".to_string());
-        let line = serde_json::to_string(&r).unwrap();
-        let back: JobRecord = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn privacy_blob_round_trips() {
-        let mut r = record(2);
-        r.privacy = Some("{\"points\":[]}".to_string());
-        let line = serde_json::to_string(&r).unwrap();
-        let back: JobRecord = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn trace_blob_round_trips() {
-        let mut r = record(1);
-        r.trace = Some("{\"traceEvents\":[]}".to_string());
-        let line = serde_json::to_string(&r).unwrap();
-        let back: JobRecord = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn telemetry_blob_round_trips() {
-        let mut r = record(0);
-        r.telemetry = Some("{\"nodes\":[]}".to_string());
-        let line = serde_json::to_string(&r).unwrap();
-        let back: JobRecord = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, r);
+    fn fixture_records_read_every_kind_and_reserialize_identically() {
+        let mut lines = FIXTURE.lines();
+        let header: ManifestHeader = serde_json::from_str(lines.next().unwrap()).unwrap();
+        assert_eq!(header.jobs, 3);
+        let lines: Vec<&str> = lines.collect();
+        assert_eq!(lines.len(), 4);
+        let mut seen = [false; 6];
+        for line in &lines {
+            let raw: Value = serde_json::from_str(line).unwrap();
+            let record: JobRecord = serde_json::from_str(line).unwrap();
+            for kind in BlobKind::ALL {
+                let stored = match raw.get(kind.name()) {
+                    Some(Value::Str(blob)) => Some(blob.as_str()),
+                    None | Some(Value::Null) => None,
+                    Some(other) => panic!("{} holds a {}", kind.name(), other.kind()),
+                };
+                assert_eq!(record.blob(kind), stored, "{} of {line}", kind.name());
+                seen[kind as usize] |= stored.is_some();
+            }
+            let again = serde_json::to_string(&record).unwrap();
+            if raw.get("telemetry").is_some() {
+                assert_eq!(&again, line, "re-serialization is byte-identical");
+            } else {
+                // The pre-telemetry line gains its null blob keys, exactly
+                // as the six-field serializer wrote them on the next line.
+                assert_eq!(record.blobs, <[Option<String>; 6]>::default());
+                assert_eq!(&again, lines.last().unwrap());
+            }
+        }
+        assert_eq!(seen, [true; 6], "the fixture carries every family");
     }
 
     #[test]

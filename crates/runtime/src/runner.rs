@@ -4,7 +4,7 @@ use crate::cache::{content_digest, ResultCache};
 use crate::manifest::{JobRecord, JobStatus, ManifestHeader, ManifestWriter};
 use crate::observer::{NullObserver, RunObserver};
 use crate::pool::WorkerPool;
-use crate::telemetry::TelemetrySink;
+use crate::telemetry::{BlobKind, TelemetrySink};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -285,22 +285,9 @@ impl Runtime {
         json: &str,
     ) {
         // Cached jobs did no instrumented work, so they carry no blobs.
-        let (telemetry, trace, privacy, spans, audit, mem) = match status {
-            JobStatus::Computed => {
-                self.telemetry
-                    .as_ref()
-                    .map_or((None, None, None, None, None, None), |sink| {
-                        (
-                            sink.get(index),
-                            sink.get_trace(index),
-                            sink.get_privacy(index),
-                            sink.get_spans(index),
-                            sink.get_audit(index),
-                            sink.get_mem(index),
-                        )
-                    })
-            }
-            JobStatus::Cached => (None, None, None, None, None, None),
+        let blobs = match (status, &self.telemetry) {
+            (JobStatus::Computed, Some(sink)) => BlobKind::ALL.map(|kind| sink.get(kind, index)),
+            _ => Default::default(),
         };
         let record = JobRecord {
             index,
@@ -308,12 +295,7 @@ impl Runtime {
             status,
             wall_ms: wall.as_millis() as u64,
             outcome_digest: content_digest(json.as_bytes()),
-            telemetry,
-            trace,
-            privacy,
-            spans,
-            audit,
-            mem,
+            blobs,
         };
         if let Err(e) = writer.record(&record) {
             eprintln!(

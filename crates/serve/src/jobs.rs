@@ -17,7 +17,7 @@ use tempriv_core::experiment::{
 };
 use tempriv_core::telemetry::JobAudit;
 use tempriv_net::FlowId;
-use tempriv_runtime::{content_digest, Runtime, TelemetrySink};
+use tempriv_runtime::{content_digest, BlobKind, Runtime, TelemetrySink};
 use tempriv_telemetry::DEFAULT_DIGEST_WINDOW;
 
 /// Experiment names [`execute`] understands.
@@ -191,15 +191,18 @@ pub fn execute(spec: &JobSpec, sink: Option<Arc<TelemetrySink>>) -> Result<Strin
         // the digest probe is cheap, observes only, and lets the digest
         // endpoint attest any cold run. No endpoint reads the per-node
         // metrics blob, so serve never records it.
-        sink.set_node_metrics(false);
-        sink.set_digest_window(DEFAULT_DIGEST_WINDOW);
-        sink.set_privacy_interval(spec.privacy_interval);
+        sink.set(BlobKind::Telemetry, 0);
+        sink.set(BlobKind::Audit, DEFAULT_DIGEST_WINDOW);
+        sink.set(BlobKind::Privacy, spec.privacy_interval);
         if spec.trace {
-            sink.set_span_batch(tempriv_telemetry::DEFAULT_PHASE_BATCH as usize);
+            sink.set(
+                BlobKind::Spans,
+                tempriv_telemetry::DEFAULT_PHASE_BATCH as usize,
+            );
             // Tracing implies a flight recording so the exported timeline
             // carries packet residences alongside the spans.
-            if sink.trace_capacity() == 0 {
-                sink.set_trace_capacity(1 << 14);
+            if sink.setting(BlobKind::Trace) == 0 {
+                sink.set(BlobKind::Trace, 1 << 14);
             }
         }
         builder = builder.telemetry_sink(Arc::clone(sink));
@@ -250,7 +253,7 @@ pub fn digest_key(key: &str) -> String {
 pub fn collect_digest(sink: &TelemetrySink, points: usize) -> Option<String> {
     let mut audits = Vec::with_capacity(points);
     for point in 0..points {
-        let blob = sink.get_audit(point)?;
+        let blob = sink.get(BlobKind::Audit, point)?;
         audits.push(serde_json::from_str::<JobAudit>(&blob).ok()?);
     }
     let mut lines = String::new();
@@ -337,14 +340,21 @@ mod tests {
         let spec = tiny_spec();
         let sink = Arc::new(TelemetrySink::new());
         let rows = execute(&spec, Some(Arc::clone(&sink))).unwrap();
-        assert!(sink.get_audit(0).is_some(), "every serve job is audited");
-        assert_eq!(sink.get(0), None, "serve never records per-node metrics");
+        assert!(
+            sink.get(BlobKind::Audit, 0).is_some(),
+            "every serve job is audited"
+        );
+        assert_eq!(
+            sink.get(BlobKind::Telemetry, 0),
+            None,
+            "serve never records per-node metrics"
+        );
         assert_eq!(rows, execute(&spec, None).unwrap());
 
         // The same spec with the metrics family on: identical rows and
         // an identical audit, so the gate only drops an observer.
         let metered = Arc::new(TelemetrySink::new());
-        metered.set_digest_window(DEFAULT_DIGEST_WINDOW);
+        metered.set(BlobKind::Audit, DEFAULT_DIGEST_WINDOW);
         let runtime = Runtime::builder()
             .workers(1)
             .telemetry_sink(Arc::clone(&metered))
@@ -352,7 +362,7 @@ mod tests {
             .unwrap();
         assert_eq!(execute_rows(&spec, &runtime).unwrap(), rows);
         assert!(
-            metered.get(0).is_some(),
+            metered.get(BlobKind::Telemetry, 0).is_some(),
             "the metrics family records when on"
         );
         let audit = collect_digest(&sink, spec.points()).expect("audited");
@@ -415,7 +425,7 @@ mod tests {
         let sink = Arc::new(TelemetrySink::new());
         sink.set_root_ctx(0xabcd, 0xef01);
         execute(&spec, Some(Arc::clone(&sink))).unwrap();
-        let blobs = sink.take_all_spans();
+        let blobs = sink.take_all(BlobKind::Spans);
         assert_eq!(blobs.len(), spec.points());
         let spans: JobSpans = serde_json::from_str(blobs[0].as_deref().unwrap()).unwrap();
         assert!(!spans.spans.is_empty());
@@ -424,7 +434,7 @@ mod tests {
         let trace_id = spans.spans[0].trace_id;
         assert!(spans.spans.iter().all(|s| s.trace_id == trace_id));
         // Tracing implies flight recording.
-        assert!(sink.get_trace(0).is_some());
+        assert!(sink.get(BlobKind::Trace, 0).is_some());
     }
 
     #[test]
@@ -434,7 +444,7 @@ mod tests {
         let spec = raw.canonicalize().unwrap();
         let sink = Arc::new(TelemetrySink::new());
         execute(&spec, Some(Arc::clone(&sink))).unwrap();
-        let blobs = sink.take_all_privacy();
+        let blobs = sink.take_all(BlobKind::Privacy);
         assert_eq!(blobs.len(), spec.points());
         assert!(blobs[0].as_deref().is_some_and(|b| b.contains("series")));
     }

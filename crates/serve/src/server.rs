@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use tempriv_core::telemetry::{JobSpans, JobTrace};
-use tempriv_runtime::{content_digest, ResultCache, TelemetrySink};
+use tempriv_runtime::{content_digest, BlobKind, ResultCache, TelemetrySink};
 use tempriv_telemetry::{chrome_span_events, wrap_chrome_events, SpanRecord, TraceCtx};
 
 /// Server configuration (the `tempriv serve` flags).
@@ -848,7 +848,7 @@ fn job_trace(state: &ServerState, id: &str) -> Response {
             p.saturating_duration_since(epoch).as_micros() as i64
         });
         for point in 0..points {
-            if let Some(blob) = sink.get_spans(point) {
+            if let Some(blob) = sink.get(BlobKind::Spans, point) {
                 if let Ok(job) = serde_json::from_str::<JobSpans>(&blob) {
                     for span in &job.spans {
                         let start = (span.start_us as i64 + offset).max(0) as u64;
@@ -873,7 +873,7 @@ fn job_trace(state: &ServerState, id: &str) -> Response {
                     }
                 }
             }
-            if let Some(blob) = sink.get_trace(point) {
+            if let Some(blob) = sink.get(BlobKind::Trace, point) {
                 if let Ok(trace) = serde_json::from_str::<JobTrace>(&blob) {
                     for scenario in &trace.scenarios {
                         flight_events.extend(scenario.log.chrome_trace_events());
@@ -924,7 +924,7 @@ fn stream_privacy(state: &ServerState, request: &Request, stream: &mut TcpStream
         };
         if let Some(sink) = &sink {
             while next_point < points {
-                let Some(blob) = sink.get_privacy(next_point) else {
+                let Some(blob) = sink.get(BlobKind::Privacy, next_point) else {
                     break;
                 };
                 let frame = format!("{{\"point\":{next_point},\"privacy\":{blob}}}");
