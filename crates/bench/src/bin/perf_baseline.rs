@@ -1,30 +1,26 @@
 //! Perf baseline for the observability layer and the discrete-event
-//! core. `--bench trace` (the default) times the flight-recorder ring on
-//! the four-flow Figure-1 sweep and writes `BENCH_trace.json`;
-//! `--bench privacy` times the streaming privacy observatory
-//! (`BENCH_privacy.json`); `--bench span` times the engine self-profiler
-//! (`BENCH_span.json`); `--bench audit` times the windowed determinism
-//! digest probe (`BENCH_audit.json`); `--bench mem` times the
-//! counting-allocator observatory and ledgers allocs per delivered
-//! packet across the seven buffer/victim configs plus 100/1k/10k scale
-//! points (`BENCH_mem.json`); `--bench scale` sweeps random
-//! geometric convergecast fields at ~100/1k/10k nodes and writes
-//! `BENCH_core.json` (events/sec, peak future-event-set size, wall
-//! seconds per mode).
+//! core. `--bench overhead` (the default) times each instrumentation
+//! stack of the [`ROWS`] table — flight recorder, privacy observatory,
+//! engine self-profiler, determinism digest, allocator observatory — on
+//! the four-flow Figure-1 sweep, ledgers allocs per delivered packet for
+//! seven buffer/victim configs and geometric scale points, and writes
+//! both to `BENCH_overhead.json` with each row's CI budget (`budget_pct`,
+//! `null` when report-only). `--bench scale` sweeps random geometric
+//! convergecast fields at ~100/1k/10k nodes and writes `BENCH_core.json`
+//! (events/sec, peak future-event-set size, wall seconds per mode).
 //!
 //! ```text
-//! cargo run --release -p tempriv-bench --bin perf_baseline
 //! cargo run --release -p tempriv-bench --bin perf_baseline -- \
-//!     --packets 100 --points 2,20 --repeats 2 --out BENCH_trace.json
-//! cargo run --release -p tempriv-bench --bin perf_baseline -- --bench privacy
+//!     --points 2,8,14,20 --packets 1000 --repeats 8 --nodes 100 --budget 4000
 //! cargo run --release -p tempriv-bench --bin perf_baseline -- \
 //!     --bench scale --nodes 100,1000,10000 --baseline results/BENCH_core.json
 //! ```
 //!
-//! Each mode runs the identical deterministic sweep (same seeds, same
-//! event sequence — the probe layer observes and never samples), so the
-//! wall-clock deltas isolate instrumentation cost. Per point the minimum
-//! over `--repeats` runs is kept, the standard guard against scheduler
+//! Every row runs the identical deterministic sweep (probes observe and
+//! never sample, which the warm-up asserts per point), so wall-clock
+//! deltas isolate instrumentation cost. Per point each row times its own
+//! `probes_off` / `metrics` / stack triple interleaved and keeps the
+//! minimum over `--repeats` runs, the standard guard against scheduler
 //! noise. For `--bench scale`, `--baseline` points at a previous
 //! `BENCH_core.json`; its `probes_off` events/sec are embedded per point
 //! and a speedup ratio computed, which is how before/after comparisons
@@ -37,6 +33,7 @@ use serde::{Deserialize, Serialize};
 use tempriv_bench::harness::{best_of_interleaved, ModeTiming, OverheadSummary};
 use tempriv_core::buffer::{BufferPolicy, VictimPolicy};
 use tempriv_core::delay::DelayPlan;
+use tempriv_core::metrics::SimOutcome;
 use tempriv_core::sim_driver::NetworkSimulation;
 use tempriv_core::telemetry::privacy_probe_for;
 use tempriv_net::convergecast::Convergecast;
@@ -49,125 +46,115 @@ use tempriv_telemetry::{
     memprof, DigestProbe, FlightRecorder, MemScopeTimer, PhaseProfiler, RecordingProbe,
 };
 
-/// The mem bench counts through the real allocator; the other modes
-/// leave the gate off and pay one relaxed load per allocation.
+/// The mem row and the ledger count through the real allocator; the
+/// other modes leave the gate off and pay one relaxed load per allocation.
 #[global_allocator]
 static ALLOC: tempriv_telemetry::CountingAlloc = tempriv_telemetry::CountingAlloc;
 
-/// Which instrumented mode the third timing column measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BenchKind {
-    /// Flight-recorder ring (`BENCH_trace.json`).
-    Trace,
-    /// Streaming privacy observatory (`BENCH_privacy.json`).
-    Privacy,
-    /// Engine self-profiler with batched timers (`BENCH_span.json`).
-    Span,
-    /// Windowed determinism digest probe (`BENCH_audit.json`).
-    Audit,
-    /// Counting-allocator observatory (`BENCH_mem.json`).
-    Mem,
-    /// Discrete-event core throughput on geometric fields (`BENCH_core.json`).
-    Scale,
+/// One instrumentation stack of the overhead bench, composed over the
+/// metrics probe exactly as the runtime collector composes it.
+struct Row {
+    /// Row name in `BENCH_overhead.json` and `tempriv report --bench`.
+    name: &'static str,
+    /// Mode name of the stack's timing column.
+    mode: &'static str,
+    /// Runs the sweep point once under the stack. The flight recorder
+    /// is the one piece of state kept across runs: allocated once per
+    /// row and reset per run, as a long-lived recorder would be, so the
+    /// steady-state cost is the per-event record, not the arena.
+    stack: fn(&NetworkSimulation, &mut FlightRecorder) -> SimOutcome,
+    /// CI budget in percent over the metrics probe; `None` is report-only.
+    budget_pct: Option<f64>,
 }
 
-/// The `BENCH_trace.json` payload.
+/// The overhead bench's rows. Only the digest probe and the memory
+/// observatory are gated: both are meant to be cheap enough to leave on.
+const ROWS: [Row; 5] = [
+    Row {
+        name: "trace",
+        mode: "tracing",
+        stack: |sim, flight| {
+            flight.reset();
+            let mut pair = (RecordingProbe::new(sim.routing().len()), flight);
+            let out = sim.run_probed(&mut pair);
+            std::hint::black_box(&pair);
+            out
+        },
+        budget_pct: None,
+    },
+    Row {
+        name: "privacy",
+        mode: "privacy",
+        stack: |sim, _| {
+            let probe = RecordingProbe::new(sim.routing().len());
+            let mut pair = (probe, privacy_probe_for(sim, 100));
+            let out = sim.run_probed(&mut pair);
+            std::hint::black_box(&pair);
+            out
+        },
+        budget_pct: None,
+    },
+    Row {
+        name: "span",
+        mode: "profiled",
+        stack: |sim, _| {
+            let mut probe = RecordingProbe::new(sim.routing().len());
+            let mut timer = PhaseProfiler::new();
+            let out = sim.run_profiled(&mut probe, &mut timer);
+            std::hint::black_box(timer.finish());
+            out
+        },
+        budget_pct: None,
+    },
+    Row {
+        name: "audit",
+        mode: "audited",
+        stack: |sim, _| {
+            let probe = RecordingProbe::new(sim.routing().len());
+            let mut pair = (probe, DigestProbe::with_default_window());
+            let out = sim.run_probed(&mut pair);
+            std::hint::black_box(pair.1.finish());
+            out
+        },
+        budget_pct: Some(5.0),
+    },
+    Row {
+        name: "mem",
+        mode: "mem",
+        // The full observatory: counting gate open for the run,
+        // phase-attributed scope timer on the engine loop's switch hooks.
+        // The gate closes again so the other two modes time the
+        // counting-off path.
+        stack: |sim, _| {
+            memprof::set_enabled(true);
+            let mut probe = RecordingProbe::new(sim.routing().len());
+            let mut timer = MemScopeTimer::new();
+            let out = sim.run_profiled(&mut probe, &mut timer);
+            std::hint::black_box(timer.finish());
+            memprof::set_enabled(false);
+            out
+        },
+        budget_pct: Some(5.0),
+    },
+];
+
+/// One row of `BENCH_overhead.json`.
 #[derive(Debug, Serialize)]
-struct BenchReport {
-    /// What was benchmarked.
-    bench: String,
-    /// Inter-arrival times of the sweep points.
-    points: Vec<f64>,
-    /// Packets per source per point.
-    packets_per_source: u32,
-    /// Timing repetitions per point (minimum kept).
-    repeats: u32,
-    /// Per-mode timings: probes_off, metrics, tracing.
+struct RowReport {
+    /// Row name, e.g. `audit`.
+    name: String,
+    /// CI budget in percent over the metrics probe; `null` if report-only.
+    budget_pct: Option<f64>,
+    /// Per-mode timings: probes_off, metrics, the row's stack.
     modes: Vec<ModeTiming>,
     /// `metrics total / probes_off total`.
     metrics_over_probes_off: f64,
-    /// `tracing total / probes_off total`.
-    tracing_over_probes_off: f64,
-    /// `tracing total / metrics total` — the ring-buffer increment.
-    tracing_over_metrics: f64,
-    /// Ring-buffer overhead in percent: `(tracing/metrics - 1) * 100`.
-    tracing_overhead_pct: f64,
-}
-
-/// The `BENCH_privacy.json` payload.
-#[derive(Debug, Serialize)]
-struct PrivacyBenchReport {
-    /// What was benchmarked.
-    bench: String,
-    /// Inter-arrival times of the sweep points.
-    points: Vec<f64>,
-    /// Packets per source per point.
-    packets_per_source: u32,
-    /// Timing repetitions per point (minimum kept).
-    repeats: u32,
-    /// Per-mode timings: probes_off, metrics, privacy.
-    modes: Vec<ModeTiming>,
-    /// `metrics total / probes_off total`.
-    metrics_over_probes_off: f64,
-    /// `privacy total / probes_off total`.
-    privacy_over_probes_off: f64,
-    /// `privacy total / metrics total` — the observatory increment.
-    privacy_over_metrics: f64,
-    /// Observatory overhead in percent: `(privacy/metrics - 1) * 100`.
-    privacy_overhead_pct: f64,
-}
-
-/// The `BENCH_span.json` payload. `probes_off` is the profiler-off path
-/// — since the driver routes every run through the profiled loop with a
-/// no-op timer, its time *is* the zero-cost-when-off claim; `profiled`
-/// adds the batched [`PhaseProfiler`] on top of the metrics probe.
-#[derive(Debug, Serialize)]
-struct SpanBenchReport {
-    /// What was benchmarked.
-    bench: String,
-    /// Inter-arrival times of the sweep points.
-    points: Vec<f64>,
-    /// Packets per source per point.
-    packets_per_source: u32,
-    /// Timing repetitions per point (minimum kept).
-    repeats: u32,
-    /// Per-mode timings: probes_off, metrics, profiled.
-    modes: Vec<ModeTiming>,
-    /// `metrics total / probes_off total`.
-    metrics_over_probes_off: f64,
-    /// `profiled total / probes_off total`.
-    profiled_over_probes_off: f64,
-    /// `profiled total / metrics total` — the self-profiler increment.
-    profiled_over_metrics: f64,
-    /// Self-profiler overhead in percent: `(profiled/metrics - 1) * 100`.
-    profiled_overhead_pct: f64,
-}
-
-/// The `BENCH_audit.json` payload. `audited` composes the
-/// [`DigestProbe`] over the metrics probe exactly as the runtime
-/// collector does when `--digest-window` is set, so
-/// `audited_overhead_pct` is the cost of always-on determinism
-/// auditing relative to the metrics instrumentation everyone runs.
-#[derive(Debug, Serialize)]
-struct AuditBenchReport {
-    /// What was benchmarked.
-    bench: String,
-    /// Inter-arrival times of the sweep points.
-    points: Vec<f64>,
-    /// Packets per source per point.
-    packets_per_source: u32,
-    /// Timing repetitions per point (minimum kept).
-    repeats: u32,
-    /// Per-mode timings: probes_off, metrics, audited.
-    modes: Vec<ModeTiming>,
-    /// `metrics total / probes_off total`.
-    metrics_over_probes_off: f64,
-    /// `audited total / probes_off total`.
-    audited_over_probes_off: f64,
-    /// `audited total / metrics total` — the digest-probe increment.
-    audited_over_metrics: f64,
-    /// Digest-probe overhead in percent: `(audited/metrics - 1) * 100`.
-    audited_overhead_pct: f64,
+    /// `stack total / probes_off total`.
+    over_probes_off: f64,
+    /// `stack total / metrics total` — the layer's increment.
+    over_metrics: f64,
+    /// Layer overhead in percent: `(stack/metrics - 1) * 100`.
+    overhead_pct: f64,
 }
 
 /// One buffer/victim config's steady-state allocation ledger.
@@ -202,30 +189,10 @@ struct MemScalePoint {
     peak_live_bytes: u64,
 }
 
-/// The `BENCH_mem.json` payload. The timing half gates the counting
-/// allocator + scope timer against the metrics probe like every other
-/// observability bench; the ledger half commits allocs-per-delivered
-/// baselines per buffer/victim config and per scale point.
+/// The allocation ledger: steady-state allocs per delivered packet per
+/// buffer/victim config and per geometric scale point.
 #[derive(Debug, Serialize)]
-struct MemBenchReport {
-    /// What was benchmarked.
-    bench: String,
-    /// Inter-arrival times of the timing sweep points.
-    points: Vec<f64>,
-    /// Packets per source per point.
-    packets_per_source: u32,
-    /// Timing repetitions per point (minimum kept).
-    repeats: u32,
-    /// Per-mode timings: probes_off, metrics, mem.
-    modes: Vec<ModeTiming>,
-    /// `metrics total / probes_off total`.
-    metrics_over_probes_off: f64,
-    /// `mem total / probes_off total`.
-    mem_over_probes_off: f64,
-    /// `mem total / metrics total` — the allocator-observatory increment.
-    mem_over_metrics: f64,
-    /// Observatory overhead in percent: `(mem/metrics - 1) * 100`.
-    mem_overhead_pct: f64,
+struct MemLedger {
     /// Headline: paper-config (RCAD shortest-remaining) steady-state
     /// allocs per delivered packet.
     allocs_per_delivered: f64,
@@ -233,8 +200,25 @@ struct MemBenchReport {
     peak_live_bytes: u64,
     /// Per-config ledgers across the seven buffer/victim configs.
     configs: Vec<MemConfigLedger>,
-    /// Ledgers at the geometric 100/1k/10k scale points.
+    /// Ledgers at the geometric scale points.
     scale_points: Vec<MemScalePoint>,
+}
+
+/// The `BENCH_overhead.json` payload.
+#[derive(Debug, Serialize)]
+struct OverheadReport {
+    /// What was benchmarked.
+    bench: String,
+    /// Inter-arrival times of the sweep points.
+    points: Vec<f64>,
+    /// Packets per source per point.
+    packets_per_source: u32,
+    /// Timing repetitions per point (minimum kept).
+    repeats: u32,
+    /// One entry per [`ROWS`] row, in table order.
+    rows: Vec<RowReport>,
+    /// Allocation ledger, measured after the timings with counting on.
+    ledger: MemLedger,
 }
 
 /// One instrumentation mode's timing at one scale point.
@@ -335,17 +319,17 @@ fn scale_sim(n_nodes: usize, budget: u64, seed: u64) -> (NetworkSimulation, usiz
 }
 
 /// Runs the scale sweep and assembles the `BENCH_core.json` report.
-fn run_scale(
-    node_counts: &[usize],
-    budget: u64,
-    seed: u64,
-    repeats: u32,
-    shards: u32,
-    workers: usize,
-    baseline: Option<&ScaleReport>,
-) -> ScaleReport {
-    let mut points = Vec::with_capacity(node_counts.len());
-    for &n in node_counts {
+fn run_scale(args: &Args, baseline: Option<&ScaleReport>) -> ScaleReport {
+    let Args {
+        budget,
+        seed,
+        repeats,
+        shards,
+        workers,
+        ..
+    } = *args;
+    let mut points = Vec::with_capacity(args.nodes.len());
+    for &n in &args.nodes {
         let (sim, n_sources, packets) = scale_sim(n, budget, seed);
         let n_buf_nodes = sim.routing().len();
         // Warm-up run; also pins the mode-invariant event statistics.
@@ -450,11 +434,7 @@ fn run_scale(
     }
 }
 
-fn figure1_sim(inv_lambda: f64, packets: u32) -> NetworkSimulation {
-    figure1_sim_with(inv_lambda, packets, BufferPolicy::paper_rcad())
-}
-
-fn figure1_sim_with(inv_lambda: f64, packets: u32, buffer: BufferPolicy) -> NetworkSimulation {
+fn figure1_sim(inv_lambda: f64, packets: u32, buffer: BufferPolicy) -> NetworkSimulation {
     let layout = Convergecast::paper_figure1();
     NetworkSimulation::builder(layout.routing().clone(), layout.sources().to_vec())
         .traffic(TrafficModel::periodic(inv_lambda))
@@ -510,15 +490,18 @@ fn mem_configs() -> [(&'static str, BufferPolicy); 7] {
 
 /// Steady-state allocation ledger for one simulation: a warm-up run
 /// absorbs one-time lazy setup, then a measured run counts this
-/// thread's allocations and the rebased peak-live high-water mark.
+/// thread's allocations and the rebased peak-live high-water mark,
+/// less `live_base`, the live bytes counted before the ledger began.
 /// Requires counting to be enabled.
-fn measure_mem(sim: &NetworkSimulation) -> (u64, u64, u64, f64, u64) {
+fn measure_mem(sim: &NetworkSimulation, live_base: u64) -> (u64, u64, u64, f64, u64) {
     std::hint::black_box(sim.run());
     memprof::reset_peak();
     let base = memprof::thread_snapshot();
     let outcome = sim.run();
     let delta = memprof::thread_snapshot().since(base);
-    let peak = memprof::snapshot().peak_live_bytes;
+    let peak = memprof::snapshot()
+        .peak_live_bytes
+        .saturating_sub(live_base);
     let delivered = outcome.total_delivered();
     std::hint::black_box(outcome);
     #[allow(clippy::cast_precision_loss)]
@@ -531,13 +514,13 @@ fn measure_mem(sim: &NetworkSimulation) -> (u64, u64, u64, f64, u64) {
 }
 
 /// Ledgers the seven buffer/victim configs on the Figure-1 layout.
-fn mem_config_ledgers(inv_lambda: f64, packets: u32) -> Vec<MemConfigLedger> {
+fn mem_config_ledgers(inv_lambda: f64, packets: u32, base: u64) -> Vec<MemConfigLedger> {
     mem_configs()
         .into_iter()
         .map(|(label, buffer)| {
-            let sim = figure1_sim_with(inv_lambda, packets, buffer);
+            let sim = figure1_sim(inv_lambda, packets, buffer);
             let (allocs, alloc_bytes, delivered, allocs_per_delivered, peak_live_bytes) =
-                measure_mem(&sim);
+                measure_mem(&sim, base);
             eprintln!(
                 "[perf] mem {label}: {allocs} allocs / {delivered} delivered \
                  = {allocs_per_delivered:.2}, peak live {peak_live_bytes} B"
@@ -555,12 +538,18 @@ fn mem_config_ledgers(inv_lambda: f64, packets: u32) -> Vec<MemConfigLedger> {
 }
 
 /// Ledgers the geometric scale points (default 100/1k/10k nodes).
-fn mem_scale_ledgers(node_counts: &[usize], budget: u64, seed: u64) -> Vec<MemScalePoint> {
+fn mem_scale_ledgers(
+    node_counts: &[usize],
+    budget: u64,
+    seed: u64,
+    base: u64,
+) -> Vec<MemScalePoint> {
     node_counts
         .iter()
         .map(|&nodes| {
             let (sim, _, _) = scale_sim(nodes, budget, seed);
-            let (allocs, _, delivered, allocs_per_delivered, peak_live_bytes) = measure_mem(&sim);
+            let (allocs, _, delivered, allocs_per_delivered, peak_live_bytes) =
+                measure_mem(&sim, base);
             eprintln!(
                 "[perf] mem scale n={nodes}: {allocs} allocs / {delivered} delivered \
                  = {allocs_per_delivered:.2}, peak live {peak_live_bytes} B"
@@ -576,62 +565,25 @@ fn mem_scale_ledgers(node_counts: &[usize], budget: u64, seed: u64) -> Vec<MemSc
         .collect()
 }
 
-/// Times the three instrumentation modes over the sweep. Within each
-/// repeat the modes run back-to-back, so ambient machine load skews them
-/// equally rather than biasing whichever mode happened to run during a
-/// busy stretch; the minimum per mode over `repeats` is kept. The third
-/// mode is the flight-recorder ring (`--bench trace`) or the streaming
-/// privacy observatory (`--bench privacy`), both composed over the
-/// metrics probe exactly as the runtime collector composes them.
-fn time_modes(kind: BenchKind, points: &[f64], packets: u32, repeats: u32) -> [ModeTiming; 3] {
-    let mut secs: [Vec<f64>; 3] = [vec![], vec![], vec![]];
-    // The ring is allocated once and reset between runs, as a long-lived
-    // flight recorder would be: the steady-state cost is the per-event
-    // record, not the one-time arena allocation.
+/// Times one row over the sweep. Per point a warm-up run first asserts
+/// that the stack reproduces the probes-off outcome (digest and RNG
+/// draws), so a perturbing stack fails the bench instead of being
+/// timed; then `probes_off`, `metrics` and the stack run interleaved
+/// and the minimum of each over `repeats` is kept.
+fn time_row(row: &Row, points: &[f64], packets: u32, repeats: u32) -> [ModeTiming; 3] {
+    let mut secs: [Vec<f64>; 3] = Default::default();
     let mut flight = FlightRecorder::new();
     for &inv_lambda in points {
-        let sim = figure1_sim(inv_lambda, packets);
+        let sim = figure1_sim(inv_lambda, packets, BufferPolicy::paper_rcad());
         let nodes = sim.routing().len();
-        let mut instrumented = || match kind {
-            BenchKind::Trace => {
-                flight.reset();
-                let mut pair = (RecordingProbe::new(nodes), &mut flight);
-                std::hint::black_box(sim.run_probed(&mut pair));
-                std::hint::black_box(&pair);
-            }
-            BenchKind::Privacy => {
-                let mut pair = (RecordingProbe::new(nodes), privacy_probe_for(&sim, 100));
-                std::hint::black_box(sim.run_probed(&mut pair));
-                std::hint::black_box(&pair);
-            }
-            BenchKind::Span => {
-                let mut probe = RecordingProbe::new(nodes);
-                let mut timer = PhaseProfiler::new();
-                std::hint::black_box(sim.run_profiled(&mut probe, &mut timer));
-                std::hint::black_box(timer.finish());
-            }
-            BenchKind::Audit => {
-                let mut pair = (
-                    RecordingProbe::new(nodes),
-                    DigestProbe::with_default_window(),
-                );
-                std::hint::black_box(sim.run_probed(&mut pair));
-                std::hint::black_box(pair.1.finish());
-            }
-            BenchKind::Mem => {
-                // The full observatory: counting gate open for the
-                // run, phase-attributed scope timer on the driver's
-                // switch hooks. The gate closes again so the other two
-                // modes time the counting-off path.
-                memprof::set_enabled(true);
-                let mut probe = RecordingProbe::new(nodes);
-                let mut timer = MemScopeTimer::new();
-                std::hint::black_box(sim.run_profiled(&mut probe, &mut timer));
-                std::hint::black_box(timer.finish());
-                memprof::set_enabled(false);
-            }
-            BenchKind::Scale => unreachable!("scale bench has its own driver"),
-        };
+        let (off, out) = (sim.run(), (row.stack)(&sim, &mut flight));
+        assert_eq!(
+            (out.digest(), out.rng_draws),
+            (off.digest(), off.rng_draws),
+            "{} stack must reproduce the probes-off outcome at point {inv_lambda}",
+            row.name
+        );
+        drop((off, out));
         let best = best_of_interleaved(
             repeats,
             &mut [
@@ -643,41 +595,41 @@ fn time_modes(kind: BenchKind, points: &[f64], packets: u32, repeats: u32) -> [M
                     std::hint::black_box(sim.run_probed(&mut probe));
                     std::hint::black_box(&probe);
                 },
-                &mut instrumented,
+                &mut || {
+                    std::hint::black_box((row.stack)(&sim, &mut flight));
+                },
             ],
         );
         for (mode, &s) in secs.iter_mut().zip(&best) {
             mode.push(s);
         }
     }
-    let third = match kind {
-        BenchKind::Trace => "tracing",
-        BenchKind::Privacy => "privacy",
-        BenchKind::Span => "profiled",
-        BenchKind::Audit => "audited",
-        BenchKind::Mem => "mem",
-        BenchKind::Scale => unreachable!("scale bench has its own driver"),
-    };
-    let [off, met, tra] = secs;
+    let [off, met, stack] = secs;
     [
         ModeTiming::new("probes_off", off),
         ModeTiming::new("metrics", met),
-        ModeTiming::new(third, tra),
+        ModeTiming::new(row.mode, stack),
     ]
 }
 
+/// A bench's entry point: `run_overhead_main` or `run_scale_main`.
+type BenchMain = fn(&Args) -> Result<(), String>;
+
 /// Parsed command line.
 struct Args {
-    kind: BenchKind,
+    /// The selected bench's entry point.
+    run: BenchMain,
+    /// `--bench overhead` only: inter-arrival times of the sweep points.
     points: Vec<f64>,
+    /// `--bench overhead` only: packets per source per point.
     packets: u32,
     repeats: u32,
     out: PathBuf,
-    /// `--bench scale` only: node counts of the geometric fields.
+    /// Node counts of the geometric fields.
     nodes: Vec<usize>,
-    /// `--bench scale` only: total packet budget per point.
+    /// Total packet budget per geometric field.
     budget: u64,
-    /// `--bench scale` only: topology/workload seed.
+    /// Geometric topology/workload seed.
     seed: u64,
     /// `--bench scale` only: previous `BENCH_core.json` to compare against.
     baseline: Option<PathBuf>,
@@ -688,120 +640,82 @@ struct Args {
     workers: usize,
 }
 
+/// Parses `raw` as `T`, or yields `default` when the option is absent.
+fn parse<T: std::str::FromStr>(opt: &str, raw: Option<&str>, default: T) -> Result<T, String> {
+    raw.map_or(Ok(default), |v| {
+        v.parse().map_err(|_| format!("bad {opt} `{v}`"))
+    })
+}
+
+/// Parses a comma-separated list of `what`s.
+fn parse_list<T: std::str::FromStr>(what: &str, raw: &str) -> Result<Vec<T>, String> {
+    raw.split(',')
+        .map(|p| p.trim().parse().map_err(|_| format!("bad {what} `{p}`")))
+        .collect()
+}
+
 fn parse_args() -> Result<Args, String> {
-    let mut kind = BenchKind::Trace;
-    let mut points: Vec<f64> = vec![2.0, 8.0, 14.0, 20.0];
-    let mut packets: u32 = 1000;
-    let mut repeats: u32 = 5;
-    let mut out: Option<PathBuf> = None;
-    let mut nodes: Vec<usize> = vec![100, 1000, 10_000];
-    let mut budget: u64 = 40_000;
-    let mut seed: u64 = 4242;
-    let mut baseline: Option<PathBuf> = None;
-    let mut shards: u32 = 1;
-    let mut workers: usize = 1;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("{} needs a value", args[i]))?;
-        match args[i].as_str() {
-            "--bench" => {
-                kind = match value.as_str() {
-                    "trace" => BenchKind::Trace,
-                    "privacy" => BenchKind::Privacy,
-                    "span" => BenchKind::Span,
-                    "audit" => BenchKind::Audit,
-                    "mem" => BenchKind::Mem,
-                    "scale" => BenchKind::Scale,
-                    other => {
-                        return Err(format!(
-                            "bad --bench `{other}`; trace, privacy, span, audit, mem, or scale"
-                        ))
-                    }
-                };
-            }
-            "--points" => {
-                points = value
-                    .split(',')
-                    .map(|p| p.trim().parse().map_err(|_| format!("bad point `{p}`")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--packets" => {
-                packets = value
-                    .parse()
-                    .map_err(|_| format!("bad --packets `{value}`"))?;
-            }
-            "--repeats" => {
-                repeats = value
-                    .parse()
-                    .map_err(|_| format!("bad --repeats `{value}`"))?;
-            }
-            "--nodes" => {
-                nodes = value
-                    .split(',')
-                    .map(|p| {
-                        p.trim()
-                            .parse()
-                            .map_err(|_| format!("bad node count `{p}`"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--budget" => {
-                budget = value
-                    .parse()
-                    .map_err(|_| format!("bad --budget `{value}`"))?;
-            }
-            "--seed" => {
-                seed = value.parse().map_err(|_| format!("bad --seed `{value}`"))?;
-            }
-            "--baseline" => baseline = Some(PathBuf::from(value)),
-            "--shards" => {
-                shards = value
-                    .parse()
-                    .map_err(|_| format!("bad --shards `{value}`"))?;
-            }
-            "--workers" => {
-                workers = value
-                    .parse()
-                    .map_err(|_| format!("bad --workers `{value}`"))?;
-            }
-            "--out" => out = Some(PathBuf::from(value)),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-        i += 2;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.len() % 2 == 1 {
+        return Err(format!("{} needs a value", argv[argv.len() - 1]));
     }
+    let given: Vec<(&str, &str)> = argv.chunks(2).map(|p| (&*p[0], &*p[1])).collect();
+    // The last occurrence of a repeated option wins.
+    let get = |opt: &str| given.iter().rev().find(|(o, _)| *o == opt).map(|&(_, v)| v);
+    let bench = get("--bench").unwrap_or("overhead");
+    // Per bench: its entry point, its default report file and the options it
+    // reads, each taking one value.
+    let (run, file, reads): (BenchMain, _, _) = match bench {
+        "overhead" => (
+            run_overhead_main,
+            "BENCH_overhead.json",
+            "--bench --points --packets --repeats --nodes --budget --seed --out",
+        ),
+        "scale" => (
+            run_scale_main,
+            "BENCH_core.json",
+            "--bench --repeats --nodes --budget --seed --baseline --shards --workers --out",
+        ),
+        other => return Err(format!("bad --bench `{other}`; overhead or scale")),
+    };
+    if let Some((opt, _)) = given
+        .iter()
+        .find(|(o, _)| !reads.split(' ').any(|r| r == *o))
+    {
+        return Err(format!("{opt} is not read by --bench {bench}"));
+    }
+    let points: Vec<f64> = parse_list("point", get("--points").unwrap_or("2,8,14,20"))?;
+    let repeats = parse("--repeats", get("--repeats"), 5)?;
     if points.is_empty() || repeats == 0 {
         return Err("--points and --repeats must be non-empty/positive".into());
     }
+    let nodes: Vec<usize> = parse_list("node count", get("--nodes").unwrap_or("100,1000,10000"))?;
+    let budget = parse("--budget", get("--budget"), 40_000)?;
     if nodes.is_empty() || nodes.iter().any(|&n| n < 2) || budget == 0 {
         return Err("--nodes needs counts >= 2 and --budget must be positive".into());
     }
+    let shards = parse("--shards", get("--shards"), 1)?;
+    let workers = parse("--workers", get("--workers"), 1)?;
     if shards == 0 || workers == 0 {
         return Err("--shards and --workers must be positive".into());
     }
-    let out = out.unwrap_or_else(|| {
-        PathBuf::from(std::env::var("TEMPRIV_RESULTS_DIR").unwrap_or_else(|_| "results".into()))
-            .join(match kind {
-                BenchKind::Trace => "BENCH_trace.json",
-                BenchKind::Privacy => "BENCH_privacy.json",
-                BenchKind::Span => "BENCH_span.json",
-                BenchKind::Audit => "BENCH_audit.json",
-                BenchKind::Mem => "BENCH_mem.json",
-                BenchKind::Scale => "BENCH_core.json",
-            })
-    });
+    let out = get("--out").map_or_else(
+        || {
+            PathBuf::from(std::env::var("TEMPRIV_RESULTS_DIR").unwrap_or_else(|_| "results".into()))
+                .join(file)
+        },
+        PathBuf::from,
+    );
     Ok(Args {
-        kind,
+        run,
         points,
-        packets,
+        packets: parse("--packets", get("--packets"), 1000)?,
         repeats,
         out,
         nodes,
         budget,
-        seed,
-        baseline,
+        seed: parse("--seed", get("--seed"), 4242)?,
+        baseline: get("--baseline").map(PathBuf::from),
         shards,
         workers,
     })
@@ -829,15 +743,7 @@ fn run_scale_main(args: &Args) -> Result<(), String> {
         }
         None => None,
     };
-    let report = run_scale(
-        &args.nodes,
-        args.budget,
-        args.seed,
-        args.repeats,
-        args.shards,
-        args.workers,
-        baseline.as_ref(),
-    );
+    let report = run_scale(args, baseline.as_ref());
     write_report(&report, &args.out)?;
     let largest = report.points.last().expect("at least one point");
     println!(
@@ -853,177 +759,65 @@ fn run_scale_main(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+fn run_overhead_main(args: &Args) -> Result<(), String> {
+    let rows: Vec<RowReport> = ROWS
+        .iter()
+        .map(|row| {
+            let [off, met, stack] = time_row(row, &args.points, args.packets, args.repeats);
+            let oh = OverheadSummary::from_modes(&off, &met, &stack);
+            RowReport {
+                name: row.name.to_string(),
+                budget_pct: row.budget_pct,
+                modes: vec![off, met, stack],
+                metrics_over_probes_off: oh.metrics_over_probes_off,
+                over_probes_off: oh.over_probes_off,
+                over_metrics: oh.over_metrics,
+                overhead_pct: oh.overhead_pct,
+            }
+        })
+        .collect();
+    // Ledger half: counting stays on for the steady-state allocation
+    // baselines (the timings already ran with the gate closed for the
+    // uninstrumented modes). The mem row counted allocations it then
+    // freed with the gate closed; their bytes still read as live, so
+    // that balance is the base every ledger peak is measured from.
+    let base = memprof::snapshot().live_bytes;
+    memprof::set_enabled(true);
+    let configs = mem_config_ledgers(8.0, args.packets, base);
+    let scale_points = mem_scale_ledgers(&args.nodes, args.budget, args.seed, base);
+    let allocs_per_delivered = configs
+        .iter()
+        .find(|c| c.config == "rcad_shortest_remaining")
+        .map_or(0.0, |c| c.allocs_per_delivered);
+    let peak_live_bytes = configs.iter().map(|c| c.peak_live_bytes).max().unwrap_or(0);
+    let report = OverheadReport {
+        bench: "figure1_sweep_overhead".to_string(),
+        points: args.points.clone(),
+        packets_per_source: args.packets,
+        repeats: args.repeats,
+        rows,
+        ledger: MemLedger {
+            allocs_per_delivered,
+            peak_live_bytes,
+            configs,
+            scale_points,
+        },
+    };
+    write_report(&report, &args.out)?;
+    print!("overhead vs metrics:");
+    for row in &report.rows {
+        print!(" {} {:+.2}%", row.name, row.overhead_pct);
+    }
+    println!(" [written {}]", args.out.display());
+    Ok(())
+}
+
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(parsed) => parsed,
+    match parse_args().and_then(|args| (args.run)(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("perf_baseline: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-
-    if args.kind == BenchKind::Scale {
-        return match run_scale_main(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("perf_baseline: {e}");
-                ExitCode::FAILURE
-            }
-        };
     }
-    let Args {
-        kind,
-        points,
-        packets,
-        repeats,
-        out,
-        nodes,
-        budget,
-        seed,
-        ..
-    } = args;
-
-    // Warm caches so the first timed mode pays no cold-start penalty.
-    std::hint::black_box(figure1_sim(points[0], packets.min(100)).run());
-
-    let [probes_off, metrics, third] = time_modes(kind, &points, packets, repeats);
-
-    let oh = OverheadSummary::from_modes(&probes_off, &metrics, &third);
-    let (json, overhead_pct, over_probes_off) = match kind {
-        BenchKind::Trace => {
-            let report = BenchReport {
-                bench: "figure1_sweep_tracing_overhead".to_string(),
-                points,
-                packets_per_source: packets,
-                repeats,
-                metrics_over_probes_off: oh.metrics_over_probes_off,
-                tracing_over_probes_off: oh.over_probes_off,
-                tracing_over_metrics: oh.over_metrics,
-                tracing_overhead_pct: oh.overhead_pct,
-                modes: vec![probes_off, metrics, third],
-            };
-            (
-                serde_json::to_string_pretty(&report),
-                report.tracing_overhead_pct,
-                report.tracing_over_probes_off,
-            )
-        }
-        BenchKind::Privacy => {
-            let report = PrivacyBenchReport {
-                bench: "figure1_sweep_privacy_overhead".to_string(),
-                points,
-                packets_per_source: packets,
-                repeats,
-                metrics_over_probes_off: oh.metrics_over_probes_off,
-                privacy_over_probes_off: oh.over_probes_off,
-                privacy_over_metrics: oh.over_metrics,
-                privacy_overhead_pct: oh.overhead_pct,
-                modes: vec![probes_off, metrics, third],
-            };
-            (
-                serde_json::to_string_pretty(&report),
-                report.privacy_overhead_pct,
-                report.privacy_over_probes_off,
-            )
-        }
-        BenchKind::Span => {
-            let report = SpanBenchReport {
-                bench: "figure1_sweep_profiler_overhead".to_string(),
-                points,
-                packets_per_source: packets,
-                repeats,
-                metrics_over_probes_off: oh.metrics_over_probes_off,
-                profiled_over_probes_off: oh.over_probes_off,
-                profiled_over_metrics: oh.over_metrics,
-                profiled_overhead_pct: oh.overhead_pct,
-                modes: vec![probes_off, metrics, third],
-            };
-            (
-                serde_json::to_string_pretty(&report),
-                report.profiled_overhead_pct,
-                report.profiled_over_probes_off,
-            )
-        }
-        BenchKind::Audit => {
-            let report = AuditBenchReport {
-                bench: "figure1_sweep_audit_overhead".to_string(),
-                points,
-                packets_per_source: packets,
-                repeats,
-                metrics_over_probes_off: oh.metrics_over_probes_off,
-                audited_over_probes_off: oh.over_probes_off,
-                audited_over_metrics: oh.over_metrics,
-                audited_overhead_pct: oh.overhead_pct,
-                modes: vec![probes_off, metrics, third],
-            };
-            (
-                serde_json::to_string_pretty(&report),
-                report.audited_overhead_pct,
-                report.audited_over_probes_off,
-            )
-        }
-        BenchKind::Mem => {
-            // Ledger half: counting stays on for the steady-state
-            // allocation baselines (the timing half already ran with
-            // the gate closed for the uninstrumented modes).
-            memprof::set_enabled(true);
-            let configs = mem_config_ledgers(8.0, packets);
-            let scale_points = mem_scale_ledgers(&nodes, budget, seed);
-            let allocs_per_delivered = configs
-                .iter()
-                .find(|c| c.config == "rcad_shortest_remaining")
-                .map_or(0.0, |c| c.allocs_per_delivered);
-            let peak_live_bytes = configs.iter().map(|c| c.peak_live_bytes).max().unwrap_or(0);
-            let report = MemBenchReport {
-                bench: "figure1_sweep_mem_overhead".to_string(),
-                points,
-                packets_per_source: packets,
-                repeats,
-                metrics_over_probes_off: oh.metrics_over_probes_off,
-                mem_over_probes_off: oh.over_probes_off,
-                mem_over_metrics: oh.over_metrics,
-                mem_overhead_pct: oh.overhead_pct,
-                allocs_per_delivered,
-                peak_live_bytes,
-                configs,
-                scale_points,
-                modes: vec![probes_off, metrics, third],
-            };
-            (
-                serde_json::to_string_pretty(&report),
-                report.mem_overhead_pct,
-                report.mem_over_probes_off,
-            )
-        }
-        BenchKind::Scale => unreachable!("scale bench has its own driver"),
-    };
-    let json = match json {
-        Ok(json) => json,
-        Err(e) => {
-            eprintln!("perf_baseline: serialize report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(parent) = out.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    if let Err(e) = std::fs::write(&out, json) {
-        eprintln!("perf_baseline: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    let label = match kind {
-        BenchKind::Trace => "ring-buffer tracing",
-        BenchKind::Privacy => "privacy observatory",
-        BenchKind::Span => "engine self-profiler",
-        BenchKind::Audit => "determinism digest probe",
-        BenchKind::Mem => "counting-allocator observatory",
-        BenchKind::Scale => unreachable!("scale bench has its own driver"),
-    };
-    println!(
-        "{label} overhead: {overhead_pct:+.2}% vs metrics, {:+.2}% vs probes-off \
-         [written {}]",
-        (over_probes_off - 1.0) * 100.0,
-        out.display()
-    );
-    ExitCode::SUCCESS
 }

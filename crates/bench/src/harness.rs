@@ -1,10 +1,10 @@
 //! Interleaved best-of-N timing harness shared by the `perf_baseline`
 //! bench modes.
 //!
-//! Every overhead bench in this repo times several instrumentation
-//! modes over the same deterministic workload. Two disciplines keep the
-//! numbers honest, and they live here so each bench mode cannot drift
-//! its own copy:
+//! Every overhead row in this repo times several instrumentation modes
+//! over the same deterministic workload. Two disciplines keep the
+//! numbers honest, and they live here so no bench mode can drift its
+//! own copy:
 //!
 //! * **Interleaving** — within each repeat the modes run back-to-back,
 //!   so ambient machine load skews all of them equally instead of
@@ -35,8 +35,8 @@ pub fn best_of_interleaved(repeats: u32, modes: &mut [&mut dyn FnMut()]) -> Vec<
     best
 }
 
-/// One instrumentation mode's timings across a sweep: the shared shape
-/// every `BENCH_*.json` overhead report serializes.
+/// One instrumentation mode's timings across a sweep: the shape every
+/// `BENCH_overhead.json` row serializes.
 #[derive(Debug, Serialize)]
 pub struct ModeTiming {
     /// Mode name, e.g. `probes_off`, `metrics`, `tracing`.

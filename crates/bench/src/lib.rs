@@ -3,7 +3,7 @@
 //! Shared machinery for the Criterion benches and the `figures` binary:
 //!
 //! * [`harness`] — the interleaved best-of-N timing loop and overhead
-//!   ratios shared by every `perf_baseline` bench mode,
+//!   ratios behind each row of `perf_baseline --bench overhead`,
 //! * [`table`] — aligned-table printing and CSV export of result series,
 //! * [`validation`] — the analytic-validation experiments (V1–V4 in
 //!   DESIGN.md): bits-through-queues bound vs empirical MI, M/M/∞

@@ -37,8 +37,8 @@ static ALLOC: tempriv_telemetry::CountingAlloc = tempriv_telemetry::CountingAllo
 static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// The Figure-1 four-flow layout under one buffering config — the same
-/// workload `perf_baseline --bench mem` ledgers — at a chosen packet
-/// budget per source.
+/// workload the `perf_baseline --bench overhead` allocation ledger
+/// covers — at a chosen packet budget per source.
 fn figure1_sim(buffer: BufferPolicy, packets_per_source: u32) -> NetworkSimulation {
     let layout = Convergecast::paper_figure1();
     NetworkSimulation::builder(layout.routing().clone(), layout.sources().to_vec())

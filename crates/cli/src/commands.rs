@@ -80,7 +80,8 @@ COMMANDS:
         [--format F]         text (default), json, or prometheus
         [--bench DIR]        instead summarize the committed BENCH_*.json
                              benchmark reports in DIR: headline metric,
-                             overhead figure, CI gate pass/fail
+                             overhead figure, CI gate pass/fail (exit 1
+                             when a gate fails)
     trace [config.json]      flight-record one run (paper default config
                              when omitted) and dump packet lifecycles
         [--seed N] [--packets N]  override the config
@@ -773,13 +774,10 @@ fn cmd_report<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
 /// `tempriv report --bench <dir>`: one summary table across every
 /// committed `BENCH_*.json` benchmark report — headline metric, the
 /// instrumentation-overhead figure where the bench measures one, and
-/// pass/fail against the CI gate where one is enforced.
+/// pass/fail against the budget a report row carries. The whole table
+/// prints before a failed gate turns into an error (exit 1).
 fn report_bench<W: Write>(dir: &str, committed_core: &str, out: &mut W) -> Result<(), String> {
     use serde::value::Value;
-
-    // Overhead budgets the CI workflow enforces (percent over the
-    // metrics probe); benches without a gate report their figure only.
-    const GATES: &[(&str, f64)] = &[("audit", 5.0), ("mem", 5.0)];
 
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("cannot read directory {dir}: {e}"))?;
@@ -806,7 +804,7 @@ fn report_bench<W: Write>(dir: &str, committed_core: &str, out: &mut W) -> Resul
     .map_err(io_err)?;
     let mut failures = 0usize;
     for path in &files {
-        let name = path
+        let file_name = path
             .file_stem()
             .and_then(|n| n.to_str())
             .unwrap_or_default()
@@ -816,51 +814,68 @@ fn report_bench<W: Write>(dir: &str, committed_core: &str, out: &mut W) -> Resul
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let report: Value = serde_json::from_str(&raw)
             .map_err(|e| format!("malformed bench report {}: {e}", path.display()))?;
-
-        // The overhead-style benches all export one `*_overhead_pct`.
-        let overhead = match &report {
-            Value::Map(entries) => entries
+        // The overhead bench renders one line per row, each gated by the
+        // `budget_pct` it carries, then one for its allocation ledger;
+        // any other report is one line.
+        let lines: Vec<(String, &Value)> = match report.get("rows") {
+            Some(Value::Seq(rows)) => rows
                 .iter()
-                .find(|(k, _)| k.ends_with("_overhead_pct"))
-                .and_then(|(_, v)| v.as_f64()),
-            _ => None,
+                .map(|row| match row.get("name") {
+                    Some(Value::Str(name)) => (name.clone(), row),
+                    _ => ("?".to_string(), row),
+                })
+                .chain(report.get("ledger").map(|l| ("ledger".to_string(), l)))
+                .collect(),
+            _ => vec![(file_name, &report)],
         };
-        let headline = bench_headline(&name, &report);
-        let gate = GATES
-            .iter()
-            .find(|(g, _)| *g == name.as_str())
-            .map(|(_, pct)| *pct);
-        let (gate_col, status) = match (gate, overhead) {
-            (Some(budget), Some(pct)) => {
-                let ok = pct < budget;
-                failures += usize::from(!ok);
-                (format!("<{budget:.0}%"), if ok { "PASS" } else { "FAIL" })
-            }
-            _ => ("-".to_string(), "-"),
-        };
-        let overhead_col = overhead.map_or_else(|| "-".to_string(), |pct| format!("{pct:+.2}%"));
-        let trajectory = if name == "core" {
-            core_trajectory(&report, committed_core)
-        } else {
-            "-".to_string()
-        };
-        writeln!(
-            out,
-            "{name:<8} {headline:<44} {overhead_col:>10} {gate_col:>6} {status:>6}  {trajectory:<24}"
-        )
-        .map_err(io_err)?;
-        if name == "core" {
-            if let Some(table) = core_shard_table(&report) {
-                write!(out, "{table}").map_err(io_err)?;
+        for (name, entry) in lines {
+            let overhead = suffixed_f64(entry, "overhead_pct");
+            let headline = bench_headline(&name, entry);
+            let gate = entry.get("budget_pct").and_then(Value::as_f64);
+            let (gate_col, status) = match (gate, overhead) {
+                (Some(budget), Some(pct)) => {
+                    let ok = pct < budget;
+                    failures += usize::from(!ok);
+                    (format!("<{budget:.0}%"), if ok { "PASS" } else { "FAIL" })
+                }
+                _ => ("-".to_string(), "-"),
+            };
+            let overhead_col =
+                overhead.map_or_else(|| "-".to_string(), |pct| format!("{pct:+.2}%"));
+            let trajectory = if name == "core" {
+                core_trajectory(entry, committed_core)
+            } else {
+                "-".to_string()
+            };
+            writeln!(
+                out,
+                "{name:<8} {headline:<44} {overhead_col:>10} {gate_col:>6} {status:>6}  {trajectory:<24}"
+            )
+            .map_err(io_err)?;
+            if name == "core" {
+                if let Some(table) = core_shard_table(entry) {
+                    write!(out, "{table}").map_err(io_err)?;
+                }
             }
         }
     }
     if failures > 0 {
-        writeln!(out, "{failures} gate(s) FAILED").map_err(io_err)?;
-    } else {
-        writeln!(out, "all gates pass").map_err(io_err)?;
+        return Err(format!("{failures} gate(s) FAILED"));
     }
-    Ok(())
+    writeln!(out, "all gates pass").map_err(io_err)
+}
+
+/// The number under `key` in a report map, or under the first key that
+/// ends in `_{key}` — the per-layer prefixed form (`audited_overhead_pct`)
+/// older overhead files carry.
+fn suffixed_f64(report: &serde::value::Value, key: &str) -> Option<f64> {
+    match report {
+        serde::value::Value::Map(entries) => entries
+            .iter()
+            .find(|(k, _)| k == key || k.strip_suffix(key).is_some_and(|p| p.ends_with('_')))
+            .and_then(|(_, v)| v.as_f64()),
+        _ => None,
+    }
 }
 
 /// Events/sec trajectory of a fresh core scale report against the
@@ -994,25 +1009,26 @@ fn bench_headline(name: &str, report: &serde::value::Value) -> String {
                 "-".to_string()
             }
         }
-        "mem" => match (f("allocs_per_delivered"), f("peak_live_bytes")) {
+        // The overhead bench's allocation ledger: the paper config's
+        // allocs per delivered packet and the max peak live bytes.
+        "ledger" => match (f("allocs_per_delivered"), f("peak_live_bytes")) {
             (Some(app), Some(peak)) => {
-                format!("{app:.1} allocs/packet, peak live {peak:.0} B")
+                format!("{app:.2} allocs/packet, peak live {peak:.0} B")
             }
             _ => "-".to_string(),
         },
-        _ => match &report {
-            // figure-1 overhead benches: slowdown of the instrumented
-            // mode over the metrics probe.
-            Value::Map(entries) => entries
-                .iter()
-                .find(|(k, _)| k.ends_with("_over_metrics"))
-                .and_then(|(k, v)| {
-                    v.as_f64()
-                        .map(|x| format!("{} x{x:.3}", k.trim_end_matches("_over_metrics")))
-                })
-                .unwrap_or_else(|| "-".to_string()),
-            _ => "-".to_string(),
-        },
+        _ => {
+            // Overhead rows: slowdown of the instrumented mode (the last
+            // timing column) over the metrics probe.
+            let mode = match report.get("modes") {
+                Some(Value::Seq(modes)) => modes.last().and_then(|m| m.get("mode")),
+                _ => None,
+            };
+            match (mode, suffixed_f64(report, "over_metrics")) {
+                (Some(Value::Str(mode)), Some(x)) => format!("{mode} x{x:.3}"),
+                _ => "-".to_string(),
+            }
+        }
     }
 }
 
@@ -2032,6 +2048,87 @@ mod tests {
 
         let err = run(&["bench", "nope"]).unwrap_err();
         assert!(err.contains("unknown bench target"));
+    }
+
+    #[test]
+    fn report_bench_gates_each_overhead_row_and_exits_nonzero_on_a_breach() {
+        let dir = std::env::temp_dir().join("tempriv_cli_report_bench_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let dir_s = dir.to_str().unwrap();
+        let row = |name: &str, mode: &str, budget: &str, pct: f64| {
+            format!(
+                r#"{{"name":"{name}","budget_pct":{budget},"modes":[{{"mode":"probes_off"}},
+                {{"mode":"metrics"}},{{"mode":"{mode}"}}],"metrics_over_probes_off":1.1,
+                "over_probes_off":1.2,"over_metrics":{},"overhead_pct":{pct}}}"#,
+                1.0 + pct / 100.0
+            )
+        };
+        let write = |audit_pct: f64| {
+            let rows = [
+                row("trace", "tracing", "null", 12.5),
+                row("privacy", "privacy", "null", 6.0),
+                row("span", "profiled", "null", 13.0),
+                row("audit", "audited", "5.0", audit_pct),
+                row("mem", "mem", "5.0", 4.0),
+            ];
+            let ledger = r#"{"allocs_per_delivered":0.172,"peak_live_bytes":347079}"#;
+            let json = format!(r#"{{"rows":[{}],"ledger":{ledger}}}"#, rows.join(","));
+            std::fs::write(dir.join("BENCH_overhead.json"), json).unwrap();
+        };
+        // Columns: name, headline (mode + ratio), overhead, gate, status.
+        let columns = |text: &str, name: &str| -> Vec<String> {
+            let lines: Vec<&str> = text
+                .lines()
+                .filter(|l| l.split_whitespace().next() == Some(name))
+                .collect();
+            assert_eq!(lines.len(), 1, "one line for row {name}: {text}");
+            lines[0].split_whitespace().map(str::to_string).collect()
+        };
+
+        write(2.0);
+        let text = run(&["report", "--bench", dir_s]).unwrap();
+        for name in ["trace", "privacy", "span"] {
+            assert_eq!(columns(&text, name)[4..6], ["-", "-"], "{text}");
+        }
+        assert_eq!(
+            columns(&text, "trace")[1..4],
+            ["tracing", "x1.125", "+12.50%"]
+        );
+        assert_eq!(columns(&text, "audit")[3..6], ["+2.00%", "<5%", "PASS"]);
+        assert_eq!(columns(&text, "mem")[4..6], ["<5%", "PASS"]);
+        assert_eq!(
+            columns(&text, "ledger")[1..].join(" "),
+            "0.17 allocs/packet, peak live 347079 B - - - -"
+        );
+        assert!(text.ends_with("all gates pass\n"), "{text}");
+
+        // Over budget: the whole table still prints, then exit 1.
+        write(6.5);
+        let mut buf = Vec::new();
+        let err = report_bench(dir_s, "no-core.json", &mut buf).unwrap_err();
+        assert_eq!(err, "1 gate(s) FAILED");
+        let text = String::from_utf8(buf).unwrap();
+        assert_eq!(columns(&text, "audit")[3..6], ["+6.50%", "<5%", "FAIL"]);
+        assert_eq!(columns(&text, "mem")[5], "PASS");
+        assert!(!text.contains("all gates pass"), "{text}");
+        let err = run_raw(&["report", "--bench", dir_s]).unwrap_err();
+        assert_eq!(err.exit_code(), 1);
+
+        // An older per-layer file still renders through the prefixed keys.
+        std::fs::remove_file(dir.join("BENCH_overhead.json")).unwrap();
+        std::fs::write(
+            dir.join("BENCH_trace.json"),
+            r#"{"modes":[{"mode":"probes_off"},{"mode":"metrics"},{"mode":"tracing"}],
+               "tracing_over_metrics":1.126,"tracing_overhead_pct":12.6}"#,
+        )
+        .unwrap();
+        let text = run(&["report", "--bench", dir_s]).unwrap();
+        assert_eq!(
+            columns(&text, "trace")[1..6],
+            ["tracing", "x1.126", "+12.60%", "-", "-"]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
