@@ -7,7 +7,8 @@
 //! both to `BENCH_overhead.json` with each row's CI budget (`budget_pct`,
 //! `null` when report-only). `--bench scale` sweeps random geometric
 //! convergecast fields at ~100/1k/10k nodes and writes `BENCH_core.json`
-//! (events/sec, peak future-event-set size, wall seconds per mode).
+//! (set-up seconds and sampling attempts per point; events/sec, peak
+//! future-event-set size and wall seconds per mode).
 //!
 //! ```text
 //! cargo run --release -p tempriv-bench --bin perf_baseline -- \
@@ -28,6 +29,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use tempriv_bench::harness::{best_of_interleaved, ModeTiming, OverheadSummary};
@@ -245,6 +247,15 @@ struct ScalePoint {
     events: u64,
     /// Peak future-event-set size over the run (mode-invariant).
     peak_fes: u64,
+    /// Wall seconds to sample the connected field, route it and build
+    /// the simulation (all attempts included). Zero in files written
+    /// before it was recorded.
+    #[serde(default)]
+    setup_s: f64,
+    /// Sampling attempts until the field was connected (zero in older
+    /// files).
+    #[serde(default)]
+    attempts: usize,
     /// Per-mode timings: probes_off, metrics.
     modes: Vec<ScaleModeTiming>,
     /// `probes_off` events/sec of the `--baseline` run at this node
@@ -283,8 +294,9 @@ struct ScaleReport {
 /// Builds the scale-point simulation: a connected unit-disk field at
 /// constant density (side = √n, range 2 ⇒ mean degree ≈ 4π), sink
 /// pinned at the corner, every 10th node a source, paper-default RCAD
-/// buffering so the cancel-heavy preemption path is exercised.
-fn scale_sim(n_nodes: usize, budget: u64, seed: u64) -> (NetworkSimulation, usize, u32) {
+/// buffering so the cancel-heavy preemption path is exercised. Also
+/// returns the number of sampling attempts the field took.
+fn scale_sim(n_nodes: usize, budget: u64, seed: u64) -> (NetworkSimulation, usize, u32, usize) {
     let side = (n_nodes as f64).sqrt().max(3.0);
     // Constant density keeps 100/1k/10k byte-identical to the committed
     // baselines; past 100k the random-geometric connectivity threshold
@@ -293,7 +305,7 @@ fn scale_sim(n_nodes: usize, budget: u64, seed: u64) -> (NetworkSimulation, usiz
     let range = if n_nodes > 100_000 { 2.5 } else { 2.0 };
     let deploy = GeometricDeployment::new(side, side, n_nodes, range);
     let mut rng = RngFactory::new(seed).stream(0x5CA1E);
-    let topo = deploy
+    let (topo, attempts) = deploy
         .sample_connected(&mut rng, 64)
         .expect("constant-density field should connect within 64 attempts");
     let routing = RoutingTree::shortest_path(&topo, NodeId(0)).expect("connected topology routes");
@@ -315,7 +327,7 @@ fn scale_sim(n_nodes: usize, budget: u64, seed: u64) -> (NetworkSimulation, usiz
         .seed(seed)
         .build()
         .expect("scale config is valid");
-    (sim, n_sources, packets)
+    (sim, n_sources, packets, attempts)
 }
 
 /// Runs the scale sweep and assembles the `BENCH_core.json` report.
@@ -330,7 +342,9 @@ fn run_scale(args: &Args, baseline: Option<&ScaleReport>) -> ScaleReport {
     } = *args;
     let mut points = Vec::with_capacity(args.nodes.len());
     for &n in &args.nodes {
-        let (sim, n_sources, packets) = scale_sim(n, budget, seed);
+        let started = Instant::now();
+        let (sim, n_sources, packets, attempts) = scale_sim(n, budget, seed);
+        let setup_s = started.elapsed().as_secs_f64();
         let n_buf_nodes = sim.routing().len();
         // Warm-up run; also pins the mode-invariant event statistics.
         let outcome = sim.run();
@@ -403,8 +417,9 @@ fn run_scale(args: &Args, baseline: Option<&ScaleReport>) -> ScaleReport {
         });
         let speedup = baseline_events_per_sec.map(|b| modes[0].events_per_sec / b);
         eprintln!(
-            "[perf] scale n={n}: {events} events, peak FES {peak_fes}, \
-             {:.0} ev/s probes_off{}",
+            "[perf] scale n={n}: set-up {:.2} ms ({attempts} attempts), \
+             {events} events, peak FES {peak_fes}, {:.0} ev/s probes_off{}",
+            setup_s * 1e3,
             modes[0].events_per_sec,
             speedup.map_or(String::new(), |s| format!(", {s:.2}x vs baseline")),
         );
@@ -414,6 +429,8 @@ fn run_scale(args: &Args, baseline: Option<&ScaleReport>) -> ScaleReport {
             packets_per_source: packets,
             events,
             peak_fes,
+            setup_s,
+            attempts,
             modes,
             baseline_events_per_sec,
             speedup,
@@ -547,7 +564,7 @@ fn mem_scale_ledgers(
     node_counts
         .iter()
         .map(|&nodes| {
-            let (sim, _, _) = scale_sim(nodes, budget, seed);
+            let (sim, ..) = scale_sim(nodes, budget, seed);
             let (allocs, _, delivered, allocs_per_delivered, peak_live_bytes) =
                 measure_mem(&sim, base);
             eprintln!(

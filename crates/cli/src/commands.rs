@@ -42,6 +42,8 @@ COMMANDS:
     run <config.json>        run one experiment config; print a summary
         [--out outcome.json] dump the full outcome as JSON
         [--seed N]           override the config's seed
+        [--shards N]         run on N trunk-cut shards (default 1)
+        [--workers N]        threads for a sharded run (default 1)
     init-config <path>       write the paper-default config template
     assess <config.json>     replicate a config across seeds; print
         [--replications N]   mean +/- 95% CI per flow (default N = 5)
@@ -250,10 +252,13 @@ pub(crate) fn io_err(e: std::io::Error) -> String {
     format!("I/O error: {e}")
 }
 
+const RUN_USAGE: &str = "usage: tempriv run <config.json> [--out outcome.json] [--seed N] \
+     [--shards N] [--workers N]";
+
 fn cmd_run<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
-    let path = args
-        .positional(1)
-        .ok_or("usage: tempriv run <config.json> [--out outcome.json] [--seed N]")?;
+    let path = args.positional(1).ok_or(RUN_USAGE)?;
+    args.expect_only(2, &["seed", "out", "shards", "workers"], &[])
+        .map_err(|e| format!("{e}\n{RUN_USAGE}"))?;
     let raw = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut cfg: ExperimentConfig =
         serde_json::from_str(&raw).map_err(|e| format!("invalid config {path}: {e}"))?;
@@ -853,7 +858,7 @@ fn report_bench<W: Write>(dir: &str, committed_core: &str, out: &mut W) -> Resul
             )
             .map_err(io_err)?;
             if name == "core" {
-                if let Some(table) = core_shard_table(entry) {
+                if let Some(table) = core_point_table(entry) {
                     write!(out, "{table}").map_err(io_err)?;
                 }
             }
@@ -933,11 +938,12 @@ fn core_trajectory(report: &serde::value::Value, committed_path: &str) -> String
     deltas.join(" ")
 }
 
-/// Per-shard events/sec table for a core scale report whose points
-/// carry `shard_events` (captured by `--bench scale --shards N`): each
-/// shard's event count over the sharded timing mode's wall time. Empty
-/// (None) for serial-only reports.
-fn core_shard_table(report: &serde::value::Value) -> Option<String> {
+/// Per-point lines for a core scale report: the set-up seconds and
+/// sampling attempts (files since these were recorded), then each
+/// shard's event count over the sharded timing mode's wall time (points
+/// captured with `--bench scale --shards N`). None when no point carries
+/// either.
+fn core_point_table(report: &serde::value::Value) -> Option<String> {
     use serde::value::Value;
     use std::fmt::Write as _;
     let Some(Value::Seq(points)) = report.get("points") else {
@@ -945,16 +951,31 @@ fn core_shard_table(report: &serde::value::Value) -> Option<String> {
     };
     let mut s = String::new();
     for point in points {
-        let shard_events: Vec<u64> = match point.get("shard_events") {
-            Some(Value::Seq(events)) => events.iter().filter_map(Value::as_u64).collect(),
-            _ => continue,
-        };
-        if shard_events.is_empty() {
-            continue;
-        }
         let Some(nodes) = point.get("nodes").and_then(Value::as_u64) else {
             continue;
         };
+        let setup_s = point
+            .get("setup_s")
+            .and_then(Value::as_f64)
+            .filter(|&secs| secs > 0.0);
+        let shard_events: Vec<u64> = match point.get("shard_events") {
+            Some(Value::Seq(events)) => events.iter().filter_map(Value::as_u64).collect(),
+            _ => Vec::new(),
+        };
+        if setup_s.is_none() && shard_events.is_empty() {
+            continue;
+        }
+        if s.is_empty() {
+            let _ = writeln!(
+                s,
+                "  core points (set-up, sampling attempts; per-shard events/sec, sharded mode):"
+            );
+        }
+        let _ = write!(s, "  {nodes:>9} nodes:");
+        if let Some(secs) = setup_s {
+            let attempts = point.get("attempts").and_then(Value::as_u64).unwrap_or(0);
+            let _ = write!(s, " set-up {:.2} ms, {attempts} attempts", secs * 1e3);
+        }
         let sharded_secs = match point.get("modes") {
             Some(Value::Seq(modes)) => modes
                 .iter()
@@ -963,20 +984,13 @@ fn core_shard_table(report: &serde::value::Value) -> Option<String> {
                 .and_then(Value::as_f64),
             _ => None,
         };
-        if s.is_empty() {
-            let _ = writeln!(s, "  core shards (per-shard events/sec, sharded mode):");
+        for (i, &events) in shard_events.iter().enumerate() {
+            let _ = match sharded_secs {
+                Some(secs) if secs > 0.0 => write!(s, "  s{i} {:.0}", events as f64 / secs),
+                _ => write!(s, "  s{i} {events}ev"),
+            };
         }
-        let rates: Vec<String> = shard_events
-            .iter()
-            .enumerate()
-            .map(|(i, &events)| match sharded_secs {
-                Some(secs) if secs > 0.0 => {
-                    format!("s{i} {:.0}", events as f64 / secs)
-                }
-                _ => format!("s{i} {events}ev"),
-            })
-            .collect();
-        let _ = writeln!(s, "  {nodes:>9} nodes: {}", rates.join("  "));
+        s.push('\n');
     }
     if s.is_empty() {
         None
@@ -2048,6 +2062,30 @@ mod tests {
 
         let err = run(&["bench", "nope"]).unwrap_err();
         assert!(err.contains("unknown bench target"));
+    }
+
+    #[test]
+    fn report_bench_prints_core_set_up_per_point() {
+        let dir = std::env::temp_dir().join("tempriv_cli_report_core_setup_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A point with the set-up fields, and one written before they
+        // existed that still carries a shard table.
+        std::fs::write(
+            dir.join("BENCH_core.json"),
+            r#"{"bench":"geometric_convergecast_scale","points":[
+                {"nodes":100,"setup_s":0.0125,"attempts":3,"modes":[]},
+                {"nodes":1000,"shard_events":[10,20],
+                 "modes":[{"mode":"sharded","secs":2.0}]}]}"#,
+        )
+        .unwrap();
+        let text = run(&["report", "--bench", dir.to_str().unwrap()]).unwrap();
+        assert!(
+            text.contains("      100 nodes: set-up 12.50 ms, 3 attempts\n"),
+            "{text}"
+        );
+        assert!(text.contains("     1000 nodes:  s0 5  s1 10\n"), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -691,6 +691,18 @@ pub(crate) struct Driver<'a, P: SimProbe, T: PhaseTimer> {
     pub(crate) handoffs_out: u64,
 }
 
+/// Calls one probe hook with its time charged to [`Phase::Probe`]. An
+/// inactive probe ([`NullProbe`], `None`) skips both the hook and the
+/// two phase switches, so it neither costs nor shows a probe segment.
+#[inline(always)]
+fn observe<P: SimProbe, T: PhaseTimer>(probe: &mut P, timer: &mut T, hook: impl FnOnce(&mut P)) {
+    if P::ACTIVE && probe.is_active() {
+        let prev = timer.switch(Phase::Probe);
+        hook(probe);
+        timer.switch(prev);
+    }
+}
+
 impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
     /// Serial driver state for one simulation run. The sharded runner
     /// builds one per shard and then re-points the shard-indexed RNG
@@ -832,16 +844,16 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
                 created_at: sched.now(),
             });
         }
-        let prev = self.timer.switch(Phase::Probe);
-        self.probe.on_packet(
-            sched.now(),
-            PacketEvent::Created {
-                packet: id.0,
-                flow: i,
-                node: source.index(),
-            },
-        );
-        self.timer.switch(prev);
+        observe(self.probe, self.timer, |p| {
+            p.on_packet(
+                sched.now(),
+                PacketEvent::Created {
+                    packet: id.0,
+                    flow: i,
+                    node: source.index(),
+                },
+            );
+        });
         if self.preassigned.is_empty()
             && matches!(self.sim.workload, Workload::Model(_))
             && self.seq[i] < self.sim.packets_per_source
@@ -864,30 +876,30 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
         // Threshold mixes batch instead of delaying: the delay plan is
         // ignored at mix nodes.
         if let BufferPolicy::ThresholdMix { threshold } = self.sim.buffer_policy {
-            let prev = self.timer.switch(Phase::Probe);
-            self.probe.on_arrival(node.index(), sched.now());
-            self.probe.on_packet(
-                sched.now(),
-                PacketEvent::Enqueued {
-                    packet: self.store.pid(slot).0,
-                    flow: self.store.flow(slot).index(),
-                    node: node.index(),
-                },
-            );
-            self.timer.switch(prev);
+            observe(self.probe, self.timer, |p| {
+                p.on_arrival(node.index(), sched.now());
+                p.on_packet(
+                    sched.now(),
+                    PacketEvent::Enqueued {
+                        packet: self.store.pid(slot).0,
+                        flow: self.store.flow(slot).index(),
+                        node: node.index(),
+                    },
+                );
+            });
             self.store.park(slot, sched.now(), SimTime::MAX, None);
             self.buffers[node.index()].insert(&self.store, slot);
             let depth = self.buffers[node.index()].len() as u64;
             self.occupancy[node.index()].transition(sched.now(), depth);
-            let prev = self.timer.switch(Phase::Probe);
-            self.probe.on_occupancy(node.index(), sched.now(), depth);
-            self.timer.switch(prev);
+            observe(self.probe, self.timer, |p| {
+                p.on_occupancy(node.index(), sched.now(), depth)
+            });
             if self.buffers[node.index()].len() >= threshold {
                 self.flushes[node.index()] += 1;
                 let batch = self.buffers[node.index()].len() as u64;
-                let prev = self.timer.switch(Phase::Probe);
-                self.probe.on_flush(node.index(), sched.now(), batch);
-                self.timer.switch(prev);
+                observe(self.probe, self.timer, |p| {
+                    p.on_flush(node.index(), sched.now(), batch)
+                });
                 let mut scratch = std::mem::take(&mut self.mix_scratch);
                 self.buffers[node.index()].drain_slots_into(&mut scratch);
                 for batched in scratch.drain(..) {
@@ -895,9 +907,9 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
                 }
                 self.mix_scratch = scratch;
                 self.occupancy[node.index()].transition(sched.now(), 0);
-                let prev = self.timer.switch(Phase::Probe);
-                self.probe.on_occupancy(node.index(), sched.now(), 0);
-                self.timer.switch(prev);
+                observe(self.probe, self.timer, |p| {
+                    p.on_occupancy(node.index(), sched.now(), 0)
+                });
             }
             return;
         }
@@ -906,9 +918,9 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
             self.forward(sched, node, slot);
             return;
         }
-        let prev = self.timer.switch(Phase::Probe);
-        self.probe.on_arrival(node.index(), sched.now());
-        self.timer.switch(prev);
+        observe(self.probe, self.timer, |p| {
+            p.on_arrival(node.index(), sched.now())
+        });
         let delay = strategy.sample(&mut self.delay_rngs[node.index()]);
         // Full buffer? Apply the policy before inserting.
         if let Some(cap) = self.capacity {
@@ -916,17 +928,17 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
                 match self.sim.buffer_policy {
                     BufferPolicy::DropTail { .. } => {
                         self.drops[node.index()] += 1;
-                        let prev = self.timer.switch(Phase::Probe);
-                        self.probe.on_drop(node.index(), sched.now());
-                        self.probe.on_packet(
-                            sched.now(),
-                            PacketEvent::Dropped {
-                                packet: self.store.pid(slot).0,
-                                flow: self.store.flow(slot).index(),
-                                node: node.index(),
-                            },
-                        );
-                        self.timer.switch(prev);
+                        observe(self.probe, self.timer, |p| {
+                            p.on_drop(node.index(), sched.now());
+                            p.on_packet(
+                                sched.now(),
+                                PacketEvent::Dropped {
+                                    packet: self.store.pid(slot).0,
+                                    flow: self.store.flow(slot).index(),
+                                    node: node.index(),
+                                },
+                            );
+                        });
                         self.store.release(slot);
                         return;
                     }
@@ -946,23 +958,23 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
                         debug_assert!(cancelled, "victim timer must be pending");
                         self.timer.switch(prev);
                         self.preemptions[node.index()] += 1;
-                        let prev = self.timer.switch(Phase::Probe);
-                        self.probe.on_preemption(node.index(), sched.now());
-                        self.probe.on_packet(
-                            sched.now(),
-                            PacketEvent::Preempted {
-                                packet: victim_id.0,
-                                flow: self.store.flow(victim_slot).index(),
-                                node: node.index(),
-                                victim_policy: victim.name(),
-                            },
-                        );
-                        self.timer.switch(prev);
+                        observe(self.probe, self.timer, |p| {
+                            p.on_preemption(node.index(), sched.now());
+                            p.on_packet(
+                                sched.now(),
+                                PacketEvent::Preempted {
+                                    packet: victim_id.0,
+                                    flow: self.store.flow(victim_slot).index(),
+                                    node: node.index(),
+                                    victim_policy: victim.name(),
+                                },
+                            );
+                        });
                         let depth = self.buffers[node.index()].len() as u64;
                         self.occupancy[node.index()].transition(sched.now(), depth);
-                        let prev = self.timer.switch(Phase::Probe);
-                        self.probe.on_occupancy(node.index(), sched.now(), depth);
-                        self.timer.switch(prev);
+                        observe(self.probe, self.timer, |p| {
+                            p.on_occupancy(node.index(), sched.now(), depth)
+                        });
                         // "Transmit it immediately rather than drop packets."
                         self.forward(sched, node, victim_slot);
                     }
@@ -974,23 +986,23 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
         let prev = self.timer.switch(Phase::QueuePush);
         let timer = sched.schedule_in(delay, Ev::Release { node, slot });
         self.timer.switch(prev);
-        let prev = self.timer.switch(Phase::Probe);
-        self.probe.on_packet(
-            sched.now(),
-            PacketEvent::Enqueued {
-                packet: self.store.pid(slot).0,
-                flow: self.store.flow(slot).index(),
-                node: node.index(),
-            },
-        );
-        self.timer.switch(prev);
+        observe(self.probe, self.timer, |p| {
+            p.on_packet(
+                sched.now(),
+                PacketEvent::Enqueued {
+                    packet: self.store.pid(slot).0,
+                    flow: self.store.flow(slot).index(),
+                    node: node.index(),
+                },
+            );
+        });
         self.store.park(slot, sched.now(), release_at, Some(timer));
         self.buffers[node.index()].insert(&self.store, slot);
         let depth = self.buffers[node.index()].len() as u64;
         self.occupancy[node.index()].transition(sched.now(), depth);
-        let prev = self.timer.switch(Phase::Probe);
-        self.probe.on_occupancy(node.index(), sched.now(), depth);
-        self.timer.switch(prev);
+        observe(self.probe, self.timer, |p| {
+            p.on_occupancy(node.index(), sched.now(), depth)
+        });
     }
 
     #[inline]
@@ -1002,24 +1014,24 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
         debug_assert_eq!(removed, slot, "buffer entry must map back to its slot");
         let depth = self.buffers[node.index()].len() as u64;
         self.occupancy[node.index()].transition(sched.now(), depth);
-        let prev = self.timer.switch(Phase::Probe);
-        self.probe.on_occupancy(node.index(), sched.now(), depth);
-        self.timer.switch(prev);
+        observe(self.probe, self.timer, |p| {
+            p.on_occupancy(node.index(), sched.now(), depth)
+        });
         self.forward(sched, node, slot);
     }
 
     #[inline]
     fn forward(&mut self, sched: &mut Scheduler<'_, Ev>, node: NodeId, slot: u32) {
-        let prev = self.timer.switch(Phase::Probe);
-        self.probe.on_packet(
-            sched.now(),
-            PacketEvent::Departed {
-                packet: self.store.pid(slot).0,
-                flow: self.store.flow(slot).index(),
-                node: node.index(),
-            },
-        );
-        self.timer.switch(prev);
+        observe(self.probe, self.timer, |p| {
+            p.on_packet(
+                sched.now(),
+                PacketEvent::Departed {
+                    packet: self.store.pid(slot).0,
+                    flow: self.store.flow(slot).index(),
+                    node: node.index(),
+                },
+            );
+        });
         self.store.record_hop(slot);
         let next = self
             .sim
@@ -1069,17 +1081,17 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
         self.latency[flow.index()].record(latency);
         self.latency_hist[flow.index()].record(latency);
         self.delivered[flow.index()] += 1;
-        let prev = self.timer.switch(Phase::Probe);
-        self.probe.on_delivery(flow.index(), now, latency);
-        self.probe.on_packet(
-            now,
-            PacketEvent::ArrivedAtSink {
-                packet: pid.0,
-                flow: flow.index(),
-                node: self.sim.routing.sink().index(),
-            },
-        );
-        self.timer.switch(prev);
+        observe(self.probe, self.timer, |p| {
+            p.on_delivery(flow.index(), now, latency);
+            p.on_packet(
+                now,
+                PacketEvent::ArrivedAtSink {
+                    packet: pid.0,
+                    flow: flow.index(),
+                    node: self.sim.routing.sink().index(),
+                },
+            );
+        });
         self.observations.push(Observation {
             arrival: now,
             origin: self.store.origin(slot),
@@ -1273,6 +1285,47 @@ mod tests {
             .map(|p| p.count)
             .sum();
         assert!(dispatched > 0, "switch sites must have fired");
+    }
+
+    #[test]
+    fn inactive_probes_switch_no_probe_phase() {
+        // NullProbe and an empty Option skip the probe hook and its phase
+        // switch; an active probe still gets its segments. None of it
+        // moves the outcome.
+        let layout = Convergecast::paper_figure1();
+        let sim = NetworkSimulation::builder(layout.routing().clone(), layout.sources().to_vec())
+            .traffic(TrafficModel::periodic(2.0))
+            .packets_per_source(150)
+            .buffer_policy(BufferPolicy::paper_rcad())
+            .seed(7)
+            .build()
+            .unwrap();
+        let plain = sim.run();
+        let probe_segments = |breakdown: &tempriv_telemetry::PhaseBreakdown| -> u64 {
+            breakdown
+                .phases
+                .iter()
+                .filter(|p| p.phase == Phase::Probe.name())
+                .map(|p| p.count)
+                .sum()
+        };
+        let mut profiler = tempriv_telemetry::PhaseProfiler::with_batch(8);
+        let null = sim.run_profiled(&mut NullProbe, &mut profiler);
+        assert_eq!(probe_segments(&profiler.finish()), 0);
+        let mut profiler = tempriv_telemetry::PhaseProfiler::with_batch(8);
+        let none = sim.run_profiled(
+            &mut None::<tempriv_telemetry::RecordingProbe>,
+            &mut profiler,
+        );
+        assert_eq!(probe_segments(&profiler.finish()), 0);
+        let mut profiler = tempriv_telemetry::PhaseProfiler::with_batch(8);
+        let mut recording = Some(tempriv_telemetry::RecordingProbe::new(sim.routing().len()));
+        let recorded = sim.run_profiled(&mut recording, &mut profiler);
+        assert!(probe_segments(&profiler.finish()) > 0);
+        for out in [&null, &none, &recorded] {
+            assert_eq!(out.digest(), plain.digest());
+            assert_eq!(out.rng_draws, plain.rng_draws);
+        }
     }
 
     #[test]

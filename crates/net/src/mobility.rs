@@ -232,7 +232,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positioned topology")]
     fn unpositioned_topology_rejected() {
-        let topo = Topology::with_nodes(2);
+        let topo = Topology::from_edges(2, []);
         let track = vec![TrackPoint {
             time: SimTime::ZERO,
             x: 0.0,

@@ -35,8 +35,9 @@ pub struct RoutingTree {
 
 impl RoutingTree {
     /// Builds the min-hop routing tree toward `sink` by breadth-first
-    /// search. Ties are broken by neighbor insertion order, making the
-    /// tree deterministic for a given topology construction.
+    /// search. Ties are broken by ascending neighbour id (the order of
+    /// [`Topology::neighbors`]), so the tree is a pure function of the
+    /// edge set.
     ///
     /// # Errors
     ///
@@ -267,8 +268,7 @@ mod tests {
 
     #[test]
     fn unreachable_nodes_reported() {
-        let mut t = Topology::with_nodes(4);
-        t.add_edge(NodeId(0), NodeId(1));
+        let t = Topology::from_edges(4, [(NodeId(0), NodeId(1))]);
         let err = RoutingTree::shortest_path(&t, NodeId(0)).unwrap_err();
         match err {
             RoutingError::Unreachable { nodes } => {

@@ -109,20 +109,18 @@ proptest! {
         n in 2usize..40,
         chords in prop::collection::vec((0usize..40, 0usize..40), 0..30),
     ) {
-        let mut topo = Topology::line(n);
+        let mut edges: Vec<(NodeId, NodeId)> =
+            (1..n as u32).map(|i| (NodeId(i - 1), NodeId(i))).collect();
         for &(a, b) in &chords {
             let a = a % n;
             let b = b % n;
-            if a != b {
-                let (lo, hi) = (a.min(b) as u32, a.max(b) as u32);
-                // Skip existing line edges and duplicates.
-                if hi - lo > 1
-                    && !topo.neighbors(NodeId(lo)).contains(&NodeId(hi))
-                {
-                    topo.add_edge(NodeId(lo), NodeId(hi));
-                }
+            let (lo, hi) = (a.min(b) as u32, a.max(b) as u32);
+            // Skip self-loops, line edges and duplicate chords.
+            if hi - lo > 1 && !edges.contains(&(NodeId(lo), NodeId(hi))) {
+                edges.push((NodeId(lo), NodeId(hi)));
             }
         }
+        let topo = Topology::from_edges(n, edges);
         let tree = RoutingTree::shortest_path(&topo, NodeId(0)).unwrap();
         for node in topo.nodes() {
             let hops = tree.hops(node).unwrap();

@@ -27,6 +27,17 @@ use crate::flight::PacketEvent;
 /// or block; the driver guarantees hook order is a pure function of the
 /// event sequence.
 pub trait SimProbe {
+    /// `false` only for probes whose every hook is a no-op, such as
+    /// [`NullProbe`]. The driver then skips each hook call, and the
+    /// profiler phase switch around it, at compile time.
+    const ACTIVE: bool = true;
+
+    /// `true` if hooks on this value can observe anything. Defaults to
+    /// [`SimProbe::ACTIVE`]; an empty `Option` probe reports `false`.
+    fn is_active(&self) -> bool {
+        Self::ACTIVE
+    }
+
     /// A node's buffer occupancy changed to `depth` at time `now`.
     fn on_occupancy(&mut self, node: usize, now: SimTime, depth: u64) {
         let _ = (node, now, depth);
@@ -98,12 +109,20 @@ pub trait SimProbe {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullProbe;
 
-impl SimProbe for NullProbe {}
+impl SimProbe for NullProbe {
+    const ACTIVE: bool = false;
+}
 
 /// A mutable reference to a probe is itself a probe, so long-lived
 /// probes can be lent to a run (e.g. inside a pair) without moving
 /// ownership.
 impl<P: SimProbe + ?Sized> SimProbe for &mut P {
+    const ACTIVE: bool = P::ACTIVE;
+
+    fn is_active(&self) -> bool {
+        (**self).is_active()
+    }
+
     fn on_occupancy(&mut self, node: usize, now: SimTime, depth: u64) {
         (**self).on_occupancy(node, now, depth);
     }
@@ -154,6 +173,12 @@ impl<P: SimProbe + ?Sized> SimProbe for &mut P {
 /// packet-level flight recording in one pass, e.g.
 /// `(RecordingProbe::new(n), FlightRecorder::new())`.
 impl<A: SimProbe, B: SimProbe> SimProbe for (A, B) {
+    const ACTIVE: bool = A::ACTIVE || B::ACTIVE;
+
+    fn is_active(&self) -> bool {
+        self.0.is_active() || self.1.is_active()
+    }
+
     fn on_occupancy(&mut self, node: usize, now: SimTime, depth: u64) {
         self.0.on_occupancy(node, now, depth);
         self.1.on_occupancy(node, now, depth);
@@ -215,6 +240,12 @@ impl<A: SimProbe, B: SimProbe> SimProbe for (A, B) {
 /// caller stack a run-time-chosen set of observers into one statically
 /// typed probe instead of matching over every on/off combination.
 impl<P: SimProbe> SimProbe for Option<P> {
+    const ACTIVE: bool = P::ACTIVE;
+
+    fn is_active(&self) -> bool {
+        self.as_ref().is_some_and(P::is_active)
+    }
+
     fn on_occupancy(&mut self, node: usize, now: SimTime, depth: u64) {
         if let Some(p) = self {
             p.on_occupancy(node, now, depth);

@@ -16,7 +16,7 @@ use temporal_privacy::sim::rng::RngFactory;
 fn random_field(seed: u64) -> (RoutingTree, Vec<NodeId>) {
     let spec = GeometricDeployment::new(12.0, 12.0, 80, 2.8);
     let mut rng = RngFactory::new(seed).stream(0);
-    let topo = spec
+    let (topo, _) = spec
         .sample_connected(&mut rng, 50)
         .expect("dense field connects");
     let routing = RoutingTree::shortest_path(&topo, NodeId(0)).expect("connected");
