@@ -7,8 +7,9 @@
 //! both to `BENCH_overhead.json` with each row's CI budget (`budget_pct`,
 //! `null` when report-only). `--bench scale` sweeps random geometric
 //! convergecast fields at ~100/1k/10k nodes and writes `BENCH_core.json`
-//! (set-up seconds and sampling attempts per point; events/sec, peak
-//! future-event-set size and wall seconds per mode).
+//! (set-up seconds, sampling attempts and the peak live heap of one
+//! serial and, with `--shards`, one sharded run per point; events/sec,
+//! peak future-event-set size and wall seconds per mode).
 //!
 //! ```text
 //! cargo run --release -p tempriv-bench --bin perf_baseline -- \
@@ -256,6 +257,14 @@ struct ScalePoint {
     /// files).
     #[serde(default)]
     attempts: usize,
+    /// Peak live heap bytes of one untimed probes-off serial run, above
+    /// the live level it started at (zero in older files).
+    #[serde(default)]
+    peak_live_bytes: u64,
+    /// The same for one balanced sharded run, when `--shards` was given
+    /// (zero otherwise and in older files).
+    #[serde(default)]
+    sharded_peak_live_bytes: u64,
     /// Per-mode timings: probes_off, metrics.
     modes: Vec<ScaleModeTiming>,
     /// `probes_off` events/sec of the `--baseline` run at this node
@@ -330,6 +339,20 @@ fn scale_sim(n_nodes: usize, budget: u64, seed: u64) -> (NetworkSimulation, usiz
     (sim, n_sources, packets, attempts)
 }
 
+/// Peak live heap bytes of one `run` above the live level it started
+/// at. Counting is on for this run only, and its outcome is dropped
+/// before counting stops, so the gate leaves the live balance as it
+/// found it.
+fn peak_live(run: impl FnOnce() -> SimOutcome) -> u64 {
+    memprof::set_enabled(true);
+    let base = memprof::snapshot().live_bytes;
+    memprof::reset_peak();
+    drop(run());
+    let peak = memprof::snapshot().peak_live_bytes.saturating_sub(base);
+    memprof::set_enabled(false);
+    peak
+}
+
 /// Runs the scale sweep and assembles the `BENCH_core.json` report.
 fn run_scale(args: &Args, baseline: Option<&ScaleReport>) -> ScaleReport {
     let Args {
@@ -379,6 +402,12 @@ fn run_scale(args: &Args, baseline: Option<&ScaleReport>) -> ScaleReport {
             Vec::new()
         };
         std::hint::black_box(outcome);
+        let peak_live_bytes = peak_live(|| sim.run());
+        let sharded_peak_live_bytes = if shards > 1 {
+            peak_live(|| sim.run_sharded_balanced(shards, workers))
+        } else {
+            0
+        };
         let mut serial = || {
             let out = sim.run();
             assert_eq!(out.events, events, "scale runs must be deterministic");
@@ -418,7 +447,8 @@ fn run_scale(args: &Args, baseline: Option<&ScaleReport>) -> ScaleReport {
         let speedup = baseline_events_per_sec.map(|b| modes[0].events_per_sec / b);
         eprintln!(
             "[perf] scale n={n}: set-up {:.2} ms ({attempts} attempts), \
-             {events} events, peak FES {peak_fes}, {:.0} ev/s probes_off{}",
+             {events} events, peak FES {peak_fes}, peak live {peak_live_bytes} B, \
+             {:.0} ev/s probes_off{}",
             setup_s * 1e3,
             modes[0].events_per_sec,
             speedup.map_or(String::new(), |s| format!(", {s:.2}x vs baseline")),
@@ -431,6 +461,8 @@ fn run_scale(args: &Args, baseline: Option<&ScaleReport>) -> ScaleReport {
             peak_fes,
             setup_s,
             attempts,
+            peak_live_bytes,
+            sharded_peak_live_bytes,
             modes,
             baseline_events_per_sec,
             speedup,

@@ -380,10 +380,12 @@ fn shard_table(outcome: &SimOutcome, wall_secs: f64) -> String {
     s
 }
 
+const ASSESS_USAGE: &str = "usage: tempriv assess <config.json> [--replications N]";
+
 fn cmd_assess<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
-    let path = args
-        .positional(1)
-        .ok_or("usage: tempriv assess <config.json> [--replications N]")?;
+    let path = args.positional(1).ok_or(ASSESS_USAGE)?;
+    args.expect_only(2, &["replications"], &[])
+        .map_err(|e| format!("{e}\n{ASSESS_USAGE}"))?;
     let raw = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let cfg: ExperimentConfig =
         serde_json::from_str(&raw).map_err(|e| format!("invalid config {path}: {e}"))?;
@@ -432,9 +434,10 @@ fn cmd_assess<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
 }
 
 fn cmd_init_config<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
-    let path = args
-        .positional(1)
-        .ok_or("usage: tempriv init-config <path>")?;
+    const INIT_USAGE: &str = "usage: tempriv init-config <path>";
+    let path = args.positional(1).ok_or(INIT_USAGE)?;
+    args.expect_only(2, &[], &[])
+        .map_err(|e| format!("{e}\n{INIT_USAGE}"))?;
     let cfg = ExperimentConfig::paper_default();
     let json = serde_json::to_string_pretty(&cfg).map_err(|e| format!("serialize config: {e}"))?;
     std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -939,10 +942,10 @@ fn core_trajectory(report: &serde::value::Value, committed_path: &str) -> String
 }
 
 /// Per-point lines for a core scale report: the set-up seconds and
-/// sampling attempts (files since these were recorded), then each
-/// shard's event count over the sharded timing mode's wall time (points
-/// captured with `--bench scale --shards N`). None when no point carries
-/// either.
+/// sampling attempts, the peak live heap of a serial and a sharded run
+/// (each in files since it was recorded), then each shard's event count
+/// over the sharded timing mode's wall time (points captured with
+/// `--bench scale --shards N`). None when no point carries any of them.
 fn core_point_table(report: &serde::value::Value) -> Option<String> {
     use serde::value::Value;
     use std::fmt::Write as _;
@@ -962,19 +965,37 @@ fn core_point_table(report: &serde::value::Value) -> Option<String> {
             Some(Value::Seq(events)) => events.iter().filter_map(Value::as_u64).collect(),
             _ => Vec::new(),
         };
-        if setup_s.is_none() && shard_events.is_empty() {
+        let peak_mib = |key: &str| {
+            point
+                .get(key)
+                .and_then(Value::as_u64)
+                .filter(|&bytes| bytes > 0)
+                .map(|bytes| bytes as f64 / (1024.0 * 1024.0))
+        };
+        let (peak, sharded_peak) = (
+            peak_mib("peak_live_bytes"),
+            peak_mib("sharded_peak_live_bytes"),
+        );
+        if setup_s.is_none() && peak.is_none() && shard_events.is_empty() {
             continue;
         }
         if s.is_empty() {
             let _ = writeln!(
                 s,
-                "  core points (set-up, sampling attempts; per-shard events/sec, sharded mode):"
+                "  core points (set-up, sampling attempts, peak live heap; \
+                 per-shard events/sec, sharded mode):"
             );
         }
         let _ = write!(s, "  {nodes:>9} nodes:");
         if let Some(secs) = setup_s {
             let attempts = point.get("attempts").and_then(Value::as_u64).unwrap_or(0);
             let _ = write!(s, " set-up {:.2} ms, {attempts} attempts", secs * 1e3);
+        }
+        if let Some(mib) = peak {
+            let _ = write!(s, ", peak live {mib:.2} MiB serial");
+        }
+        if let Some(mib) = sharded_peak {
+            let _ = write!(s, " / {mib:.2} MiB sharded");
         }
         let sharded_secs = match point.get("modes") {
             Some(Value::Seq(modes)) => modes
@@ -1201,6 +1222,14 @@ fn take_blobs<T: serde::Deserialize>(
 /// cross-layer Chrome trace (job/scenario spans, engine phase bands,
 /// and packet residences) is written alongside.
 fn cmd_profile<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
+    const PROFILE_USAGE: &str = "usage: tempriv profile [--experiment E] [--points 2,4,...] \
+         [--packets N] [--seed N] [--batch N] [--json] [--out PATH]";
+    args.expect_only(
+        1,
+        &["experiment", "points", "packets", "seed", "batch", "out"],
+        &["json"],
+    )
+    .map_err(|e| format!("{e}\n{PROFILE_USAGE}"))?;
     let mut params = SweepParams::smoke();
     params.inv_lambdas = args.option_list("points", params.inv_lambdas)?;
     params.packets_per_source = args.option_as("packets", params.packets_per_source)?;
@@ -1514,6 +1543,8 @@ fn cmd_watch<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
 fn cmd_cache<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     const CACHE_USAGE: &str = "usage: tempriv cache <stats|clear> --cache-dir DIR";
     let action = args.positional(1).ok_or(CACHE_USAGE)?;
+    args.expect_only(2, &["cache-dir"], &[])
+        .map_err(|e| format!("{e}\n{CACHE_USAGE}"))?;
     let dir = args.option("cache-dir").ok_or(CACHE_USAGE)?;
     let cache = ResultCache::on_disk(dir).map_err(|e| format!("cannot open cache {dir}: {e}"))?;
     match action {
@@ -2069,19 +2100,23 @@ mod tests {
         let dir = std::env::temp_dir().join("tempriv_cli_report_core_setup_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        // A point with the set-up fields, and one written before they
-        // existed that still carries a shard table.
+        // A point with the set-up and peak-heap fields, and one written
+        // before they existed that still carries a shard table.
         std::fs::write(
             dir.join("BENCH_core.json"),
             r#"{"bench":"geometric_convergecast_scale","points":[
-                {"nodes":100,"setup_s":0.0125,"attempts":3,"modes":[]},
+                {"nodes":100,"setup_s":0.0125,"attempts":3,"modes":[],
+                 "peak_live_bytes":3145728,"sharded_peak_live_bytes":4194304},
                 {"nodes":1000,"shard_events":[10,20],
                  "modes":[{"mode":"sharded","secs":2.0}]}]}"#,
         )
         .unwrap();
         let text = run(&["report", "--bench", dir.to_str().unwrap()]).unwrap();
         assert!(
-            text.contains("      100 nodes: set-up 12.50 ms, 3 attempts\n"),
+            text.contains(
+                "      100 nodes: set-up 12.50 ms, 3 attempts, \
+                 peak live 3.00 MiB serial / 4.00 MiB sharded\n"
+            ),
             "{text}"
         );
         assert!(text.contains("     1000 nodes:  s0 5  s1 10\n"), "{text}");

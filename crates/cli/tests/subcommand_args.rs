@@ -1,0 +1,116 @@
+//! `assess`, `profile`, `init-config` and `cache` reject input they do
+//! not read: the binary exits 1, names the offender and prints the
+//! command's usage line instead of running with the input ignored.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn tempriv(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_tempriv"))
+        .args(args)
+        .output()
+        .expect("the tempriv binary starts")
+}
+
+/// A scratch directory private to one test.
+fn scratch(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "tempriv_subcommand_args_{test}_{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// A real config, so a rejection can only come from the arguments.
+fn config(dir: &Path) -> String {
+    let path = dir.join("cfg.json");
+    let made = tempriv(&["init-config", path.to_str().unwrap()]);
+    assert!(made.status.success(), "init-config failed: {made:?}");
+    path.to_str().unwrap().to_string()
+}
+
+fn assert_rejected(out: &Output, reason: &str, usage: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains(reason), "stderr: {stderr}");
+    assert!(stderr.contains(usage), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+}
+
+#[test]
+fn assess_rejects_a_misspelt_option_and_a_stray_positional() {
+    let dir = scratch("assess");
+    let cfg = config(&dir);
+    let usage = "usage: tempriv assess <config.json> [--replications N]";
+    assert_rejected(
+        &tempriv(&["assess", &cfg, "--replication", "10"]),
+        "unknown option --replication",
+        usage,
+    );
+    assert_rejected(
+        &tempriv(&["assess", &cfg, "extra"]),
+        "unexpected argument `extra`",
+        usage,
+    );
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn profile_rejects_a_misspelt_option_and_a_valued_flag() {
+    let usage = "usage: tempriv profile [--experiment E]";
+    assert_rejected(
+        &tempriv(&["profile", "--pionts", "2"]),
+        "unknown option --pionts",
+        usage,
+    );
+    assert_rejected(
+        &tempriv(&["profile", "--json", "yes"]),
+        "--json takes no value",
+        usage,
+    );
+    assert_rejected(
+        &tempriv(&["profile", "fig2"]),
+        "unexpected argument `fig2`",
+        usage,
+    );
+}
+
+#[test]
+fn init_config_rejects_extra_input_and_writes_nothing() {
+    let dir = scratch("init");
+    let path = dir.join("cfg.json");
+    let path_str = path.to_str().unwrap();
+    let usage = "usage: tempriv init-config <path>";
+    assert_rejected(
+        &tempriv(&["init-config", path_str, "extra"]),
+        "unexpected argument `extra`",
+        usage,
+    );
+    assert_rejected(
+        &tempriv(&["init-config", path_str, "--seed", "3"]),
+        "unknown option --seed",
+        usage,
+    );
+    assert!(!path.exists(), "a rejected init-config must not write");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn cache_rejects_an_unknown_option_and_a_stray_positional() {
+    let dir = scratch("cache");
+    let cache = dir.join("cache");
+    let cache = cache.to_str().unwrap();
+    let usage = "usage: tempriv cache <stats|clear> --cache-dir DIR";
+    assert_rejected(
+        &tempriv(&["cache", "stats", "--cache-dir", cache, "--bogus", "1"]),
+        "unknown option --bogus",
+        usage,
+    );
+    assert_rejected(
+        &tempriv(&["cache", "clear", "all", "--cache-dir", cache]),
+        "unexpected argument `all`",
+        usage,
+    );
+    std::fs::remove_dir_all(dir).unwrap();
+}

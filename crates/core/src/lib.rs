@@ -50,6 +50,7 @@ pub mod decomposition;
 pub mod delay;
 pub mod experiment;
 pub mod metrics;
+mod node_table;
 pub mod replication;
 pub mod report;
 pub mod sharded;

@@ -44,7 +44,8 @@ use tempriv_sim::rng::RngFactory;
 use tempriv_sim::time::{SimDuration, SimTime};
 use tempriv_telemetry::NullProbe;
 
-use crate::metrics::{FlowOutcome, NodeReport, ShardStats, SimOutcome, TruthRecord};
+use crate::metrics::{ShardStats, SimOutcome, TruthRecord};
+use crate::node_table::node_reports;
 use crate::sim_driver::{streams, Driver, Ev, NetworkSimulation, Workload};
 
 /// A partition of the routing tree's nodes into shards, built by one of
@@ -494,7 +495,6 @@ pub(crate) fn run_sharded<T: PhaseTimer>(
     let n_shards = shards as usize;
     let (truth, mut cursors, presample_draws) = presample(sim);
 
-    let factory = RngFactory::new(sim.seed);
     let n_flows = sim.sources.len();
     let mut probes: Vec<NullProbe> = (0..n_shards).map(|_| NullProbe).collect();
     let mut noop_timers: Vec<NoopPhaseTimer> = (0..n_shards).map(|_| NoopPhaseTimer).collect();
@@ -514,12 +514,7 @@ pub(crate) fn run_sharded<T: PhaseTimer>(
         .zip(shard_cursors)
         .enumerate()
         .map(|(idx, ((probe, noop), preassigned))| {
-            let mut driver = Driver::new(sim, probe, noop);
-            driver.my_shard = idx as u32;
-            driver.shard_of = Some(plan.shard_of());
-            driver.victim_rng = factory.substream(streams::VICTIM, idx as u64);
-            driver.link_rng = factory.substream(streams::LINK, idx as u64);
-            driver.reading_rng = factory.substream(streams::READING, idx as u64);
+            let mut driver = Driver::new(sim, probe, noop, Some((idx as u32, plan.shard_of())));
             driver.preassigned = preassigned;
             let mut engine = Engine::new();
             for (flow, cursor) in driver.preassigned.iter().enumerate() {
@@ -721,8 +716,6 @@ fn assemble(
     mut states: Vec<Shard<'_>>,
     mem: tempriv_telemetry::memprof::ThreadMemSnapshot,
 ) -> SimOutcome {
-    let n_nodes = sim.routing.len();
-    let n_flows = sim.sources.len();
     let shard_of = plan.shard_of();
     let sink_shard = shard_of[sim.routing.sink().index()] as usize;
     let end_time = states
@@ -744,39 +737,13 @@ fn assemble(
             peak_fes: s.engine.peak_pending() as u64,
         })
         .collect();
-    let flows = (0..n_flows)
-        .map(|i| {
-            let home = shard_of[sim.sources[i].index()] as usize;
-            let sink = &states[sink_shard].driver;
-            FlowOutcome {
-                flow: FlowId(i as u32),
-                source: sim.sources[i],
-                hops: sim.routing.hops(sim.sources[i]).expect("validated"),
-                created: u64::from(states[home].driver.seq[i]),
-                delivered: sink.delivered[i],
-                latency: sink.latency[i],
-                latency_histogram: sink.latency_hist[i].clone(),
-            }
-        })
-        .collect();
-    let nodes = (0..n_nodes)
-        .map(|i| {
-            let owner = &states[shard_of[i] as usize].driver;
-            let occupancy_pmf = owner.occupancy[i].pmf(end_time);
-            NodeReport {
-                node: NodeId(i as u32),
-                mean_occupancy: owner.occupancy[i].mean(end_time),
-                peak_occupancy: occupancy_pmf.iter().map(|&(k, _)| k).max().unwrap_or(0),
-                occupancy_pmf,
-                preemptions: owner.preemptions[i],
-                drops: owner.drops[i],
-                flushes: owner.flushes[i],
-                stranded: owner.buffers[i].len() as u64,
-                transmissions: owner.tx_count[i],
-                receptions: owner.rx_count[i],
-            }
-        })
-        .collect();
+    let flows = std::mem::take(&mut states[sink_shard].driver.sink_tables).into_flows(sim, |i| {
+        let home = shard_of[sim.sources[i].index()] as usize;
+        u64::from(states[home].driver.seq[i])
+    });
+    let nodes = node_reports(sim, end_time, |i| {
+        states[shard_of[i] as usize].driver.nodes.get(i)
+    });
     let observations = crate::sim_driver::canonicalize(std::mem::take(
         &mut states[sink_shard].driver.observations,
     ));

@@ -17,15 +17,16 @@ use tempriv_net::traffic::{TrafficModel, TrafficSampler};
 use tempriv_sim::engine::{Engine, Scheduler};
 use tempriv_sim::profile::{NoopPhaseTimer, Phase, PhaseTimer};
 use tempriv_sim::rng::{RngFactory, SimRng};
-use tempriv_sim::stats::{Histogram, OnlineStats, StateDwell};
+use tempriv_sim::stats::{Histogram, OnlineStats};
 use tempriv_sim::time::SimTime;
 use tempriv_telemetry::{NullProbe, PacketEvent, SimProbe};
 
 use crate::adversary::{AdversaryKnowledge, Observation};
 use crate::buffer::BufferPolicy;
-use crate::delay::{DelayPlan, DelayStrategy};
-use crate::metrics::{FlowOutcome, NodeReport, SimOutcome, TruthRecord};
-use crate::store::{PacketStore, StoreBuffer};
+use crate::delay::DelayPlan;
+use crate::metrics::{FlowOutcome, SimOutcome, TruthRecord};
+use crate::node_table::{node_reports, NodeTable};
+use crate::store::PacketStore;
 
 /// RNG stream namespaces (one per stochastic component class).
 ///
@@ -541,7 +542,7 @@ impl NetworkSimulation {
         // Reads zero unless a counting allocator is installed + enabled.
         let mem_base = tempriv_telemetry::memprof::thread_snapshot();
 
-        let mut driver = Driver::new(self, probe, timer);
+        let mut driver = Driver::new(self, probe, timer, None);
         driver
             .truth
             .reserve(n_flows * self.packets_per_source as usize);
@@ -576,8 +577,11 @@ impl NetworkSimulation {
         let queue_footprint = engine.queue_footprint() as u64;
         let queue_compactions = engine.queue_compactions();
 
-        for (i, buffer) in driver.buffers.iter().enumerate() {
-            driver.probe.on_high_water(i, buffer.high_water() as u64);
+        if P::ACTIVE && driver.probe.is_active() {
+            for i in 0..n_nodes {
+                let high_water = driver.nodes.get(i).map_or(0, |s| s.buffer.high_water());
+                driver.probe.on_high_water(i, high_water as u64);
+            }
         }
         driver.probe.on_engine_stats(events, peak_fes);
         driver
@@ -589,38 +593,13 @@ impl NetworkSimulation {
 
         let mem = tempriv_telemetry::memprof::thread_snapshot().since(mem_base);
 
+        let seq = &driver.seq;
         SimOutcome {
             end_time,
-            flows: (0..n_flows)
-                .map(|i| FlowOutcome {
-                    flow: FlowId(i as u32),
-                    source: self.sources[i],
-                    hops: self.routing.hops(self.sources[i]).expect("validated"),
-                    created: u64::from(driver.seq[i]),
-                    delivered: driver.delivered[i],
-                    latency: driver.latency[i],
-                    latency_histogram: driver.latency_hist[i].clone(),
-                })
-                .collect(),
+            flows: driver.sink_tables.into_flows(self, |i| u64::from(seq[i])),
             observations: canonicalize(driver.observations),
             truth: driver.truth,
-            nodes: (0..n_nodes)
-                .map(|i| {
-                    let occupancy_pmf = driver.occupancy[i].pmf(end_time);
-                    NodeReport {
-                        node: NodeId(i as u32),
-                        mean_occupancy: driver.occupancy[i].mean(end_time),
-                        peak_occupancy: occupancy_pmf.iter().map(|&(k, _)| k).max().unwrap_or(0),
-                        occupancy_pmf,
-                        preemptions: driver.preemptions[i],
-                        drops: driver.drops[i],
-                        flushes: driver.flushes[i],
-                        stranded: driver.buffers[i].len() as u64,
-                        transmissions: driver.tx_count[i],
-                        receptions: driver.rx_count[i],
-                    }
-                })
-                .collect(),
+            nodes: node_reports(self, end_time, |i| driver.nodes.get(i)),
             link_losses: driver.link_losses,
             rng_draws,
             events,
@@ -643,6 +622,63 @@ pub(crate) fn canonicalize(mut observations: Vec<Observation>) -> Vec<Observatio
     observations
 }
 
+/// Per-flow delivery tables. Only the driver that owns the sink records
+/// deliveries, so only it sizes them; other shards keep them empty.
+#[derive(Debug, Default)]
+pub(crate) struct SinkTables {
+    latency: Vec<OnlineStats>,
+    latency_hist: Vec<Histogram>,
+    delivered: Vec<u64>,
+}
+
+impl SinkTables {
+    /// One empty row per flow of `sim`.
+    fn new(sim: &NetworkSimulation) -> SinkTables {
+        let n_flows = sim.sources.len();
+        SinkTables {
+            latency: vec![OnlineStats::new(); n_flows],
+            latency_hist: (0..n_flows)
+                .map(|_| Histogram::new(sim.latency_range.0, sim.latency_range.1, 400))
+                .collect(),
+            delivered: vec![0; n_flows],
+        }
+    }
+
+    /// Records one delivery of `flow` with end-to-end `latency`.
+    #[inline]
+    fn record(&mut self, flow: usize, latency: f64) {
+        self.latency[flow].record(latency);
+        self.latency_hist[flow].record(latency);
+        self.delivered[flow] += 1;
+    }
+
+    /// One [`FlowOutcome`] per flow; `created(i)` is flow `i`'s creation
+    /// count, kept by whichever driver homes its source.
+    pub(crate) fn into_flows(
+        self,
+        sim: &NetworkSimulation,
+        created: impl Fn(usize) -> u64,
+    ) -> Vec<FlowOutcome> {
+        self.latency
+            .into_iter()
+            .zip(self.latency_hist)
+            .zip(self.delivered)
+            .enumerate()
+            .map(
+                |(i, ((latency, latency_histogram), delivered))| FlowOutcome {
+                    flow: FlowId(i as u32),
+                    source: sim.sources[i],
+                    hops: sim.routing.hops(sim.sources[i]).expect("validated"),
+                    created: created(i),
+                    delivered,
+                    latency,
+                    latency_histogram,
+                },
+            )
+            .collect()
+    }
+}
+
 pub(crate) struct Driver<'a, P: SimProbe, T: PhaseTimer> {
     pub(crate) sim: &'a NetworkSimulation,
     pub(crate) probe: &'a mut P,
@@ -650,27 +686,18 @@ pub(crate) struct Driver<'a, P: SimProbe, T: PhaseTimer> {
     /// Cached per-run invariants, hoisted out of the per-event path.
     pub(crate) sink: NodeId,
     pub(crate) capacity: Option<usize>,
-    pub(crate) strategies: Vec<DelayStrategy>,
     /// Reused flush buffer so threshold-mix batches allocate once per run.
     pub(crate) mix_scratch: Vec<u32>,
     /// The struct-of-arrays data plane every in-flight packet lives in.
     pub(crate) store: PacketStore,
-    pub(crate) buffers: Vec<StoreBuffer>,
-    pub(crate) occupancy: Vec<StateDwell>,
-    pub(crate) preemptions: Vec<u64>,
-    pub(crate) drops: Vec<u64>,
-    pub(crate) flushes: Vec<u64>,
-    pub(crate) tx_count: Vec<u64>,
-    pub(crate) rx_count: Vec<u64>,
+    /// Engine state of every node a packet has touched.
+    pub(crate) nodes: NodeTable,
     pub(crate) link_losses: u64,
     pub(crate) next_packet_id: u64,
     pub(crate) seq: Vec<u32>,
     pub(crate) truth: Vec<TruthRecord>,
     pub(crate) observations: Vec<Observation>,
-    pub(crate) latency: Vec<OnlineStats>,
-    pub(crate) latency_hist: Vec<Histogram>,
-    pub(crate) delivered: Vec<u64>,
-    pub(crate) delay_rngs: Vec<SimRng>,
+    pub(crate) sink_tables: SinkTables,
     pub(crate) traffic_rngs: Vec<SimRng>,
     pub(crate) traffic_samplers: Vec<TrafficSampler>,
     pub(crate) victim_rng: SimRng,
@@ -704,61 +731,60 @@ fn observe<P: SimProbe, T: PhaseTimer>(probe: &mut P, timer: &mut T, hook: impl 
 }
 
 impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
-    /// Serial driver state for one simulation run. The sharded runner
-    /// builds one per shard and then re-points the shard-indexed RNG
-    /// streams and creation cursors before seeding its engine.
-    pub(crate) fn new(sim: &'a NetworkSimulation, probe: &'a mut P, timer: &'a mut T) -> Self {
-        let n_nodes = sim.routing.len();
+    /// Driver state for one simulation run: the whole run when `shard`
+    /// is `None`, else shard `idx` of the cut `shard_of`. Shard-indexed
+    /// RNG streams draw from substream `idx` (the serial run is index 0).
+    /// A shard samples no traffic (the sharded runner presamples it and
+    /// sets `preassigned`) and sizes the per-flow sink tables only if it
+    /// owns the sink.
+    pub(crate) fn new(
+        sim: &'a NetworkSimulation,
+        probe: &'a mut P,
+        timer: &'a mut T,
+        shard: Option<(u32, &'a [u32])>,
+    ) -> Self {
         let n_flows = sim.sources.len();
         let factory = RngFactory::new(sim.seed);
+        let sink = sim.routing.sink();
+        let my_shard = shard.map_or(0, |(idx, _)| idx);
+        let shard_of = shard.map(|(_, shard_of)| shard_of);
+        let owns_sink = shard_of.is_none_or(|of| of[sink.index()] == my_shard);
+        let (traffic_rngs, traffic_samplers) = match (&sim.workload, shard) {
+            (Workload::Model(traffic), None) => (
+                (0..n_flows)
+                    .map(|i| factory.substream(streams::TRAFFIC, i as u64))
+                    .collect(),
+                vec![traffic.sampler(); n_flows],
+            ),
+            _ => (Vec::new(), Vec::new()),
+        };
         Driver {
             sim,
             probe,
             timer,
-            sink: sim.routing.sink(),
+            sink,
             capacity: sim.buffer_policy.capacity(),
-            strategies: (0..n_nodes)
-                .map(|i| sim.delay_plan.for_node(NodeId(i as u32)))
-                .collect(),
             mix_scratch: Vec::new(),
             store: PacketStore::new(),
-            buffers: (0..n_nodes)
-                .map(|_| StoreBuffer::for_policy(&sim.buffer_policy))
-                .collect(),
-            occupancy: (0..n_nodes)
-                .map(|_| StateDwell::new(SimTime::ZERO, 0))
-                .collect(),
-            preemptions: vec![0; n_nodes],
-            drops: vec![0; n_nodes],
-            flushes: vec![0; n_nodes],
-            tx_count: vec![0; n_nodes],
-            rx_count: vec![0; n_nodes],
+            nodes: NodeTable::new(sim),
             link_losses: 0,
             next_packet_id: 0,
             seq: vec![0; n_flows],
             truth: Vec::new(),
             observations: Vec::new(),
-            latency: vec![OnlineStats::new(); n_flows],
-            latency_hist: (0..n_flows)
-                .map(|_| Histogram::new(sim.latency_range.0, sim.latency_range.1, 400))
-                .collect(),
-            delivered: vec![0; n_flows],
-            delay_rngs: (0..n_nodes)
-                .map(|i| factory.substream(streams::DELAY, i as u64))
-                .collect(),
-            traffic_rngs: (0..n_flows)
-                .map(|i| factory.substream(streams::TRAFFIC, i as u64))
-                .collect(),
-            traffic_samplers: match &sim.workload {
-                Workload::Model(traffic) => vec![traffic.sampler(); n_flows],
-                Workload::Schedules(_) => Vec::new(),
+            sink_tables: if owns_sink {
+                SinkTables::new(sim)
+            } else {
+                SinkTables::default()
             },
-            victim_rng: factory.substream(streams::VICTIM, 0),
-            link_rng: factory.substream(streams::LINK, 0),
-            reading_rng: factory.substream(streams::READING, 0),
+            traffic_rngs,
+            traffic_samplers,
+            victim_rng: factory.substream(streams::VICTIM, u64::from(my_shard)),
+            link_rng: factory.substream(streams::LINK, u64::from(my_shard)),
+            reading_rng: factory.substream(streams::READING, u64::from(my_shard)),
             preassigned: Vec::new(),
-            shard_of: None,
-            my_shard: 0,
+            shard_of,
+            my_shard,
             outbox: Vec::new(),
             handoffs_out: 0,
         }
@@ -766,7 +792,7 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
 
     /// Total RNG draws across every stream this driver owns.
     pub(crate) fn rng_draws(&self) -> u64 {
-        self.delay_rngs.iter().map(SimRng::draws).sum::<u64>()
+        self.nodes.rng_draws()
             + self.traffic_rngs.iter().map(SimRng::draws).sum::<u64>()
             + self.victim_rng.draws()
             + self.link_rng.draws()
@@ -781,7 +807,8 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
         // unobservable downstream, so handoffs do not ship it.
         let slot = self.store.alloc(h.pid, h.flow, h.origin, h.created_at, 0.0);
         self.store.set_hop_count(slot, h.hop_count);
-        self.rx_count[h.node.index()] += 1;
+        let n = self.nodes.touch(self.sim, h.node);
+        self.nodes[n].rx += 1;
         engine
             .schedule_at(h.at, Ev::Arrive { node: h.node, slot })
             .expect("handoffs arrive at or after the window barrier");
@@ -873,6 +900,7 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
             self.deliver(sched.now(), slot);
             return;
         }
+        let n = self.nodes.touch(self.sim, node);
         // Threshold mixes batch instead of delaying: the delay plan is
         // ignored at mix nodes.
         if let BufferPolicy::ThresholdMix { threshold } = self.sim.buffer_policy {
@@ -888,46 +916,48 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
                 );
             });
             self.store.park(slot, sched.now(), SimTime::MAX, None);
-            self.buffers[node.index()].insert(&self.store, slot);
-            let depth = self.buffers[node.index()].len() as u64;
-            self.occupancy[node.index()].transition(sched.now(), depth);
+            let state = &mut self.nodes[n];
+            state.buffer.insert(&self.store, slot);
+            let depth = state.buffer.len() as u64;
+            state.occupancy.transition(sched.now(), depth);
             observe(self.probe, self.timer, |p| {
                 p.on_occupancy(node.index(), sched.now(), depth)
             });
-            if self.buffers[node.index()].len() >= threshold {
-                self.flushes[node.index()] += 1;
-                let batch = self.buffers[node.index()].len() as u64;
+            if state.buffer.len() >= threshold {
+                state.flushes += 1;
+                let batch = state.buffer.len() as u64;
                 observe(self.probe, self.timer, |p| {
                     p.on_flush(node.index(), sched.now(), batch)
                 });
                 let mut scratch = std::mem::take(&mut self.mix_scratch);
-                self.buffers[node.index()].drain_slots_into(&mut scratch);
+                state.buffer.drain_slots_into(&mut scratch);
                 for batched in scratch.drain(..) {
-                    self.forward(sched, node, batched);
+                    self.forward(sched, n, node, batched);
                 }
                 self.mix_scratch = scratch;
-                self.occupancy[node.index()].transition(sched.now(), 0);
+                self.nodes[n].occupancy.transition(sched.now(), 0);
                 observe(self.probe, self.timer, |p| {
                     p.on_occupancy(node.index(), sched.now(), 0)
                 });
             }
             return;
         }
-        let strategy = self.strategies[node.index()];
+        let state = &mut self.nodes[n];
+        let strategy = state.strategy;
         if strategy.is_none() {
-            self.forward(sched, node, slot);
+            self.forward(sched, n, node, slot);
             return;
         }
         observe(self.probe, self.timer, |p| {
             p.on_arrival(node.index(), sched.now())
         });
-        let delay = strategy.sample(&mut self.delay_rngs[node.index()]);
+        let delay = strategy.sample(&mut state.rng);
         // Full buffer? Apply the policy before inserting.
         if let Some(cap) = self.capacity {
-            if self.buffers[node.index()].len() >= cap {
+            if state.buffer.len() >= cap {
                 match self.sim.buffer_policy {
                     BufferPolicy::DropTail { .. } => {
-                        self.drops[node.index()] += 1;
+                        state.drops += 1;
                         observe(self.probe, self.timer, |p| {
                             p.on_drop(node.index(), sched.now());
                             p.on_packet(
@@ -944,10 +974,12 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
                     }
                     BufferPolicy::Rcad { victim, .. } => {
                         let prev = self.timer.switch(Phase::VictimSelect);
-                        let victim_id = self.buffers[node.index()]
+                        let victim_id = state
+                            .buffer
                             .select_victim(victim, &mut self.victim_rng)
                             .expect("full buffer has a victim");
-                        let victim_slot = self.buffers[node.index()]
+                        let victim_slot = state
+                            .buffer
                             .remove(&self.store, victim_id)
                             .expect("victim is buffered");
                         let timer = self
@@ -957,7 +989,7 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
                         let cancelled = sched.cancel(timer);
                         debug_assert!(cancelled, "victim timer must be pending");
                         self.timer.switch(prev);
-                        self.preemptions[node.index()] += 1;
+                        state.preemptions += 1;
                         observe(self.probe, self.timer, |p| {
                             p.on_preemption(node.index(), sched.now());
                             p.on_packet(
@@ -970,13 +1002,13 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
                                 },
                             );
                         });
-                        let depth = self.buffers[node.index()].len() as u64;
-                        self.occupancy[node.index()].transition(sched.now(), depth);
+                        let depth = state.buffer.len() as u64;
+                        state.occupancy.transition(sched.now(), depth);
                         observe(self.probe, self.timer, |p| {
                             p.on_occupancy(node.index(), sched.now(), depth)
                         });
                         // "Transmit it immediately rather than drop packets."
-                        self.forward(sched, node, victim_slot);
+                        self.forward(sched, n, node, victim_slot);
                     }
                     _ => unreachable!("mix and unlimited never hit the full-buffer path"),
                 }
@@ -997,9 +1029,10 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
             );
         });
         self.store.park(slot, sched.now(), release_at, Some(timer));
-        self.buffers[node.index()].insert(&self.store, slot);
-        let depth = self.buffers[node.index()].len() as u64;
-        self.occupancy[node.index()].transition(sched.now(), depth);
+        let state = &mut self.nodes[n];
+        state.buffer.insert(&self.store, slot);
+        let depth = state.buffer.len() as u64;
+        state.occupancy.transition(sched.now(), depth);
         observe(self.probe, self.timer, |p| {
             p.on_occupancy(node.index(), sched.now(), depth)
         });
@@ -1007,21 +1040,25 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
 
     #[inline]
     fn on_release(&mut self, sched: &mut Scheduler<'_, Ev>, node: NodeId, slot: u32) {
+        let n = self.nodes.touch(self.sim, node);
+        let state = &mut self.nodes[n];
         let pid = self.store.pid(slot);
-        let removed = self.buffers[node.index()]
+        let removed = state
+            .buffer
             .remove(&self.store, pid)
             .expect("release timers fire only for buffered packets");
         debug_assert_eq!(removed, slot, "buffer entry must map back to its slot");
-        let depth = self.buffers[node.index()].len() as u64;
-        self.occupancy[node.index()].transition(sched.now(), depth);
+        let depth = state.buffer.len() as u64;
+        state.occupancy.transition(sched.now(), depth);
         observe(self.probe, self.timer, |p| {
             p.on_occupancy(node.index(), sched.now(), depth)
         });
-        self.forward(sched, node, slot);
+        self.forward(sched, n, node, slot);
     }
 
+    /// Transmits `slot` from `node`, whose record is `self.nodes[n]`.
     #[inline]
-    fn forward(&mut self, sched: &mut Scheduler<'_, Ev>, node: NodeId, slot: u32) {
+    fn forward(&mut self, sched: &mut Scheduler<'_, Ev>, n: usize, node: NodeId, slot: u32) {
         observe(self.probe, self.timer, |p| {
             p.on_packet(
                 sched.now(),
@@ -1038,7 +1075,7 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
             .routing
             .next_hop(node)
             .expect("non-sink nodes have a next hop");
-        self.tx_count[node.index()] += 1;
+        self.nodes[n].tx += 1;
         match self.sim.link.transmit(&mut self.link_rng) {
             Some(delay) => {
                 if let Some(shard_of) = self.shard_of {
@@ -1060,7 +1097,8 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
                         return;
                     }
                 }
-                self.rx_count[next.index()] += 1;
+                let m = self.nodes.touch(self.sim, next);
+                self.nodes[m].rx += 1;
                 let prev = self.timer.switch(Phase::QueuePush);
                 sched.schedule_in(delay, Ev::Arrive { node: next, slot });
                 self.timer.switch(prev);
@@ -1078,9 +1116,7 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
         let pid = self.store.pid(slot);
         let created = self.store.created_at(slot);
         let latency = (now - created).as_units();
-        self.latency[flow.index()].record(latency);
-        self.latency_hist[flow.index()].record(latency);
-        self.delivered[flow.index()] += 1;
+        self.sink_tables.record(flow.index(), latency);
         observe(self.probe, self.timer, |p| {
             p.on_delivery(flow.index(), now, latency);
             p.on_packet(

@@ -403,7 +403,14 @@ impl StateDwell {
     /// Time-weighted mean state.
     #[must_use]
     pub fn mean(&self, now: SimTime) -> f64 {
-        self.pmf(now).into_iter().map(|(k, p)| k as f64 * p).sum()
+        Self::pmf_mean(&self.pmf(now))
+    }
+
+    /// Mean of a PMF from [`StateDwell::pmf`], summed in state order —
+    /// the same bits as [`StateDwell::mean`], without rebuilding the PMF.
+    #[must_use]
+    pub fn pmf_mean(pmf: &[(u64, f64)]) -> f64 {
+        pmf.iter().map(|&(k, p)| k as f64 * p).sum()
     }
 
     /// Current state.

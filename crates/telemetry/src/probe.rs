@@ -511,18 +511,21 @@ impl RecordingProbe {
             .nodes
             .iter()
             .enumerate()
-            .map(|(i, n)| NodeTelemetry {
-                node: i,
-                mean_occupancy: n.dwell.mean(end),
-                peak_occupancy: n.peak,
-                high_water: n.high_water,
-                occupancy_pmf: n.dwell.pmf(end),
-                occupancy_series: n.series.points.clone(),
-                arrivals: n.arrivals,
-                preemptions: n.preemptions,
-                drops: n.drops,
-                flushes: n.flushes,
-                flushed_packets: n.flushed_packets,
+            .map(|(i, n)| {
+                let occupancy_pmf = n.dwell.pmf(end);
+                NodeTelemetry {
+                    node: i,
+                    mean_occupancy: StateDwell::pmf_mean(&occupancy_pmf),
+                    peak_occupancy: n.peak,
+                    high_water: n.high_water,
+                    occupancy_pmf,
+                    occupancy_series: n.series.points.clone(),
+                    arrivals: n.arrivals,
+                    preemptions: n.preemptions,
+                    drops: n.drops,
+                    flushes: n.flushes,
+                    flushed_packets: n.flushed_packets,
+                }
             })
             .collect();
         SimTelemetry {
