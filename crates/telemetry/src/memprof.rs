@@ -579,9 +579,18 @@ mod tests {
 
     // The gate and the global counters are process-wide; tests that
     // need exact numbers read the *thread-local* slot counters, which
-    // other test threads cannot touch.
+    // other test threads cannot touch. Every test that sets the gate
+    // holds `GATE`, so none switches counting off under another.
+
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn lock_gate() -> std::sync::MutexGuard<'static, ()> {
+        GATE.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     fn with_counting<T>(f: impl FnOnce() -> T) -> T {
+        let _gate = lock_gate();
         let was = enabled();
         set_enabled(true);
         let out = f();
@@ -591,6 +600,7 @@ mod tests {
 
     #[test]
     fn counting_allocator_is_installed_in_this_binary() {
+        let _gate = lock_gate();
         assert!(installed());
     }
 
@@ -660,6 +670,7 @@ mod tests {
 
     #[test]
     fn disabled_gate_counts_nothing() {
+        let _gate = lock_gate();
         set_enabled(false);
         let before = thread_snapshot();
         let v = vec![0u8; 8192];
