@@ -8,9 +8,15 @@
 //!
 //! Valid selectors: `fig2a`, `fig2b`, `fig3`, `v1`, `v2`, `v3`, `v4`,
 //! `a1`, `a2`, `a3`, `e1`, `e2`, `e3`, `e4`, `t1`, `p1`, `all`.
+//!
+//! `TEMPRIV_RESULTS_DIR` redirects the output directory (default
+//! `results`). The process exits 1 if any file could not be written.
+//! The `figures_reproduce` test reruns every selector into a scratch
+//! directory and byte-compares the output with the committed `results/`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use tempriv_bench::table::{fmt_f, Series};
 use tempriv_bench::validation::{
@@ -40,6 +46,9 @@ fn results_dir() -> PathBuf {
     PathBuf::from(std::env::var("TEMPRIV_RESULTS_DIR").unwrap_or_else(|_| "results".into()))
 }
 
+/// Set when any `emit` fails to write, so `main` can exit nonzero.
+static WRITE_FAILED: AtomicBool = AtomicBool::new(false);
+
 fn emit(name: &str, title: &str, series: &Series) {
     println!("== {title} ==\n{}", series.to_table());
     let path = results_dir().join(format!("{name}.csv"));
@@ -48,7 +57,10 @@ fn emit(name: &str, title: &str, series: &Series) {
         .and_then(|()| series.write_gnuplot(title, &path))
     {
         Ok(()) => println!("[written {} and companion .gp]\n", path.display()),
-        Err(e) => eprintln!("[failed to write {}: {e}]\n", path.display()),
+        Err(e) => {
+            eprintln!("[failed to write {}: {e}]\n", path.display());
+            WRITE_FAILED.store(true, Ordering::Relaxed);
+        }
     }
 }
 
@@ -587,5 +599,9 @@ fn main() -> ExitCode {
     if want("p1") {
         p1();
     }
-    ExitCode::SUCCESS
+    if WRITE_FAILED.load(Ordering::Relaxed) {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }

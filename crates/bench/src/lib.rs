@@ -1,6 +1,8 @@
 //! # tempriv-bench — figure regeneration and validation harness
 //!
-//! Shared machinery for the Criterion benches and the `figures` binary:
+//! Shared machinery for the `figures` binary, which regenerates every
+//! committed `results/*.csv` (checked byte for byte by the
+//! `figures_reproduce` test), and the `perf_baseline` benches:
 //!
 //! * [`harness`] — the interleaved best-of-N timing loop and overhead
 //!   ratios behind each row of `perf_baseline --bench overhead`,

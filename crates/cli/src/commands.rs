@@ -84,6 +84,8 @@ COMMANDS:
                              benchmark reports in DIR: headline metric,
                              overhead figure, CI gate pass/fail (exit 1
                              when a gate fails)
+        [--trajectory PATH]  with --bench: the core report to diff
+                             against (default results/BENCH_core.json)
     trace [config.json]      flight-record one run (paper default config
                              when omitted) and dump packet lifecycles
         [--seed N] [--packets N]  override the config
@@ -700,15 +702,20 @@ fn manifest_blobs(manifest: &ManifestReader, kind: BlobKind) -> Vec<Option<Strin
 /// directory, concatenated in file-name order — and render them as text,
 /// JSON, or Prometheus exposition format.
 fn cmd_report<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
+    const REPORT_USAGE: &str = "usage: tempriv report <run.jsonl|dir> \
+         [--format text|json|prometheus] | tempriv report --bench <dir>";
     if let Some(dir) = args.option("bench") {
+        args.expect_only(1, &["bench", "trajectory"], &[])
+            .map_err(|e| format!("{e}\n{REPORT_USAGE}"))?;
         let committed = args
             .option("trajectory")
             .unwrap_or("results/BENCH_core.json");
         return report_bench(dir, committed, out);
     }
-    let path = args
-        .positional(1)
-        .ok_or("usage: tempriv report <run.jsonl|dir> [--format text|json|prometheus] | tempriv report --bench <dir>")?;
+    // `bench` is listed so that a bare `--bench` says it needs a value.
+    args.expect_only(2, &["format", "bench"], &[])
+        .map_err(|e| format!("{e}\n{REPORT_USAGE}"))?;
+    let path = args.positional(1).ok_or(REPORT_USAGE)?;
     let manifests = if std::path::Path::new(path).is_dir() {
         let entries =
             std::fs::read_dir(path).map_err(|e| format!("cannot read directory {path}: {e}"))?;
@@ -1563,14 +1570,25 @@ fn cmd_cache<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     }
 }
 
+/// Rejects any option or argument the `calc` mode does not read, naming
+/// the offender and the mode's usage line.
+fn calc_only(args: &Args, options: &[&str], usage: &str) -> Result<(), String> {
+    args.expect_only(2, options, &[]).map_err(|e| {
+        let mode = args.positional(1).unwrap_or_default();
+        format!("{e}\nusage: tempriv calc {mode} {usage}")
+    })
+}
+
 fn cmd_calc<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     match args.positional(1) {
         Some("erlang") => {
+            calc_only(args, &["rho", "slots"], "--rho R --slots K")?;
             let rho: f64 = required(args, "rho")?;
             let slots: u32 = required(args, "slots")?;
             writeln!(out, "E({rho}, {slots}) = {:.6}", erlang_b(rho, slots)).map_err(io_err)
         }
         Some("servers") => {
+            calc_only(args, &["rho", "alpha"], "--rho R --alpha A")?;
             let rho: f64 = required(args, "rho")?;
             let alpha: f64 = required(args, "alpha")?;
             writeln!(
@@ -1581,6 +1599,11 @@ fn cmd_calc<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
             .map_err(io_err)
         }
         Some("mu") => {
+            calc_only(
+                args,
+                &["lambda", "slots", "alpha"],
+                "--lambda L --slots K --alpha A",
+            )?;
             let lambda: f64 = required(args, "lambda")?;
             let slots: u32 = required(args, "slots")?;
             let alpha: f64 = required(args, "alpha")?;
@@ -1593,6 +1616,7 @@ fn cmd_calc<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
             .map_err(io_err)
         }
         Some("mminf") => {
+            calc_only(args, &["lambda", "mu"], "--lambda L --mu M")?;
             let lambda: f64 = required(args, "lambda")?;
             let mu: f64 = required(args, "mu")?;
             let station = MmInf::new(lambda, mu);
@@ -1608,6 +1632,11 @@ fn cmd_calc<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
             .map_err(io_err)
         }
         Some("btq") => {
+            calc_only(
+                args,
+                &["lambda", "mu", "j", "n"],
+                "--lambda L --mu M [--j J] [--n N]",
+            )?;
             let lambda: f64 = required(args, "lambda")?;
             let mu: f64 = required(args, "mu")?;
             let j: u64 = args.option_as("j", 1)?;

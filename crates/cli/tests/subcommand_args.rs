@@ -1,6 +1,7 @@
-//! `assess`, `profile`, `init-config` and `cache` reject input they do
-//! not read: the binary exits 1, names the offender and prints the
-//! command's usage line instead of running with the input ignored.
+//! `assess`, `profile`, `init-config`, `cache`, `report` and `calc`
+//! reject input they do not read: the binary exits 1, names the
+//! offender and prints the command's usage line instead of running with
+//! the input ignored.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -113,4 +114,66 @@ fn cache_rejects_an_unknown_option_and_a_stray_positional() {
         usage,
     );
     std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn report_rejects_what_its_mode_does_not_read() {
+    let dir = scratch("report");
+    let dir_str = dir.to_str().unwrap();
+    let usage = "usage: tempriv report <run.jsonl|dir>";
+    assert_rejected(
+        &tempriv(&["report", "--bench", dir_str, "--foo", "1"]),
+        "unknown option --foo",
+        usage,
+    );
+    // `--format` belongs to the manifest mode, not to `--bench`.
+    assert_rejected(
+        &tempriv(&["report", "--bench", dir_str, "--format", "json"]),
+        "unknown option --format",
+        usage,
+    );
+    assert_rejected(
+        &tempriv(&["report", dir_str, "extra"]),
+        "unexpected argument `extra`",
+        usage,
+    );
+    assert_rejected(
+        &tempriv(&["report", dir_str, "--trajectory", "x.json"]),
+        "unknown option --trajectory",
+        usage,
+    );
+    assert_rejected(
+        &tempriv(&["report", "--bench"]),
+        "--bench needs a value",
+        usage,
+    );
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn calc_rejects_options_its_mode_does_not_read() {
+    assert_rejected(
+        &tempriv(&[
+            "calc", "erlang", "--rho", "5", "--slots", "10", "--alfa", "0.1",
+        ]),
+        "unknown option --alfa",
+        "usage: tempriv calc erlang --rho R --slots K",
+    );
+    // `--slots` is read by `erlang` and `mu`, not by `servers`.
+    assert_rejected(
+        &tempriv(&[
+            "calc", "servers", "--rho", "5", "--alpha", "0.1", "--slots", "10",
+        ]),
+        "unknown option --slots",
+        "usage: tempriv calc servers --rho R --alpha A",
+    );
+    assert_rejected(
+        &tempriv(&["calc", "btq", "--lambda", "1", "--mu", "2", "extra"]),
+        "unexpected argument `extra`",
+        "usage: tempriv calc btq",
+    );
+    let ok = tempriv(&[
+        "calc", "btq", "--lambda", "1", "--mu", "2", "--j", "3", "--n", "4",
+    ]);
+    assert!(ok.status.success(), "{ok:?}");
 }

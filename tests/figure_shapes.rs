@@ -1,8 +1,11 @@
 //! End-to-end reproduction checks: the qualitative shapes of every paper
 //! figure must hold (DESIGN.md §4 "shape criteria"). Runs are smaller
-//! than the paper's (300–800 packets) to keep CI fast, but every ordering
-//! and monotonicity claim asserted here also holds at full scale (see
-//! EXPERIMENTS.md).
+//! than the paper's (300–800 packets) to keep CI fast, and each test
+//! samples two or three rates. At those rates the orderings asserted
+//! here also hold in the full-scale `results/` CSVs, but full scale is
+//! not monotone everywhere: Figure 2(a)'s RCAD MSE falls only up to
+//! 1/λ = 12 and then sits within the unlimited case's noise, which the
+//! 2/8/20 decay check below does not sample (see EXPERIMENTS.md).
 
 use temporal_privacy::core::experiment::{
     adversary_panel_sweep, fig2_sweep, fig3_sweep, SweepParams,
