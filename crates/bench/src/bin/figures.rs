@@ -367,8 +367,7 @@ fn a3() {
         let report = evaluate_adversary(&outcome, &BaselineAdversary, &knowledge);
         let counts = flows_per_node(sim.routing(), sim.sources());
         let max_rate = outcome
-            .nodes
-            .iter()
+            .field_reports()
             .zip(&counts)
             .filter(|(_, &c)| c > 0)
             .map(|(n, &c)| n.preemptions as f64 / (1000.0 * f64::from(c)))

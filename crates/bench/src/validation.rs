@@ -11,6 +11,7 @@ use tempriv_core::config::{ExperimentConfig, LayoutSpec};
 use tempriv_core::delay::DelayPlan;
 use tempriv_infotheory::bounds::btq_packet_bound_nats;
 use tempriv_infotheory::estimators::mi_from_samples_nats;
+use tempriv_net::ids::NodeId;
 use tempriv_net::traffic::TrafficModel;
 use tempriv_queueing::erlang::erlang_b;
 use tempriv_queueing::goodness::{cv_squared, ks_exponential};
@@ -102,7 +103,7 @@ pub fn mm_inf_occupancy_experiment(
     };
     let outcome = cfg.build().expect("valid config").run();
     // Node 1 is the single buffering node (node 0 is the sink).
-    let node = &outcome.nodes[1];
+    let node = outcome.node(NodeId(1));
     OccupancyCheck {
         rho: lambda * delay_mean,
         measured_mean: node.mean_occupancy,

@@ -368,7 +368,7 @@ fn shard_table(outcome: &SimOutcome, wall_secs: f64) -> String {
     let _ = writeln!(
         s,
         "total  {:>9} {:>12} {:>6.0}% {:>10} {:>9} {:>12.0}",
-        outcome.nodes.len(),
+        outcome.field_nodes,
         outcome.events,
         100.0,
         outcome.shards.iter().map(|s| s.handoffs_out).sum::<u64>(),
@@ -1104,6 +1104,26 @@ fn spectrum_line(label: &str, h: &tempriv_telemetry::HistogramSample) -> String 
 /// root checked against the given hex digest — a mismatch reports the
 /// divergence and, under `--fail-on-divergence`, exits with code 2.
 fn cmd_trace<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    const TRACE_USAGE: &str = "usage: tempriv trace [config.json] [--seed N] [--packets N] \
+         [--capacity N] [--flow F] [--node N] [--packet P] [--format F] [--out PATH] \
+         [--expect-root HEX] [--fail-on-divergence] [--digest-window N]";
+    args.expect_only(
+        2,
+        &[
+            "seed",
+            "packets",
+            "capacity",
+            "digest-window",
+            "expect-root",
+            "flow",
+            "node",
+            "packet",
+            "format",
+            "out",
+        ],
+        &["fail-on-divergence"],
+    )
+    .map_err(|e| format!("{e}\n{TRACE_USAGE}"))?;
     let mut cfg = match args.positional(1) {
         Some(path) => {
             let raw =
@@ -1471,6 +1491,10 @@ fn manifest_watch_frame(manifest: &ManifestReader) -> Result<String, String> {
 /// go to stderr; the final one to stdout). `--once` renders the current
 /// state straight to stdout and exits, whatever the progress.
 fn cmd_watch_manifest<W: Write>(path: &str, args: &Args, out: &mut W) -> Result<(), String> {
+    const WATCH_MANIFEST_USAGE: &str =
+        "usage: tempriv watch <run.jsonl> [--poll-ms N] [--once] [--quiet]";
+    args.expect_only(2, &["poll-ms"], &["once", "quiet"])
+        .map_err(|e| format!("{e}\n{WATCH_MANIFEST_USAGE}"))?;
     let poll_ms: u64 = args.option_as("poll-ms", 250)?;
     let once = args.flag("once");
     loop {
@@ -1492,6 +1516,14 @@ fn cmd_watch_manifest<W: Write>(path: &str, args: &Args, out: &mut W) -> Result<
 /// as deliveries stream in, then print the final per-flow summary and
 /// optionally dump the full series as JSON.
 fn cmd_watch_oneshot<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
+    const WATCH_ONESHOT_USAGE: &str = "usage: tempriv watch [--seed N] [--packets N] \
+         [--interval N] [--bins N] [--out PATH] [--quiet]";
+    args.expect_only(
+        1,
+        &["seed", "packets", "interval", "bins", "out"],
+        &["quiet"],
+    )
+    .map_err(|e| format!("{e}\n{WATCH_ONESHOT_USAGE}"))?;
     let mut cfg = ExperimentConfig::paper_default();
     cfg.seed = args.option_as("seed", cfg.seed)?;
     cfg.packets_per_source = args.option_as("packets", cfg.packets_per_source)?;

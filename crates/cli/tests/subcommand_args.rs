@@ -1,5 +1,5 @@
-//! `assess`, `profile`, `init-config`, `cache`, `report` and `calc`
-//! reject input they do not read: the binary exits 1, names the
+//! `assess`, `profile`, `init-config`, `cache`, `report`, `calc`,
+//! `trace` and `watch` reject input they do not read: the binary exits 1, names the
 //! offender and prints the command's usage line instead of running with
 //! the input ignored.
 
@@ -176,4 +176,50 @@ fn calc_rejects_options_its_mode_does_not_read() {
         "calc", "btq", "--lambda", "1", "--mu", "2", "--j", "3", "--n", "4",
     ]);
     assert!(ok.status.success(), "{ok:?}");
+}
+
+#[test]
+fn trace_rejects_an_unknown_option_a_valued_flag_and_a_stray_positional() {
+    let usage = "usage: tempriv trace [config.json]";
+    assert_rejected(
+        &tempriv(&["trace", "--bogus", "1"]),
+        "unknown option --bogus",
+        usage,
+    );
+    assert_rejected(
+        &tempriv(&["trace", "--fail-on-divergence", "yes"]),
+        "--fail-on-divergence takes no value",
+        usage,
+    );
+    let dir = scratch("trace");
+    let cfg = config(&dir);
+    assert_rejected(
+        &tempriv(&["trace", &cfg, "extra"]),
+        "unexpected argument `extra`",
+        usage,
+    );
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn watch_rejects_the_options_of_its_other_mode() {
+    // Without a manifest `watch` runs one-shot, which never polls.
+    assert_rejected(
+        &tempriv(&["watch", "--poll-ms", "5"]),
+        "unknown option --poll-ms",
+        "usage: tempriv watch [--seed N]",
+    );
+    // Tailing a manifest runs nothing, so run overrides are rejected
+    // before the manifest is opened.
+    let manifest = "missing-run.jsonl";
+    assert_rejected(
+        &tempriv(&["watch", manifest, "--seed", "3"]),
+        "unknown option --seed",
+        "usage: tempriv watch <run.jsonl>",
+    );
+    assert_rejected(
+        &tempriv(&["watch", manifest, "extra"]),
+        "unexpected argument `extra`",
+        "usage: tempriv watch <run.jsonl>",
+    );
 }

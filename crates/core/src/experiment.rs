@@ -547,8 +547,9 @@ pub fn decomposition_experiment_with(
         telemetry.finish();
         let knowledge = sim.adversary_knowledge();
         let report = evaluate_adversary(&outcome, &BaselineAdversary, &knowledge);
+        // Idle nodes' mean occupancy is 0, the fold's start value.
         let max_mean_occupancy = outcome
-            .nodes
+            .reached
             .iter()
             .map(|n| n.mean_occupancy)
             .fold(0.0f64, f64::max);

@@ -6,9 +6,11 @@
 //! lower is better). [`SimOutcome`] carries everything a run produced;
 //! [`evaluate_adversary`] scores any [`Adversary`] against the truth log.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 use tempriv_net::ids::{FlowId, NodeId, PacketId};
-use tempriv_sim::stats::{Histogram, MseAccumulator, OnlineStats};
+use tempriv_sim::stats::{Histogram, MseAccumulator, OnlineStats, StateDwell};
 use tempriv_sim::time::SimTime;
 
 use crate::adversary::{Adversary, AdversaryKnowledge, Observation, OracleAdversary};
@@ -107,6 +109,33 @@ pub struct NodeReport {
     pub receptions: u64,
 }
 
+impl NodeReport {
+    /// The report of a node no packet reached in a run that ended at
+    /// `end_time`: every counter 0 and, if the run took any time, the
+    /// whole run spent empty.
+    #[must_use]
+    pub fn idle(node: NodeId, end_time: SimTime) -> NodeReport {
+        let occupancy_pmf = if end_time > SimTime::ZERO {
+            vec![(0, 1.0)]
+        } else {
+            Vec::new()
+        };
+        NodeReport {
+            node,
+            // The bits a fresh node record reports, -0.0 for an empty PMF.
+            mean_occupancy: StateDwell::pmf_mean(&occupancy_pmf),
+            peak_occupancy: 0,
+            occupancy_pmf,
+            preemptions: 0,
+            drops: 0,
+            flushes: 0,
+            stranded: 0,
+            transmissions: 0,
+            receptions: 0,
+        }
+    }
+}
+
 /// Everything one simulation run produced.
 ///
 /// Equality compares simulation content only: the allocation gauges
@@ -125,8 +154,16 @@ pub struct SimOutcome {
     /// Ground truth, indexed by `PacketId` (dense: ids are assigned
     /// sequentially from 0).
     pub truth: Vec<TruthRecord>,
-    /// Per-node buffer behaviour.
-    pub nodes: Vec<NodeReport>,
+    /// Buffer behaviour of each node a packet reached (was created at
+    /// or received by), in ascending [`NodeId`] order. Every other field
+    /// node reports [`NodeReport::idle`]; read through
+    /// [`node`](SimOutcome::node) and
+    /// [`field_reports`](SimOutcome::field_reports).
+    pub reached: Vec<NodeReport>,
+    /// Nodes in the field, reached or not. Defaults to 0 when
+    /// deserializing older outcomes.
+    #[serde(default)]
+    pub field_nodes: u32,
     /// Packets lost on the radio (lossy-link experiments only).
     pub link_losses: u64,
     /// Total RNG draws consumed across every stream of the run. Probes
@@ -190,7 +227,8 @@ impl PartialEq for SimOutcome {
             && self.flows == other.flows
             && self.observations == other.observations
             && self.truth == other.truth
-            && self.nodes == other.nodes
+            && self.reached == other.reached
+            && self.field_nodes == other.field_nodes
             && self.link_losses == other.link_losses
             && self.rng_draws == other.rng_draws
             && self.events == other.events
@@ -227,28 +265,68 @@ impl SimOutcome {
         all.mean()
     }
 
+    /// Node `id`'s report: the stored one if a packet reached it, else
+    /// [`NodeReport::idle`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a field node.
+    #[must_use]
+    pub fn node(&self, id: NodeId) -> Cow<'_, NodeReport> {
+        assert!(
+            id.0 < self.field_nodes,
+            "node {} is outside the {}-node field",
+            id.0,
+            self.field_nodes
+        );
+        match self.reached.binary_search_by_key(&id, |n| n.node) {
+            Ok(i) => Cow::Borrowed(&self.reached[i]),
+            Err(_) => Cow::Owned(NodeReport::idle(id, self.end_time)),
+        }
+    }
+
+    /// All `field_nodes` reports in id order, idle ones included.
+    pub fn field_reports(&self) -> impl Iterator<Item = Cow<'_, NodeReport>> {
+        self.field_slots().map(|(id, stored)| {
+            stored.map_or_else(
+                || Cow::Owned(NodeReport::idle(id, self.end_time)),
+                Cow::Borrowed,
+            )
+        })
+    }
+
+    /// Every field node in id order with its stored report, `None` for
+    /// an idle node.
+    fn field_slots(&self) -> impl Iterator<Item = (NodeId, Option<&NodeReport>)> {
+        let mut stored = self.reached.iter().peekable();
+        (0..self.field_nodes).map(move |i| (NodeId(i), stored.next_if(|n| n.node.0 == i)))
+    }
+
+    // Idle nodes count zero in every total below, so the totals sum the
+    // stored reports only.
+
     /// Total RCAD preemptions across all nodes.
     #[must_use]
     pub fn total_preemptions(&self) -> u64 {
-        self.nodes.iter().map(|n| n.preemptions).sum()
+        self.reached.iter().map(|n| n.preemptions).sum()
     }
 
     /// Total full-buffer drops across all nodes.
     #[must_use]
     pub fn total_drops(&self) -> u64 {
-        self.nodes.iter().map(|n| n.drops).sum()
+        self.reached.iter().map(|n| n.drops).sum()
     }
 
     /// Total packets stranded in unfinished mix batches at run end.
     #[must_use]
     pub fn total_stranded(&self) -> u64 {
-        self.nodes.iter().map(|n| n.stranded).sum()
+        self.reached.iter().map(|n| n.stranded).sum()
     }
 
     /// Total mix batch flushes across all nodes.
     #[must_use]
     pub fn total_flushes(&self) -> u64 {
-        self.nodes.iter().map(|n| n.flushes).sum()
+        self.reached.iter().map(|n| n.flushes).sum()
     }
 
     /// Total radio energy spent across the network under `model`.
@@ -256,7 +334,7 @@ impl SimOutcome {
     /// that makes the paper's mechanism affordable on motes.
     #[must_use]
     pub fn total_energy(&self, model: &tempriv_net::energy::EnergyModel) -> f64 {
-        model.total_energy(self.nodes.iter().map(|n| (n.transmissions, n.receptions)))
+        model.total_energy(self.reached.iter().map(|n| (n.transmissions, n.receptions)))
     }
 
     /// Radio energy per delivered packet under `model` (infinite if
@@ -264,7 +342,7 @@ impl SimOutcome {
     #[must_use]
     pub fn energy_per_delivered(&self, model: &tempriv_net::energy::EnergyModel) -> f64 {
         model.energy_per_delivered(
-            self.nodes.iter().map(|n| (n.transmissions, n.receptions)),
+            self.reached.iter().map(|n| (n.transmissions, n.receptions)),
             self.total_delivered(),
         )
     }
@@ -313,10 +391,14 @@ impl SimOutcome {
             eat(&rec.created_at.ticks().to_le_bytes());
             eat(&rec.flow.0.to_le_bytes());
         }
-        for node in &self.nodes {
-            eat(&node.preemptions.to_le_bytes());
-            eat(&node.drops.to_le_bytes());
-            eat(&node.transmissions.to_le_bytes());
+        // Idle nodes hash as zeros, so the bytes do not depend on which
+        // nodes were stored.
+        for (_, stored) in self.field_slots() {
+            let (preemptions, drops, transmissions) =
+                stored.map_or((0u64, 0, 0), |n| (n.preemptions, n.drops, n.transmissions));
+            eat(&preemptions.to_le_bytes());
+            eat(&drops.to_le_bytes());
+            eat(&transmissions.to_le_bytes());
         }
         eat(&self.link_losses.to_le_bytes());
         hasher.finish()
@@ -502,7 +584,8 @@ mod tests {
             }],
             observations,
             truth,
-            nodes: vec![],
+            reached: vec![],
+            field_nodes: 0,
             link_losses: 0,
             rng_draws: 0,
             events: 0,

@@ -144,26 +144,46 @@ impl IndexMut<usize> for NodeTable {
     }
 }
 
-/// One report per field node at `end_time`. `state_of(i)` is node `i`'s
-/// record in whichever table owns it; every node without one reports
-/// the state a run starts in, computed once.
+/// The reports, at `end_time`, of the nodes a packet reached, in id
+/// order. `state_of(i)` is node `i`'s record in whichever table owns it;
+/// a node without one is idle and stores no report.
 pub(crate) fn node_reports<'s>(
     sim: &NetworkSimulation,
     end_time: SimTime,
     state_of: impl Fn(usize) -> Option<&'s NodeState>,
 ) -> Vec<NodeReport> {
-    let blank =
-        NodeState::new(sim, &RngFactory::new(sim.seed), NodeId(0)).report(NodeId(0), end_time);
     (0..sim.routing.len())
-        .map(|i| {
-            let node = NodeId(i as u32);
-            match state_of(i) {
-                Some(state) => state.report(node, end_time),
-                None => NodeReport {
-                    node,
-                    ..blank.clone()
-                },
-            }
-        })
+        .filter_map(|i| state_of(i).map(|state| state.report(NodeId(i as u32), end_time)))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tempriv_net::routing::RoutingTree;
+    use tempriv_net::topology::Topology;
+
+    /// A node that was touched but never buffered reports exactly what
+    /// `NodeReport::idle` derives for an unreached one, float bits
+    /// included, so storing it or not changes no reader.
+    #[test]
+    fn fresh_state_reports_the_idle_report() {
+        let topo = Topology::line(4);
+        let routing = RoutingTree::shortest_path(&topo, NodeId(0)).unwrap();
+        let sim = NetworkSimulation::builder(routing, vec![NodeId(3)])
+            .build()
+            .unwrap();
+        let factory = RngFactory::new(sim.seed);
+        for end_time in [SimTime::ZERO, SimTime::from_units(12.5)] {
+            for node in [NodeId(1), NodeId(2)] {
+                let fresh = NodeState::new(&sim, &factory, node).report(node, end_time);
+                let idle = NodeReport::idle(node, end_time);
+                assert_eq!(fresh, idle, "end_time {end_time:?}");
+                assert_eq!(
+                    fresh.mean_occupancy.to_bits(),
+                    idle.mean_occupancy.to_bits()
+                );
+            }
+        }
+    }
 }

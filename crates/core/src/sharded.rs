@@ -741,7 +741,7 @@ fn assemble(
         let home = shard_of[sim.sources[i].index()] as usize;
         u64::from(states[home].driver.seq[i])
     });
-    let nodes = node_reports(sim, end_time, |i| {
+    let reached = node_reports(sim, end_time, |i| {
         states[shard_of[i] as usize].driver.nodes.get(i)
     });
     let observations = crate::sim_driver::canonicalize(std::mem::take(
@@ -752,7 +752,8 @@ fn assemble(
         flows,
         observations,
         truth,
-        nodes,
+        reached,
+        field_nodes: u32::try_from(sim.routing.len()).expect("node ids are u32"),
         link_losses,
         rng_draws,
         events,
@@ -937,7 +938,8 @@ mod tests {
             assert_eq!(serial.rng_draws, sharded.rng_draws, "policy {policy:?}");
             assert_eq!(serial.observations, sharded.observations);
             assert_eq!(serial.truth, sharded.truth);
-            assert_eq!(serial.nodes, sharded.nodes);
+            assert_eq!(serial.reached, sharded.reached);
+            assert_eq!(serial.field_nodes, sharded.field_nodes);
             assert!(sharded.shards.iter().any(|s| s.handoffs_out > 0));
         }
     }

@@ -599,7 +599,8 @@ impl NetworkSimulation {
             flows: driver.sink_tables.into_flows(self, |i| u64::from(seq[i])),
             observations: canonicalize(driver.observations),
             truth: driver.truth,
-            nodes: node_reports(self, end_time, |i| driver.nodes.get(i)),
+            reached: node_reports(self, end_time, |i| driver.nodes.get(i)),
+            field_nodes: u32::try_from(n_nodes).expect("node ids are u32"),
             link_losses: driver.link_losses,
             rng_draws,
             events,
@@ -1233,6 +1234,45 @@ mod tests {
     }
 
     #[test]
+    fn outcome_stores_only_the_nodes_a_packet_reached() {
+        use crate::metrics::NodeReport;
+        use std::borrow::Cow;
+        // An 11-node line whose one source sits mid-line: nodes 6..=10
+        // lie beyond it and never see a packet.
+        let topo = Topology::line(11);
+        let routing = RoutingTree::shortest_path(&topo, NodeId(0)).unwrap();
+        let out = NetworkSimulation::builder(routing, vec![NodeId(5)])
+            .packets_per_source(40)
+            .build()
+            .unwrap()
+            .run();
+        assert_eq!(out.field_nodes, 11);
+        let stored: Vec<NodeId> = out.reached.iter().map(|n| n.node).collect();
+        assert_eq!(stored, (0..=5).map(NodeId).collect::<Vec<_>>());
+        for id in (6..11).map(NodeId) {
+            let report = out.node(id);
+            assert!(matches!(report, Cow::Owned(_)), "node {id} is not stored");
+            assert_eq!(*report, NodeReport::idle(id, out.end_time));
+            assert_eq!(report.occupancy_pmf, vec![(0, 1.0)]);
+        }
+        assert_eq!(*out.node(NodeId(5)), out.reached[5]);
+
+        let all: Vec<NodeReport> = out.field_reports().map(Cow::into_owned).collect();
+        assert_eq!(all.len(), 11);
+        assert!(all.iter().enumerate().all(|(i, n)| n.node.index() == i));
+        assert_eq!(all[..6], out.reached[..]);
+        // Storing the idle reports too hashes the same bytes.
+        let mut dense = out.clone();
+        dense.reached = all;
+        assert_eq!(dense.digest(), out.digest());
+
+        let json = serde_json::to_string(&out).unwrap();
+        let back: SimOutcome = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, out);
+        assert_eq!(back.digest(), out.digest());
+    }
+
+    #[test]
     fn rcad_caps_occupancy_at_capacity() {
         let sim = line_sim(5)
             .traffic(TrafficModel::periodic(2.0))
@@ -1244,7 +1284,7 @@ mod tests {
             .build()
             .unwrap();
         let out = sim.run();
-        for node in &out.nodes {
+        for node in out.field_reports() {
             assert!(
                 node.peak_occupancy <= 10,
                 "node {} peak {}",
@@ -1392,7 +1432,7 @@ mod tests {
             assert_eq!(f.delivery_ratio(), 1.0);
         }
         // Trunk nodes (ids 1..=8) carry 4x traffic: they must preempt.
-        let trunk_preempt: u64 = (1..=8).map(|i| out.nodes[i].preemptions).sum();
+        let trunk_preempt: u64 = (1..=8).map(|i| out.node(NodeId(i)).preemptions).sum();
         assert!(trunk_preempt > 0);
     }
 
@@ -1519,8 +1559,8 @@ mod tests {
         assert_eq!(out.total_preemptions(), 0);
         assert_eq!(out.total_drops(), 0);
         // Peak occupancy equals the threshold at flush instants.
-        assert!(out.nodes.iter().any(|n| n.peak_occupancy == 8));
-        assert!(out.nodes.iter().all(|n| n.peak_occupancy <= 8));
+        assert!(out.field_reports().any(|n| n.peak_occupancy == 8));
+        assert!(out.field_reports().all(|n| n.peak_occupancy <= 8));
     }
 
     #[test]
@@ -1568,12 +1608,12 @@ mod tests {
         let out = sim.run();
         // 100 packets x 5 hops: 500 transmissions; the sink receives 100
         // of the 500 receptions.
-        let tx: u64 = out.nodes.iter().map(|n| n.transmissions).sum();
-        let rx: u64 = out.nodes.iter().map(|n| n.receptions).sum();
+        let tx: u64 = out.field_reports().map(|n| n.transmissions).sum();
+        let rx: u64 = out.field_reports().map(|n| n.receptions).sum();
         assert_eq!(tx, 500);
         assert_eq!(rx, 500);
-        assert_eq!(out.nodes[0].receptions, 100); // the sink
-        assert_eq!(out.nodes[0].transmissions, 0);
+        assert_eq!(out.node(NodeId(0)).receptions, 100); // the sink
+        assert_eq!(out.node(NodeId(0)).transmissions, 0);
         let model = EnergyModel::mica2();
         let expected = 500.0 * (model.tx_cost + model.rx_cost);
         assert!((out.total_energy(&model) - expected).abs() < 1e-9);

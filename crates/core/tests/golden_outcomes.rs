@@ -85,8 +85,8 @@ fn fingerprint(out: &SimOutcome, high_water: &[(usize, u64)]) -> u64 {
     h.u64(out.events);
     h.u64(out.peak_fes);
     h.u64(out.link_losses);
-    h.u64(out.nodes.len() as u64);
-    for n in &out.nodes {
+    h.u64(u64::from(out.field_nodes));
+    for n in out.field_reports() {
         h.u64(u64::from(n.node.0));
         h.f64(n.mean_occupancy);
         h.u64(n.peak_occupancy);
@@ -202,11 +202,7 @@ fn per_node_plan() -> DelayPlan {
 #[test]
 fn most_of_the_field_is_never_reached() {
     let out = build(field()).run();
-    let reached = out
-        .nodes
-        .iter()
-        .filter(|n| n.receptions + n.transmissions > 0)
-        .count();
+    let reached = out.reached.len();
     assert!(
         reached * 5 < NODES,
         "{reached} of {NODES} nodes reached: the field must stay sparse"

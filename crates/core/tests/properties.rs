@@ -146,7 +146,7 @@ proptest! {
 
         // Capacity is never violated.
         if let Some(cap) = buffer.capacity() {
-            for node in &out.nodes {
+            for node in out.field_reports() {
                 prop_assert!(node.peak_occupancy <= cap as u64);
             }
         }

@@ -140,7 +140,7 @@ fn shard_stats_account_for_every_event_and_node() {
     let shard_nodes: u64 = out.shards.iter().map(|s| s.nodes).sum();
     assert_eq!(
         shard_nodes,
-        out.nodes.len() as u64,
+        u64::from(out.field_nodes),
         "every node has a home shard"
     );
     assert_eq!(

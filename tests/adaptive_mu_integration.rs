@@ -40,8 +40,7 @@ fn rate_controlled_plan_equalizes_preemption_pressure() {
 
     // Per-node preemption fraction = preemptions / packets handled.
     let rates = |out: &temporal_privacy::core::SimOutcome| -> Vec<f64> {
-        out.nodes
-            .iter()
+        out.field_reports()
             .zip(&counts)
             .filter(|(_, &c)| c > 0)
             .map(|(n, &c)| n.preemptions as f64 / (1500.0 * f64::from(c)))

@@ -3,6 +3,7 @@
 //! results mean anything.
 
 use temporal_privacy::core::{BufferPolicy, DelayPlan, ExperimentConfig, LayoutSpec};
+use temporal_privacy::net::ids::NodeId;
 use temporal_privacy::net::TrafficModel;
 use temporal_privacy::queueing::erlang::erlang_b;
 use temporal_privacy::queueing::goodness::{cv_squared, ks_critical_5pct, ks_exponential};
@@ -39,7 +40,7 @@ fn mm_inf_occupancy_is_poisson() {
         41,
     );
     let outcome = cfg.build().unwrap().run();
-    let node = &outcome.nodes[1];
+    let node = outcome.node(NodeId(1));
     assert!(
         (node.mean_occupancy - 10.0).abs() < 0.4,
         "mean {}",
@@ -60,7 +61,7 @@ fn mm_inf_mean_scales_with_rho() {
             43,
         );
         let outcome = cfg.build().unwrap().run();
-        let measured = outcome.nodes[1].mean_occupancy;
+        let measured = outcome.node(NodeId(1)).mean_occupancy;
         assert!(
             (measured - rho).abs() < 0.05 * rho + 0.3,
             "rho {rho}: measured {measured}"

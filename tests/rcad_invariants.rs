@@ -65,7 +65,7 @@ fn occupancy_never_exceeds_capacity() {
             65,
         )
         .run();
-        for node in &out.nodes {
+        for node in out.field_reports() {
             assert!(
                 node.peak_occupancy <= 10,
                 "{victim:?}: node {} peaked at {}",
