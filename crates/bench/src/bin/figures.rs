@@ -27,9 +27,9 @@ use tempriv_core::adversary::BaselineAdversary;
 use tempriv_core::buffer::BufferPolicy;
 use tempriv_core::delay::DelayPlan;
 use tempriv_core::experiment::{
-    adversary_panel_sweep, burst_adversary_experiment, decomposition_experiment,
-    delay_ablation_sweep, fig2_sweep, fig3_sweep, mix_comparison_sweep, victim_ablation_sweep,
-    SweepParams,
+    adversary_panel_sweep_with, burst_adversary_experiment_with, decomposition_experiment_with,
+    delay_ablation_sweep_with, fig2_sweep_with, fig3_sweep_with, mix_comparison_sweep_with,
+    victim_ablation_sweep_with, SweepParams,
 };
 use tempriv_core::metrics::evaluate_adversary;
 use tempriv_core::sim_driver::NetworkSimulation;
@@ -40,6 +40,7 @@ use tempriv_infotheory::mutual_information::epi_lower_bound_nats;
 use tempriv_net::convergecast::Convergecast;
 use tempriv_net::ids::FlowId;
 use tempriv_net::traffic::TrafficModel;
+use tempriv_runtime::{Runtime, WorkerPool};
 use tempriv_telemetry::FlightRecorder;
 
 fn results_dir() -> PathBuf {
@@ -65,7 +66,10 @@ fn emit(name: &str, title: &str, series: &Series) {
 }
 
 fn fig2(which_panel: Option<char>) {
-    let rows = fig2_sweep(&SweepParams::paper_default());
+    let rows = fig2_sweep_with(
+        &SweepParams::paper_default(),
+        &Runtime::new(WorkerPool::new()),
+    );
     if which_panel != Some('b') {
         let mut mse = Series::new(["inv_lambda", "no_delay", "delay_unlimited", "delay_rcad"]);
         for r in &rows {
@@ -101,7 +105,10 @@ fn fig2(which_panel: Option<char>) {
 }
 
 fn fig3() {
-    let rows = fig3_sweep(&SweepParams::paper_default());
+    let rows = fig3_sweep_with(
+        &SweepParams::paper_default(),
+        &Runtime::new(WorkerPool::new()),
+    );
     let mut s = Series::new(["inv_lambda", "baseline_mse", "adaptive_mse"]);
     for r in &rows {
         s.push_row([
@@ -200,7 +207,10 @@ fn v4() {
 }
 
 fn e1() {
-    let rows = adversary_panel_sweep(&SweepParams::paper_default());
+    let rows = adversary_panel_sweep_with(
+        &SweepParams::paper_default(),
+        &Runtime::new(WorkerPool::new()),
+    );
     let mut s = Series::new([
         "inv_lambda",
         "baseline",
@@ -225,7 +235,12 @@ fn e1() {
 }
 
 fn e2() {
-    let rows = decomposition_experiment(&SweepParams::paper_default(), 8.0, 450.0);
+    let rows = decomposition_experiment_with(
+        &SweepParams::paper_default(),
+        8.0,
+        450.0,
+        &Runtime::new(WorkerPool::new()),
+    );
     let mut s = Series::new([
         "shape",
         "buffers",
@@ -257,7 +272,10 @@ fn e2() {
 }
 
 fn e3() {
-    let rows = mix_comparison_sweep(&SweepParams::paper_default());
+    let rows = mix_comparison_sweep_with(
+        &SweepParams::paper_default(),
+        &Runtime::new(WorkerPool::new()),
+    );
     let mut s = Series::new([
         "mechanism",
         "inv_lambda",
@@ -293,7 +311,13 @@ fn burst_params() -> SweepParams {
 }
 
 fn e4() {
-    let rows = burst_adversary_experiment(&burst_params(), 200, 2_000.0, 300.0);
+    let rows = burst_adversary_experiment_with(
+        &burst_params(),
+        200,
+        2_000.0,
+        300.0,
+        &Runtime::new(WorkerPool::new()),
+    );
     let mut s = Series::new([
         "burst_interval",
         "baseline",
@@ -318,7 +342,10 @@ fn e4() {
 }
 
 fn a1() {
-    let rows = victim_ablation_sweep(&SweepParams::paper_default());
+    let rows = victim_ablation_sweep_with(
+        &SweepParams::paper_default(),
+        &Runtime::new(WorkerPool::new()),
+    );
     let mut s = Series::new(["victim", "inv_lambda", "mse", "latency", "preemptions"]);
     for r in &rows {
         s.push_row([
@@ -333,7 +360,10 @@ fn a1() {
 }
 
 fn a2() {
-    let rows = delay_ablation_sweep(&SweepParams::paper_default());
+    let rows = delay_ablation_sweep_with(
+        &SweepParams::paper_default(),
+        &Runtime::new(WorkerPool::new()),
+    );
     let mut s = Series::new(["distribution", "inv_lambda", "mse", "latency"]);
     for r in &rows {
         s.push_row([

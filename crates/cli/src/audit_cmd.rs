@@ -37,6 +37,16 @@ use crate::commands::{io_err, optional, CliError};
 const AUDIT_USAGE: &str = "usage: tempriv audit <run|diff|bisect|ledger>; \
                            try `tempriv help` for the flag list";
 
+const RUN_USAGE: &str = "usage: tempriv audit run [config.json] [--seed N] [--packets N] \
+     [--window N] [--out digest.json] [--outcome] [--shards N] [--workers N]";
+const DIFF_USAGE: &str =
+    "usage: tempriv audit diff <left.json> <right.json> [--fail-on-divergence]";
+const BISECT_USAGE: &str = "usage: tempriv audit bisect [config.json] \
+     (--against other.json | --against-seed M) [--seed N] [--packets N] [--window N] \
+     [--fail-on-divergence]";
+const LEDGER_USAGE: &str = "usage: tempriv audit ledger (--check | --update) \
+     [--ledger PATH] [--label L] [--fail-on-divergence]";
+
 /// Default location of the committed regression ledger.
 pub const DEFAULT_LEDGER_PATH: &str = "results/LEDGER.json";
 
@@ -177,6 +187,12 @@ fn outcome_digest_run(
 /// stream; `--shards N [--workers M]` runs it on the sharded engine
 /// (which admits no event probes, so it requires `--outcome`).
 fn audit_run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    args.expect_only(
+        3,
+        &["seed", "packets", "window", "out", "shards", "workers"],
+        &["outcome"],
+    )
+    .map_err(|e| format!("{e}\n{RUN_USAGE}"))?;
     let cfg = audit_config(args, args.positional(2))?;
     let window = window_arg(args)?;
     let shards: u32 = args.option_as("shards", 1)?;
@@ -219,10 +235,10 @@ fn audit_run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
 /// divergent window of two digest files.
 fn audit_diff<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     let (Some(left_path), Some(right_path)) = (args.positional(2), args.positional(3)) else {
-        return Err("usage: tempriv audit diff <left.json> <right.json> \
-                    [--fail-on-divergence]"
-            .into());
+        return Err(DIFF_USAGE.into());
     };
+    args.expect_only(4, &[], &["fail-on-divergence"])
+        .map_err(|e| format!("{e}\n{DIFF_USAGE}"))?;
     let left = read_digest(left_path)?;
     let right = read_digest(right_path)?;
     let report = diff(&left, &right)?;
@@ -263,6 +279,12 @@ fn audit_diff<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
 /// re-run both confined to the first divergent window and print the
 /// exact first divergent event.
 fn audit_bisect<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    args.expect_only(
+        3,
+        &["against", "against-seed", "seed", "packets", "window"],
+        &["fail-on-divergence"],
+    )
+    .map_err(|e| format!("{e}\n{BISECT_USAGE}"))?;
     let left_cfg = audit_config(args, args.positional(2))?;
     let mut right_cfg = match args.option("against") {
         Some(path) => audit_config(args, Some(path))?,
@@ -387,13 +409,17 @@ fn read_ledger(path: &str) -> Result<Vec<LedgerEntry>, String> {
 /// `tempriv audit ledger (--check | --update)`: verify or extend the
 /// committed per-commit digest record.
 fn audit_ledger<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
+    args.expect_only(
+        2,
+        &["ledger", "label"],
+        &["check", "update", "fail-on-divergence"],
+    )
+    .map_err(|e| format!("{e}\n{LEDGER_USAGE}"))?;
     let path = args.option("ledger").unwrap_or(DEFAULT_LEDGER_PATH);
     let check = args.flag("check");
     let update = args.flag("update");
     if check == update {
-        return Err("usage: tempriv audit ledger (--check | --update) \
-                    [--ledger PATH] [--label L] [--fail-on-divergence]"
-            .into());
+        return Err(LEDGER_USAGE.into());
     }
     let cfg = ledger_config();
     let (digest, _draws) = digest_run(&cfg, LEDGER_WINDOW)?;

@@ -8,10 +8,7 @@ use std::io::Write;
 use std::sync::Arc;
 
 use tempriv_core::config::ExperimentConfig;
-use tempriv_core::experiment::{
-    adversary_panel_sweep_with, delay_ablation_sweep_with, fig2_sweep_with, fig3_sweep_with,
-    mix_comparison_sweep_with, victim_ablation_sweep_with, SweepParams,
-};
+use tempriv_core::experiment::{fig2_sweep_with, Sweep, SweepParams};
 use tempriv_core::replication::{replicate, ReplicatedMetric};
 use tempriv_core::report::PrivacyAssessment;
 use tempriv_core::telemetry::{privacy_flow_configs, JobMem, JobSpans, JobTrace, TelemetryExport};
@@ -21,7 +18,7 @@ use tempriv_infotheory::DEFAULT_STREAMING_BINS;
 use tempriv_queueing::erlang::{erlang_b, min_servers_for_loss, service_rate_for_loss};
 use tempriv_queueing::mm_inf::MmInf;
 use tempriv_runtime::{
-    BlobKind, ManifestReader, ResultCache, Runtime, StderrReporter, TelemetrySink,
+    BlobKind, ManifestReader, ResultCache, Runtime, StderrReporter, TelemetrySink, WorkerPool,
 };
 use tempriv_telemetry::{
     chrome_span_events, memprof, wrap_chrome_events, DigestProbe, FlightRecorder,
@@ -397,7 +394,7 @@ fn cmd_assess<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     }
     // Validate once up front so workers cannot panic on a bad config.
     cfg.build().map_err(|e| e.to_string())?;
-    let assessments = replicate(cfg.seed, replications, |seed| {
+    let assessments = replicate(&WorkerPool::new(), cfg.seed, replications, |seed| {
         let mut cfg = cfg.clone();
         cfg.seed = seed;
         let sim = cfg.build().expect("validated config");
@@ -566,60 +563,40 @@ fn write_telemetry_export(
 
 /// Runs the named sweep experiment on `runtime` and prints its rows:
 /// `fig2` keeps the classic aligned table, everything else prints one
-/// JSON row per line. The names match the `experiment` field written to
-/// run-manifest headers, so `resume` dispatches through here too.
+/// JSON row per line. Names are [`Sweep::name`]s, which run-manifest
+/// headers record, so `resume` dispatches through here too.
 fn run_experiment<W: Write>(
     experiment: &str,
     params: &SweepParams,
     runtime: &Runtime,
     out: &mut W,
 ) -> Result<(), String> {
-    match experiment {
-        "fig2" => {
-            writeln!(
-                out,
-                "{:>9} {:>12} {:>12} {:>12} {:>10} {:>10} {:>10}",
-                "1/lambda",
-                "mse_none",
-                "mse_unlim",
-                "mse_rcad",
-                "lat_none",
-                "lat_unlim",
-                "lat_rcad"
-            )
-            .map_err(io_err)?;
-            for row in fig2_sweep_with(params, runtime) {
-                writeln!(
-                    out,
-                    "{:>9} {:>12.1} {:>12.1} {:>12.1} {:>10.1} {:>10.1} {:>10.1}",
-                    row.inv_lambda,
-                    row.no_delay.mse,
-                    row.unlimited.mse,
-                    row.rcad.mse,
-                    row.no_delay.mean_latency,
-                    row.unlimited.mean_latency,
-                    row.rcad.mean_latency,
-                )
-                .map_err(io_err)?;
-            }
-            Ok(())
+    let sweep = Sweep::from_name(experiment)?;
+    if sweep != Sweep::Fig2 {
+        for line in sweep.run_json_rows(params, runtime) {
+            writeln!(out, "{line}").map_err(io_err)?;
         }
-        "fig3" => print_json_rows(out, &fig3_sweep_with(params, runtime)),
-        "adversary-panel" => print_json_rows(out, &adversary_panel_sweep_with(params, runtime)),
-        "victim-ablation" => print_json_rows(out, &victim_ablation_sweep_with(params, runtime)),
-        "delay-ablation" => print_json_rows(out, &delay_ablation_sweep_with(params, runtime)),
-        "mix-comparison" => print_json_rows(out, &mix_comparison_sweep_with(params, runtime)),
-        other => Err(format!(
-            "unknown experiment `{other}`; expected fig2, fig3, adversary-panel, \
-             victim-ablation, delay-ablation, or mix-comparison"
-        )),
+        return Ok(());
     }
-}
-
-fn print_json_rows<W: Write, T: serde::Serialize>(out: &mut W, rows: &[T]) -> Result<(), String> {
-    for row in rows {
-        let line = serde_json::to_string(row).map_err(|e| format!("serialize row: {e}"))?;
-        writeln!(out, "{line}").map_err(io_err)?;
+    writeln!(
+        out,
+        "{:>9} {:>12} {:>12} {:>12} {:>10} {:>10} {:>10}",
+        "1/lambda", "mse_none", "mse_unlim", "mse_rcad", "lat_none", "lat_unlim", "lat_rcad"
+    )
+    .map_err(io_err)?;
+    for row in fig2_sweep_with(params, runtime) {
+        writeln!(
+            out,
+            "{:>9} {:>12.1} {:>12.1} {:>12.1} {:>10.1} {:>10.1} {:>10.1}",
+            row.inv_lambda,
+            row.no_delay.mse,
+            row.unlimited.mse,
+            row.rcad.mse,
+            row.no_delay.mean_latency,
+            row.unlimited.mean_latency,
+            row.rcad.mean_latency,
+        )
+        .map_err(io_err)?;
     }
     Ok(())
 }

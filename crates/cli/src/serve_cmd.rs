@@ -9,6 +9,12 @@ use tempriv_serve::server::{ServeConfig, Server};
 use crate::args::Args;
 use crate::commands::io_err;
 
+const SERVE_USAGE: &str = "usage: tempriv serve [--addr A] [--workers N] [--cache-dir DIR] \
+     [--manifest PATH] [--max-queue N] [--tenant-quota N]";
+const BENCH_SERVE_USAGE: &str = "usage: tempriv bench serve [--submissions N] \
+     [--concurrency N] [--tenants N] [--distinct N] [--packets N] [--experiment E] \
+     [--addr A] [--server-workers N] [--out PATH]";
+
 /// `tempriv serve`: run the simulation-as-a-service HTTP server until a
 /// `POST /v1/shutdown` (or the process is killed — the journal resumes
 /// the queue on the next start).
@@ -17,6 +23,19 @@ use crate::commands::io_err;
 ///
 /// Returns a message on bad flags or when the server cannot bind.
 pub fn cmd_serve<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
+    args.expect_only(
+        1,
+        &[
+            "addr",
+            "workers",
+            "cache-dir",
+            "manifest",
+            "max-queue",
+            "tenant-quota",
+        ],
+        &[],
+    )
+    .map_err(|e| format!("{e}\n{SERVE_USAGE}"))?;
     let cfg = ServeConfig {
         addr: args.option("addr").unwrap_or("127.0.0.1:7077").to_string(),
         workers: args.option_as("workers", 2usize)?.max(1),
@@ -58,11 +77,27 @@ pub fn cmd_bench<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     match args.positional(1) {
         Some("serve") => cmd_bench_serve(args, out),
         Some(other) => Err(format!("unknown bench target `{other}`; expected `serve`")),
-        None => Err("usage: tempriv bench serve [--submissions N ...]".to_string()),
+        None => Err(BENCH_SERVE_USAGE.to_string()),
     }
 }
 
 fn cmd_bench_serve<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
+    args.expect_only(
+        2,
+        &[
+            "submissions",
+            "concurrency",
+            "tenants",
+            "distinct",
+            "packets",
+            "experiment",
+            "addr",
+            "server-workers",
+            "out",
+        ],
+        &[],
+    )
+    .map_err(|e| format!("{e}\n{BENCH_SERVE_USAGE}"))?;
     let params = LoadParams {
         submissions: args.option_as("submissions", 2000usize)?.max(1),
         concurrency: args.option_as("concurrency", 16usize)?.max(1),

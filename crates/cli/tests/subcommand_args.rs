@@ -1,16 +1,44 @@
 //! `assess`, `profile`, `init-config`, `cache`, `report`, `calc`,
-//! `trace` and `watch` reject input they do not read: the binary exits 1, names the
-//! offender and prints the command's usage line instead of running with
-//! the input ignored.
+//! `trace`, `watch`, `audit`, `serve` and `bench serve` reject input
+//! they do not read: the binary exits 1, names the offender and prints
+//! the command's usage line instead of running with the input ignored.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn tempriv(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tempriv"))
         .args(args)
         .output()
         .expect("the tempriv binary starts")
+}
+
+/// Runs a command that would start a server or a load run if it
+/// accepted its input, killing it after a deadline so that a regression
+/// fails the test instead of hanging it.
+fn tempriv_with_deadline(args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tempriv"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the tempriv binary starts");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().expect("poll the child").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("kill the child");
+            let out = child.wait_with_output().expect("reap the child");
+            panic!(
+                "`tempriv {}` still running after 30 s: {out:?}",
+                args.join(" ")
+            );
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child
+        .wait_with_output()
+        .expect("collect the child's output")
 }
 
 /// A scratch directory private to one test.
@@ -221,5 +249,64 @@ fn watch_rejects_the_options_of_its_other_mode() {
         &tempriv(&["watch", manifest, "extra"]),
         "unexpected argument `extra`",
         "usage: tempriv watch <run.jsonl>",
+    );
+}
+
+#[test]
+fn audit_rejects_what_its_mode_does_not_read() {
+    let modes: [(&[&str], &str); 4] = [
+        (&["audit", "run"], "usage: tempriv audit run"),
+        (
+            &["audit", "diff", "a.json", "b.json"],
+            "usage: tempriv audit diff",
+        ),
+        (&["audit", "bisect"], "usage: tempriv audit bisect"),
+        (
+            &["audit", "ledger", "--check"],
+            "usage: tempriv audit ledger",
+        ),
+    ];
+    for (mode, usage) in modes {
+        let argv = [mode, &["--bogus", "1"]].concat();
+        assert_rejected(&tempriv(&argv), "unknown option --bogus", usage);
+    }
+    // One mode's options are not another's.
+    assert_rejected(
+        &tempriv(&["audit", "ledger", "--check", "--seed", "3"]),
+        "unknown option --seed",
+        "usage: tempriv audit ledger",
+    );
+    assert_rejected(
+        &tempriv(&["audit", "run", "--against-seed", "6"]),
+        "unknown option --against-seed",
+        "usage: tempriv audit run",
+    );
+    assert_rejected(
+        &tempriv(&["audit", "bisect", "--outcome", "--against-seed", "6"]),
+        "unknown option --outcome",
+        "usage: tempriv audit bisect",
+    );
+    assert_rejected(
+        &tempriv(&["audit", "diff", "a.json", "b.json", "c.json"]),
+        "unexpected argument `c.json`",
+        "usage: tempriv audit diff",
+    );
+}
+
+#[test]
+fn serve_rejects_an_unknown_option_before_it_binds() {
+    assert_rejected(
+        &tempriv_with_deadline(&["serve", "--addr", "127.0.0.1:0", "--bogus", "1"]),
+        "unknown option --bogus",
+        "usage: tempriv serve [--addr A]",
+    );
+}
+
+#[test]
+fn bench_serve_rejects_an_unknown_option_before_it_loads() {
+    assert_rejected(
+        &tempriv_with_deadline(&["bench", "serve", "--bogus", "1"]),
+        "unknown option --bogus",
+        "usage: tempriv bench serve [--submissions N]",
     );
 }

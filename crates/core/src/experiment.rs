@@ -4,19 +4,23 @@
 //! (2 … 20 time units). The functions here run the corresponding
 //! scenarios, score the adversaries, and return plain rows ready for
 //! printing or CSV export. Sweep points are independent simulations and
-//! run as jobs on the [`tempriv_runtime`] worker pool: every sweep has a
-//! `*_with` variant taking an explicit [`Runtime`], through which callers
+//! run as jobs on the [`tempriv_runtime`] worker pool: every sweep is a
+//! `*_with` function taking an explicit [`Runtime`], through which callers
 //! inject worker counts, result caches, run manifests, and progress
-//! observers. The plain variants run on a machine-sized runtime with an
-//! in-memory cache.
+//! observers (`Runtime::new(WorkerPool::new())` is a machine-sized runtime
+//! with an in-memory cache).
+//!
+//! The [`Sweep`] table names the six sweeps that take nothing but
+//! [`SweepParams`], counts their jobs and runs them by name; the CLI and
+//! the serve layer look experiments up there.
 
 use serde::{Deserialize, Serialize};
 use tempriv_net::ids::FlowId;
 use tempriv_net::traffic::TrafficModel;
-use tempriv_runtime::{content_digest, Runtime, WorkerPool};
+use tempriv_runtime::{content_digest, Runtime};
 
 use crate::adversary::{
-    AdaptiveAdversary, BaselineAdversary, RouteAwareAdversary, WindowedAdaptiveAdversary,
+    AdaptiveAdversary, Adversary, BaselineAdversary, RouteAwareAdversary, WindowedAdaptiveAdversary,
 };
 use crate::buffer::{BufferPolicy, VictimPolicy};
 use crate::config::{ExperimentConfig, LayoutSpec};
@@ -92,12 +96,6 @@ impl SweepParams {
     }
 }
 
-/// A machine-sized runtime with an in-memory cache — what the plain sweep
-/// functions run on.
-fn default_runtime() -> Runtime {
-    Runtime::new(WorkerPool::new())
-}
-
 /// Cache key of one sweep job: digest over the experiment kind, the full
 /// parameter JSON, and the job's own tag (its point within the sweep).
 /// Anything that can change a job's output must be in here.
@@ -109,6 +107,165 @@ fn job_key(experiment: &str, params_json: &str, job_tag: &str) -> String {
 /// lossy float formatting.
 fn point_tag(inv_lambda: f64) -> String {
     format!("inv_lambda={:016x}", inv_lambda.to_bits())
+}
+
+/// `outer × inner`, outer-major: the flat job list of a sweep that runs
+/// every case at every point (rows come out in the same order).
+fn grid<A: Copy, B: Copy>(outer: &[A], inner: &[B]) -> Vec<(A, B)> {
+    outer
+        .iter()
+        .flat_map(|&a| inner.iter().map(move |&b| (a, b)))
+        .collect()
+}
+
+/// Runs one job per case on `runtime` as experiment `experiment`: each
+/// job is cached under `tag(case)` and the canonical params, and `job`
+/// gets its case plus the job's telemetry collector, which is finished
+/// once the row is back.
+fn run_jobs<C, T>(
+    experiment: &str,
+    params: &SweepParams,
+    runtime: &Runtime,
+    cases: &[C],
+    tag: impl Fn(&C) -> String,
+    job: impl Fn(&C, &mut JobTelemetryCollector<'_>) -> T + Sync,
+) -> Vec<T>
+where
+    C: Sync,
+    T: Serialize + Deserialize + Send,
+{
+    let params_json = params.canonical_json();
+    let keys: Vec<String> = cases
+        .iter()
+        .map(|case| job_key(experiment, &params_json, &tag(case)))
+        .collect();
+    runtime.run(experiment, &params_json, &keys, |i| {
+        let mut telemetry = JobTelemetryCollector::for_job(runtime, i);
+        let row = job(&cases[i], &mut telemetry);
+        telemetry.finish();
+        row
+    })
+}
+
+/// The six sweeps that take nothing but [`SweepParams`]: the one table
+/// the CLI (`sweep`, `resume`, `profile`) and the serve layer look
+/// experiments up in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sweep {
+    /// Figure 2, [`fig2_sweep_with`].
+    Fig2,
+    /// Figure 3, [`fig3_sweep_with`].
+    Fig3,
+    /// Extension E1, [`adversary_panel_sweep_with`].
+    AdversaryPanel,
+    /// Ablation A1, [`victim_ablation_sweep_with`].
+    VictimAblation,
+    /// Ablation A2, [`delay_ablation_sweep_with`].
+    DelayAblation,
+    /// Extension E3, [`mix_comparison_sweep_with`].
+    MixComparison,
+}
+
+impl Sweep {
+    /// Every sweep, in listing order.
+    pub const ALL: [Sweep; 6] = [
+        Sweep::Fig2,
+        Sweep::Fig3,
+        Sweep::AdversaryPanel,
+        Sweep::VictimAblation,
+        Sweep::DelayAblation,
+        Sweep::MixComparison,
+    ];
+
+    /// `(name, wire name)`; see [`Sweep::name`] and [`Sweep::wire_name`].
+    const fn names(self) -> (&'static str, &'static str) {
+        match self {
+            Sweep::Fig2 => ("fig2", "fig2"),
+            Sweep::Fig3 => ("fig3", "fig3"),
+            Sweep::AdversaryPanel => ("adversary-panel", "adversary"),
+            Sweep::VictimAblation => ("victim-ablation", "victim"),
+            Sweep::DelayAblation => ("delay-ablation", "delay"),
+            Sweep::MixComparison => ("mix-comparison", "mix"),
+        }
+    }
+
+    /// The stable name: the CLI's `--experiment` value, the `experiment`
+    /// of run-manifest headers, and the experiment folded into every
+    /// job's cache key. Renaming one orphans its cached results.
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        self.names().0
+    }
+
+    /// The serve layer's `experiment` field value (part of the served
+    /// cache key, so just as stable).
+    #[must_use]
+    pub const fn wire_name(self) -> &'static str {
+        self.names().1
+    }
+
+    /// Looks a sweep up by [`Sweep::name`].
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown experiment and lists every known name.
+    pub fn from_name(name: &str) -> Result<Sweep, String> {
+        Sweep::lookup(name, Sweep::name)
+    }
+
+    /// Looks a sweep up by [`Sweep::wire_name`].
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown experiment and lists every known wire name.
+    pub fn from_wire_name(name: &str) -> Result<Sweep, String> {
+        Sweep::lookup(name, Sweep::wire_name)
+    }
+
+    fn lookup(name: &str, key: fn(Sweep) -> &'static str) -> Result<Sweep, String> {
+        Sweep::ALL
+            .into_iter()
+            .find(|&sweep| key(sweep) == name)
+            .ok_or_else(|| {
+                format!(
+                    "unknown experiment `{name}`; expected one of {}",
+                    Sweep::ALL.map(key).join(", ")
+                )
+            })
+    }
+
+    /// The runtime jobs one run of this sweep makes: one per sweep point
+    /// and case of the sweep's case list. Every job yields one row and
+    /// one slot of per-job telemetry.
+    #[must_use]
+    pub fn jobs(self, params: &SweepParams) -> usize {
+        let cases = match self {
+            Sweep::Fig2 | Sweep::Fig3 | Sweep::AdversaryPanel => 1,
+            Sweep::VictimAblation => VICTIM_POLICIES.len(),
+            Sweep::DelayAblation => DELAY_KINDS.len(),
+            Sweep::MixComparison => MECHANISMS.len(),
+        };
+        cases * params.inv_lambdas.len()
+    }
+
+    /// Runs the sweep on `runtime` and returns its rows in order, each
+    /// serialized as compact JSON.
+    #[must_use]
+    pub fn run_json_rows(self, params: &SweepParams, runtime: &Runtime) -> Vec<String> {
+        fn json<T: Serialize>(rows: &[T]) -> Vec<String> {
+            rows.iter()
+                .map(|row| serde_json::to_string(row).expect("sweep rows serialize"))
+                .collect()
+        }
+        match self {
+            Sweep::Fig2 => json(&fig2_sweep_with(params, runtime)),
+            Sweep::Fig3 => json(&fig3_sweep_with(params, runtime)),
+            Sweep::AdversaryPanel => json(&adversary_panel_sweep_with(params, runtime)),
+            Sweep::VictimAblation => json(&victim_ablation_sweep_with(params, runtime)),
+            Sweep::DelayAblation => json(&delay_ablation_sweep_with(params, runtime)),
+            Sweep::MixComparison => json(&mix_comparison_sweep_with(params, runtime)),
+        }
+    }
 }
 
 /// Privacy and overhead of one scenario at one sweep point.
@@ -164,77 +321,63 @@ fn run_point(
 /// the three scenarios — no delay, delay with unlimited buffers, and
 /// delay with limited buffers (RCAD).
 #[must_use]
-pub fn fig2_sweep(params: &SweepParams) -> Vec<Fig2Row> {
-    fig2_sweep_with(params, &default_runtime())
-}
-
-/// [`fig2_sweep`] on an explicit runtime.
-#[must_use]
 pub fn fig2_sweep_with(params: &SweepParams, runtime: &Runtime) -> Vec<Fig2Row> {
-    let params_json = params.canonical_json();
-    let keys: Vec<String> = params
-        .inv_lambdas
-        .iter()
-        .map(|&l| job_key("fig2", &params_json, &point_tag(l)))
-        .collect();
-    runtime.run("fig2", &params_json, &keys, |i| {
-        let mut telemetry = JobTelemetryCollector::for_job(runtime, i);
-        let inv_lambda = params.inv_lambdas[i];
-        let base = params.config(inv_lambda);
+    let flow = params.report_flow;
+    run_jobs(
+        Sweep::Fig2.name(),
+        params,
+        runtime,
+        &params.inv_lambdas,
+        |&l| point_tag(l),
+        |&inv_lambda, telemetry| {
+            let base = params.config(inv_lambda);
 
-        let mut no_delay = base.clone();
-        no_delay.delay = DelayPlan::no_delay();
-        no_delay.buffer = BufferPolicy::Unlimited;
+            let mut no_delay = base.clone();
+            no_delay.delay = DelayPlan::no_delay();
+            no_delay.buffer = BufferPolicy::Unlimited;
 
-        let mut unlimited = base.clone();
-        unlimited.buffer = BufferPolicy::Unlimited;
+            let mut unlimited = base.clone();
+            unlimited.buffer = BufferPolicy::Unlimited;
 
-        let rcad = base;
+            let rcad = base;
 
-        let row = Fig2Row {
-            inv_lambda,
-            no_delay: run_point(&no_delay, params.report_flow, &mut telemetry, "no_delay"),
-            unlimited: run_point(&unlimited, params.report_flow, &mut telemetry, "unlimited"),
-            rcad: run_point(&rcad, params.report_flow, &mut telemetry, "rcad"),
-        };
-        telemetry.finish();
-        row
-    })
+            Fig2Row {
+                inv_lambda,
+                no_delay: run_point(&no_delay, flow, telemetry, "no_delay"),
+                unlimited: run_point(&unlimited, flow, telemetry, "unlimited"),
+                rcad: run_point(&rcad, flow, telemetry, "rcad"),
+            }
+        },
+    )
 }
 
 /// Regenerates Figure 3: baseline versus adaptive adversary MSE under
 /// RCAD, versus `1/λ`.
 #[must_use]
-pub fn fig3_sweep(params: &SweepParams) -> Vec<Fig3Row> {
-    fig3_sweep_with(params, &default_runtime())
-}
-
-/// [`fig3_sweep`] on an explicit runtime.
-#[must_use]
 pub fn fig3_sweep_with(params: &SweepParams, runtime: &Runtime) -> Vec<Fig3Row> {
-    let params_json = params.canonical_json();
-    let keys: Vec<String> = params
-        .inv_lambdas
-        .iter()
-        .map(|&l| job_key("fig3", &params_json, &point_tag(l)))
-        .collect();
-    runtime.run("fig3", &params_json, &keys, |i| {
-        let mut telemetry = JobTelemetryCollector::for_job(runtime, i);
-        let inv_lambda = params.inv_lambdas[i];
-        let cfg = params.config(inv_lambda);
-        let sim = cfg.build().expect("sweep configs are valid");
-        let outcome = telemetry.run(&sim, "rcad");
-        let knowledge = sim.adversary_knowledge();
-        let baseline = evaluate_adversary(&outcome, &BaselineAdversary, &knowledge);
-        let adaptive =
-            evaluate_adversary(&outcome, &AdaptiveAdversary::paper_default(), &knowledge);
-        telemetry.finish();
-        Fig3Row {
-            inv_lambda,
-            baseline_mse: baseline.mse(params.report_flow),
-            adaptive_mse: adaptive.mse(params.report_flow),
-        }
-    })
+    run_jobs(
+        Sweep::Fig3.name(),
+        params,
+        runtime,
+        &params.inv_lambdas,
+        |&l| point_tag(l),
+        |&inv_lambda, telemetry| {
+            let sim = params
+                .config(inv_lambda)
+                .build()
+                .expect("sweep configs are valid");
+            let outcome = telemetry.run(&sim, "rcad");
+            let knowledge = sim.adversary_knowledge();
+            let mse = |adversary: &dyn Adversary| {
+                evaluate_adversary(&outcome, adversary, &knowledge).mse(params.report_flow)
+            };
+            Fig3Row {
+                inv_lambda,
+                baseline_mse: mse(&BaselineAdversary),
+                adaptive_mse: mse(&AdaptiveAdversary::paper_default()),
+            }
+        },
+    )
 }
 
 /// One row of the adversary-panel extension experiment (E1): every
@@ -257,50 +400,35 @@ pub struct AdversaryPanelRow {
 /// Extension E1: the full adversary hierarchy under RCAD. Expected
 /// ordering at high traffic: baseline ≥ adaptive ≥ route-aware ≥ oracle.
 #[must_use]
-pub fn adversary_panel_sweep(params: &SweepParams) -> Vec<AdversaryPanelRow> {
-    adversary_panel_sweep_with(params, &default_runtime())
-}
-
-/// [`adversary_panel_sweep`] on an explicit runtime.
-#[must_use]
 pub fn adversary_panel_sweep_with(
     params: &SweepParams,
     runtime: &Runtime,
 ) -> Vec<AdversaryPanelRow> {
-    let params_json = params.canonical_json();
-    let keys: Vec<String> = params
-        .inv_lambdas
-        .iter()
-        .map(|&l| job_key("adversary-panel", &params_json, &point_tag(l)))
-        .collect();
-    runtime.run("adversary-panel", &params_json, &keys, |i| {
-        let mut telemetry = JobTelemetryCollector::for_job(runtime, i);
-        let inv_lambda = params.inv_lambdas[i];
-        let cfg = params.config(inv_lambda);
-        let sim = cfg.build().expect("sweep configs are valid");
-        let outcome = telemetry.run(&sim, "rcad");
-        telemetry.finish();
-        let knowledge = sim.adversary_knowledge();
-        let flow = params.report_flow;
-        let oracle = outcome.oracle();
-        AdversaryPanelRow {
-            inv_lambda,
-            baseline_mse: evaluate_adversary(&outcome, &BaselineAdversary, &knowledge).mse(flow),
-            adaptive_mse: evaluate_adversary(
-                &outcome,
-                &AdaptiveAdversary::paper_default(),
-                &knowledge,
-            )
-            .mse(flow),
-            route_aware_mse: evaluate_adversary(
-                &outcome,
-                &RouteAwareAdversary::paper_default(),
-                &knowledge,
-            )
-            .mse(flow),
-            oracle_mse: evaluate_adversary(&outcome, &oracle, &knowledge).mse(flow),
-        }
-    })
+    run_jobs(
+        Sweep::AdversaryPanel.name(),
+        params,
+        runtime,
+        &params.inv_lambdas,
+        |&l| point_tag(l),
+        |&inv_lambda, telemetry| {
+            let sim = params
+                .config(inv_lambda)
+                .build()
+                .expect("sweep configs are valid");
+            let outcome = telemetry.run(&sim, "rcad");
+            let knowledge = sim.adversary_knowledge();
+            let mse = |adversary: &dyn Adversary| {
+                evaluate_adversary(&outcome, adversary, &knowledge).mse(params.report_flow)
+            };
+            AdversaryPanelRow {
+                inv_lambda,
+                baseline_mse: mse(&BaselineAdversary),
+                adaptive_mse: mse(&AdaptiveAdversary::paper_default()),
+                route_aware_mse: mse(&RouteAwareAdversary::paper_default()),
+                oracle_mse: mse(&outcome.oracle()),
+            }
+        },
+    )
 }
 
 /// One row of the victim-policy ablation (A1).
@@ -318,62 +446,47 @@ pub struct VictimAblationRow {
     pub preemptions: u64,
 }
 
-/// Ablation A1: how the victim-selection rule changes privacy/latency.
-#[must_use]
-pub fn victim_ablation_sweep(params: &SweepParams) -> Vec<VictimAblationRow> {
-    victim_ablation_sweep_with(params, &default_runtime())
-}
+/// The victim policies ablation A1 compares, in row order.
+const VICTIM_POLICIES: [VictimPolicy; 4] = [
+    VictimPolicy::ShortestRemaining,
+    VictimPolicy::LongestRemaining,
+    VictimPolicy::Random,
+    VictimPolicy::Oldest,
+];
 
-/// [`victim_ablation_sweep`] on an explicit runtime. The four policies ×
-/// all sweep points form one flat job list, so the pool stays busy across
-/// the policy boundary; rows stay policy-major as before.
+/// Ablation A1: how the victim-selection rule changes privacy/latency.
+/// The four policies × all sweep points form one flat job list, so the
+/// pool stays busy across the policy boundary; rows are policy-major.
 #[must_use]
 pub fn victim_ablation_sweep_with(
     params: &SweepParams,
     runtime: &Runtime,
 ) -> Vec<VictimAblationRow> {
-    let policies = [
-        VictimPolicy::ShortestRemaining,
-        VictimPolicy::LongestRemaining,
-        VictimPolicy::Random,
-        VictimPolicy::Oldest,
-    ];
-    let cases: Vec<(VictimPolicy, f64)> = policies
-        .iter()
-        .flat_map(|&victim| params.inv_lambdas.iter().map(move |&l| (victim, l)))
-        .collect();
-    let params_json = params.canonical_json();
-    let keys: Vec<String> = cases
-        .iter()
-        .map(|(victim, l)| {
-            job_key(
-                "victim-ablation",
-                &params_json,
-                &format!("victim={victim:?}|{}", point_tag(*l)),
-            )
-        })
-        .collect();
-    runtime.run("victim-ablation", &params_json, &keys, |i| {
-        let mut telemetry = JobTelemetryCollector::for_job(runtime, i);
-        let (victim, inv_lambda) = cases[i];
-        let mut cfg = params.config(inv_lambda);
-        cfg.buffer = BufferPolicy::Rcad {
-            capacity: params.capacity,
-            victim,
-        };
-        let sim = cfg.build().expect("sweep configs are valid");
-        let outcome = telemetry.run(&sim, &format!("victim={victim:?}"));
-        telemetry.finish();
-        let knowledge = sim.adversary_knowledge();
-        let report = evaluate_adversary(&outcome, &BaselineAdversary, &knowledge);
-        VictimAblationRow {
-            inv_lambda,
-            victim,
-            mse: report.mse(params.report_flow),
-            mean_latency: outcome.flows[params.report_flow.index()].latency.mean(),
-            preemptions: outcome.total_preemptions(),
-        }
-    })
+    run_jobs(
+        Sweep::VictimAblation.name(),
+        params,
+        runtime,
+        &grid(&VICTIM_POLICIES, &params.inv_lambdas),
+        |(victim, l)| format!("victim={victim:?}|{}", point_tag(*l)),
+        |&(victim, inv_lambda), telemetry| {
+            let mut cfg = params.config(inv_lambda);
+            cfg.buffer = BufferPolicy::Rcad {
+                capacity: params.capacity,
+                victim,
+            };
+            let sim = cfg.build().expect("sweep configs are valid");
+            let outcome = telemetry.run(&sim, &format!("victim={victim:?}"));
+            let knowledge = sim.adversary_knowledge();
+            let report = evaluate_adversary(&outcome, &BaselineAdversary, &knowledge);
+            VictimAblationRow {
+                inv_lambda,
+                victim,
+                mse: report.mse(params.report_flow),
+                mean_latency: outcome.flows[params.report_flow.index()].latency.mean(),
+                preemptions: outcome.total_preemptions(),
+            }
+        },
+    )
 }
 
 /// One row of the delay-distribution ablation (A2).
@@ -400,67 +513,46 @@ pub enum DelayDistributionKind {
     Constant,
 }
 
+/// The delay distributions ablation A2 compares, in row order, each at
+/// the paper's `1/μ = 30`.
+const DELAY_KINDS: [(DelayDistributionKind, DelayStrategy); 3] = [
+    (
+        DelayDistributionKind::Exponential,
+        DelayStrategy::Exponential { mean: 30.0 },
+    ),
+    (
+        DelayDistributionKind::Uniform,
+        DelayStrategy::Uniform { mean: 30.0 },
+    ),
+    (
+        DelayDistributionKind::Constant,
+        DelayStrategy::Constant { delay: 30.0 },
+    ),
+];
+
 /// Ablation A2: delay distributions at equal mean, unlimited buffers —
 /// isolating the distributional effect of §3.1 from preemption.
 #[must_use]
-pub fn delay_ablation_sweep(params: &SweepParams) -> Vec<DelayAblationRow> {
-    delay_ablation_sweep_with(params, &default_runtime())
-}
-
-/// [`delay_ablation_sweep`] on an explicit runtime.
-#[must_use]
 pub fn delay_ablation_sweep_with(params: &SweepParams, runtime: &Runtime) -> Vec<DelayAblationRow> {
-    let kinds = [
-        (
-            DelayDistributionKind::Exponential,
-            DelayStrategy::exponential(30.0),
-        ),
-        (DelayDistributionKind::Uniform, DelayStrategy::uniform(30.0)),
-        (
-            DelayDistributionKind::Constant,
-            DelayStrategy::constant(30.0),
-        ),
-    ];
-    let cases: Vec<(DelayDistributionKind, DelayStrategy, f64)> = kinds
-        .iter()
-        .flat_map(|(kind, strategy)| {
-            params
-                .inv_lambdas
-                .iter()
-                .map(move |&l| (*kind, *strategy, l))
-        })
-        .collect();
-    let params_json = params.canonical_json();
-    let keys: Vec<String> = cases
-        .iter()
-        .map(|(kind, _, l)| {
-            job_key(
-                "delay-ablation",
-                &params_json,
-                &format!("dist={kind:?}|{}", point_tag(*l)),
-            )
-        })
-        .collect();
-    runtime.run("delay-ablation", &params_json, &keys, |i| {
-        let mut telemetry = JobTelemetryCollector::for_job(runtime, i);
-        let (kind, strategy, inv_lambda) = cases[i];
-        let mut cfg = params.config(inv_lambda);
-        cfg.delay = DelayPlan::Shared(strategy);
-        cfg.buffer = BufferPolicy::Unlimited;
-        let metrics = run_point(
-            &cfg,
-            params.report_flow,
-            &mut telemetry,
-            &format!("{kind:?}"),
-        );
-        telemetry.finish();
-        DelayAblationRow {
-            inv_lambda,
-            distribution: kind,
-            mse: metrics.mse,
-            mean_latency: metrics.mean_latency,
-        }
-    })
+    run_jobs(
+        Sweep::DelayAblation.name(),
+        params,
+        runtime,
+        &grid(&DELAY_KINDS, &params.inv_lambdas),
+        |((kind, _), l)| format!("dist={kind:?}|{}", point_tag(*l)),
+        |&((kind, strategy), inv_lambda), telemetry| {
+            let mut cfg = params.config(inv_lambda);
+            cfg.delay = DelayPlan::Shared(strategy);
+            cfg.buffer = BufferPolicy::Unlimited;
+            let metrics = run_point(&cfg, params.report_flow, telemetry, &format!("{kind:?}"));
+            DelayAblationRow {
+                inv_lambda,
+                distribution: kind,
+                mse: metrics.mse,
+                mean_latency: metrics.mean_latency,
+            }
+        },
+    )
 }
 
 /// One row of the delay-decomposition experiment (E2, §3.3).
@@ -483,17 +575,7 @@ pub struct DecompositionRow {
 
 /// Extension E2: spread one fixed delay budget (the paper's 15·30 = 450
 /// time units for flow S1) across the path per §3.3 and measure the
-/// privacy/buffer trade-off at 1/λ = `inv_lambda`.
-#[must_use]
-pub fn decomposition_experiment(
-    params: &SweepParams,
-    inv_lambda: f64,
-    flow_budget: f64,
-) -> Vec<DecompositionRow> {
-    decomposition_experiment_with(params, inv_lambda, flow_budget, &default_runtime())
-}
-
-/// [`decomposition_experiment`] on an explicit runtime: the 2 buffer
+/// privacy/buffer trade-off at 1/λ = `inv_lambda`. The 2 buffer
 /// policies × 4 shapes run as 8 parallel jobs.
 #[must_use]
 pub fn decomposition_experiment_with(
@@ -508,60 +590,52 @@ pub fn decomposition_experiment_with(
         DecompositionShape::NearSink,
         DecompositionShape::AtSource,
     ];
-    let cases: Vec<(bool, DecompositionShape)> = [false, true]
-        .iter()
-        .flat_map(|&limited| shapes.iter().map(move |&shape| (limited, shape)))
-        .collect();
-    let params_json = params.canonical_json();
-    let keys: Vec<String> = cases
-        .iter()
-        .map(|(limited, shape)| {
-            job_key(
-                "decomposition",
-                &params_json,
-                &format!(
-                    "shape={shape:?}|limited={limited}|{}|budget={:016x}",
-                    point_tag(inv_lambda),
-                    flow_budget.to_bits()
-                ),
+    run_jobs(
+        "decomposition",
+        params,
+        runtime,
+        &grid(&[false, true], &shapes),
+        |(limited, shape)| {
+            format!(
+                "shape={shape:?}|limited={limited}|{}|budget={:016x}",
+                point_tag(inv_lambda),
+                flow_budget.to_bits()
             )
-        })
-        .collect();
-    runtime.run("decomposition", &params_json, &keys, |i| {
-        let (limited, shape) = cases[i];
-        let mut cfg = params.config(inv_lambda);
-        let sim_probe = cfg.build().expect("probe build");
-        let plan = decomposed_plan(sim_probe.routing(), sim_probe.sources(), flow_budget, shape);
-        cfg.delay = plan;
-        cfg.buffer = if limited {
-            BufferPolicy::Rcad {
-                capacity: params.capacity,
-                victim: VictimPolicy::ShortestRemaining,
+        },
+        |&(limited, shape), telemetry| {
+            let mut cfg = params.config(inv_lambda);
+            let sim_probe = cfg.build().expect("probe build");
+            let plan =
+                decomposed_plan(sim_probe.routing(), sim_probe.sources(), flow_budget, shape);
+            cfg.delay = plan;
+            cfg.buffer = if limited {
+                BufferPolicy::Rcad {
+                    capacity: params.capacity,
+                    victim: VictimPolicy::ShortestRemaining,
+                }
+            } else {
+                BufferPolicy::Unlimited
+            };
+            let sim = cfg.build().expect("valid config");
+            let outcome = telemetry.run(&sim, &format!("shape={shape:?}|limited={limited}"));
+            let knowledge = sim.adversary_knowledge();
+            let report = evaluate_adversary(&outcome, &BaselineAdversary, &knowledge);
+            // Idle nodes' mean occupancy is 0, the fold's start value.
+            let max_mean_occupancy = outcome
+                .reached
+                .iter()
+                .map(|n| n.mean_occupancy)
+                .fold(0.0f64, f64::max);
+            DecompositionRow {
+                shape,
+                limited_buffers: limited,
+                mse: report.mse(params.report_flow),
+                mean_latency: outcome.flows[params.report_flow.index()].latency.mean(),
+                max_mean_occupancy,
+                preemptions: outcome.total_preemptions(),
             }
-        } else {
-            BufferPolicy::Unlimited
-        };
-        let sim = cfg.build().expect("valid config");
-        let mut telemetry = JobTelemetryCollector::for_job(runtime, i);
-        let outcome = telemetry.run(&sim, &format!("shape={shape:?}|limited={limited}"));
-        telemetry.finish();
-        let knowledge = sim.adversary_knowledge();
-        let report = evaluate_adversary(&outcome, &BaselineAdversary, &knowledge);
-        // Idle nodes' mean occupancy is 0, the fold's start value.
-        let max_mean_occupancy = outcome
-            .reached
-            .iter()
-            .map(|n| n.mean_occupancy)
-            .fold(0.0f64, f64::max);
-        DecompositionRow {
-            shape,
-            limited_buffers: limited,
-            mse: report.mse(params.report_flow),
-            mean_latency: outcome.flows[params.report_flow.index()].latency.mean(),
-            max_mean_occupancy,
-            preemptions: outcome.total_preemptions(),
-        }
-    })
+        },
+    )
 }
 
 /// Mechanisms compared by the E3 experiment.
@@ -572,6 +646,13 @@ pub enum Mechanism {
     /// A Chaum-style threshold mix at every node (batch size given).
     ThresholdMix(usize),
 }
+
+/// The mechanisms E3 compares, in row order.
+const MECHANISMS: [Mechanism; 3] = [
+    Mechanism::Rcad,
+    Mechanism::ThresholdMix(4),
+    Mechanism::ThresholdMix(10),
+];
 
 /// One row of the mechanism comparison (E3): RCAD versus threshold
 /// mixes from the related-work lineage (§6), measured on
@@ -597,59 +678,37 @@ pub struct MixComparisonRow {
 /// Mix nodes ignore the delay plan (batching is their only mechanism),
 /// so their runs use a no-delay plan.
 #[must_use]
-pub fn mix_comparison_sweep(params: &SweepParams) -> Vec<MixComparisonRow> {
-    mix_comparison_sweep_with(params, &default_runtime())
-}
-
-/// [`mix_comparison_sweep`] on an explicit runtime.
-#[must_use]
 pub fn mix_comparison_sweep_with(params: &SweepParams, runtime: &Runtime) -> Vec<MixComparisonRow> {
-    let mechanisms = [
-        Mechanism::Rcad,
-        Mechanism::ThresholdMix(4),
-        Mechanism::ThresholdMix(10),
-    ];
-    let cases: Vec<(Mechanism, f64)> = mechanisms
-        .iter()
-        .flat_map(|&m| params.inv_lambdas.iter().map(move |&l| (m, l)))
-        .collect();
-    let params_json = params.canonical_json();
-    let keys: Vec<String> = cases
-        .iter()
-        .map(|(m, l)| {
-            job_key(
-                "mix-comparison",
-                &params_json,
-                &format!("mech={m:?}|{}", point_tag(*l)),
-            )
-        })
-        .collect();
-    runtime.run("mix-comparison", &params_json, &keys, |i| {
-        let (mechanism, inv_lambda) = cases[i];
-        let mut cfg = params.config(inv_lambda);
-        match mechanism {
-            Mechanism::Rcad => {}
-            Mechanism::ThresholdMix(threshold) => {
-                cfg.delay = DelayPlan::no_delay();
-                cfg.buffer = BufferPolicy::ThresholdMix { threshold };
+    run_jobs(
+        Sweep::MixComparison.name(),
+        params,
+        runtime,
+        &grid(&MECHANISMS, &params.inv_lambdas),
+        |(m, l)| format!("mech={m:?}|{}", point_tag(*l)),
+        |&(mechanism, inv_lambda), telemetry| {
+            let mut cfg = params.config(inv_lambda);
+            match mechanism {
+                Mechanism::Rcad => {}
+                Mechanism::ThresholdMix(threshold) => {
+                    cfg.delay = DelayPlan::no_delay();
+                    cfg.buffer = BufferPolicy::ThresholdMix { threshold };
+                }
             }
-        }
-        let sim = cfg.build().expect("sweep configs are valid");
-        let mut telemetry = JobTelemetryCollector::for_job(runtime, i);
-        let outcome = telemetry.run(&sim, &format!("{mechanism:?}"));
-        telemetry.finish();
-        let knowledge = sim.adversary_knowledge();
-        let oracle = outcome.oracle();
-        let report = evaluate_adversary(&outcome, &oracle, &knowledge);
-        MixComparisonRow {
-            inv_lambda,
-            mechanism,
-            oracle_mse: report.mse(params.report_flow),
-            mean_latency: outcome.flows[params.report_flow.index()].latency.mean(),
-            reordering: outcome.reordering_fraction(params.report_flow),
-            stranded: outcome.total_stranded(),
-        }
-    })
+            let sim = cfg.build().expect("sweep configs are valid");
+            let outcome = telemetry.run(&sim, &format!("{mechanism:?}"));
+            let knowledge = sim.adversary_knowledge();
+            let oracle = outcome.oracle();
+            let report = evaluate_adversary(&outcome, &oracle, &knowledge);
+            MixComparisonRow {
+                inv_lambda,
+                mechanism,
+                oracle_mse: report.mse(params.report_flow),
+                mean_latency: outcome.flows[params.report_flow.index()].latency.mean(),
+                reordering: outcome.reordering_fraction(params.report_flow),
+                stranded: outcome.total_stranded(),
+            }
+        },
+    )
 }
 
 /// One row of the bursty-traffic experiment (E4): offline versus online
@@ -674,17 +733,6 @@ pub struct BurstAdversaryRow {
 /// An online adversary that re-estimates rates in a sliding window should
 /// beat the whole-trace adaptive model whenever traffic is non-stationary.
 #[must_use]
-pub fn burst_adversary_experiment(
-    params: &SweepParams,
-    burst: u32,
-    off_time: f64,
-    window: f64,
-) -> Vec<BurstAdversaryRow> {
-    burst_adversary_experiment_with(params, burst, off_time, window, &default_runtime())
-}
-
-/// [`burst_adversary_experiment`] on an explicit runtime.
-#[must_use]
 pub fn burst_adversary_experiment_with(
     params: &SweepParams,
     burst: u32,
@@ -692,59 +740,44 @@ pub fn burst_adversary_experiment_with(
     window: f64,
     runtime: &Runtime,
 ) -> Vec<BurstAdversaryRow> {
-    let params_json = params.canonical_json();
-    let keys: Vec<String> = params
-        .inv_lambdas
-        .iter()
-        .map(|&l| {
-            job_key(
-                "burst-adversary",
-                &params_json,
-                &format!(
-                    "burst={burst}|off={:016x}|window={:016x}|{}",
-                    off_time.to_bits(),
-                    window.to_bits(),
-                    point_tag(l)
-                ),
+    run_jobs(
+        "burst-adversary",
+        params,
+        runtime,
+        &params.inv_lambdas,
+        |&l| {
+            format!(
+                "burst={burst}|off={:016x}|window={:016x}|{}",
+                off_time.to_bits(),
+                window.to_bits(),
+                point_tag(l)
             )
-        })
-        .collect();
-    runtime.run("burst-adversary", &params_json, &keys, |i| {
-        let burst_interval = params.inv_lambdas[i];
-        let mut cfg = params.config(burst_interval);
-        cfg.traffic = TrafficModel::on_off(burst_interval, burst, off_time);
-        let sim = cfg.build().expect("sweep configs are valid");
-        let mut telemetry = JobTelemetryCollector::for_job(runtime, i);
-        let outcome = telemetry.run(&sim, "on_off");
-        telemetry.finish();
-        let knowledge = sim.adversary_knowledge();
-        let flow = params.report_flow;
-        let oracle = outcome.oracle();
-        BurstAdversaryRow {
-            burst_interval,
-            baseline_mse: evaluate_adversary(&outcome, &BaselineAdversary, &knowledge).mse(flow),
-            adaptive_mse: evaluate_adversary(
-                &outcome,
-                &AdaptiveAdversary::paper_default(),
-                &knowledge,
-            )
-            .mse(flow),
-            windowed_mse: evaluate_adversary(
-                &outcome,
-                &WindowedAdaptiveAdversary::new(window, 0.1),
-                &knowledge,
-            )
-            .mse(flow),
-            oracle_mse: evaluate_adversary(&outcome, &oracle, &knowledge).mse(flow),
-        }
-    })
+        },
+        |&burst_interval, telemetry| {
+            let mut cfg = params.config(burst_interval);
+            cfg.traffic = TrafficModel::on_off(burst_interval, burst, off_time);
+            let sim = cfg.build().expect("sweep configs are valid");
+            let outcome = telemetry.run(&sim, "on_off");
+            let knowledge = sim.adversary_knowledge();
+            let mse = |adversary: &dyn Adversary| {
+                evaluate_adversary(&outcome, adversary, &knowledge).mse(params.report_flow)
+            };
+            BurstAdversaryRow {
+                burst_interval,
+                baseline_mse: mse(&BaselineAdversary),
+                adaptive_mse: mse(&AdaptiveAdversary::paper_default()),
+                windowed_mse: mse(&WindowedAdaptiveAdversary::new(window, 0.1)),
+                oracle_mse: mse(&outcome.oracle()),
+            }
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use tempriv_runtime::CountingObserver;
+    use tempriv_runtime::{CountingObserver, ManifestReader, WorkerPool};
 
     fn tiny() -> SweepParams {
         SweepParams {
@@ -756,7 +789,7 @@ mod tests {
 
     #[test]
     fn fig2_shapes_hold() {
-        let rows = fig2_sweep(&tiny());
+        let rows = fig2_sweep_with(&tiny(), &Runtime::new(WorkerPool::new()));
         assert_eq!(rows.len(), 2);
         let fast = &rows[0];
         // Privacy ordering at the highest traffic rate: RCAD >> others.
@@ -782,7 +815,7 @@ mod tests {
             packets_per_source: 800,
             ..SweepParams::paper_default()
         };
-        let rows = fig3_sweep(&params);
+        let rows = fig3_sweep_with(&params, &Runtime::new(WorkerPool::new()));
         let fast = &rows[0];
         assert!(
             fast.adaptive_mse < fast.baseline_mse,
@@ -801,7 +834,7 @@ mod tests {
             packets_per_source: 800,
             ..SweepParams::paper_default()
         };
-        let row = &adversary_panel_sweep(&params)[0];
+        let row = &adversary_panel_sweep_with(&params, &Runtime::new(WorkerPool::new()))[0];
         assert!(row.adaptive_mse <= row.baseline_mse);
         assert!(row.route_aware_mse <= row.adaptive_mse);
         assert!(row.oracle_mse <= row.route_aware_mse * 1.01);
@@ -815,7 +848,8 @@ mod tests {
             packets_per_source: 600,
             ..SweepParams::paper_default()
         };
-        let rows = decomposition_experiment(&params, 8.0, 450.0);
+        let rows =
+            decomposition_experiment_with(&params, 8.0, 450.0, &Runtime::new(WorkerPool::new()));
         let find = |shape, limited| {
             rows.iter()
                 .find(|r| r.shape == shape && r.limited_buffers == limited)
@@ -843,7 +877,7 @@ mod tests {
             packets_per_source: 400,
             ..SweepParams::paper_default()
         };
-        let rows = mix_comparison_sweep(&params);
+        let rows = mix_comparison_sweep_with(&params, &Runtime::new(WorkerPool::new()));
         assert_eq!(rows.len(), 3);
         let rcad = rows
             .iter()
@@ -877,7 +911,13 @@ mod tests {
             packets_per_source: 1200,
             ..SweepParams::paper_default()
         };
-        let rows = burst_adversary_experiment(&params, 200, 800.0, 200.0);
+        let rows = burst_adversary_experiment_with(
+            &params,
+            200,
+            800.0,
+            200.0,
+            &Runtime::new(WorkerPool::new()),
+        );
         let row = &rows[0];
         assert!(
             row.windowed_mse < row.baseline_mse,
@@ -944,8 +984,54 @@ mod tests {
 
     #[test]
     fn sweep_is_reproducible() {
-        let a = fig2_sweep(&tiny());
-        let b = fig2_sweep(&tiny());
+        let a = fig2_sweep_with(&tiny(), &Runtime::new(WorkerPool::new()));
+        let b = fig2_sweep_with(&tiny(), &Runtime::new(WorkerPool::new()));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn sweep_table_counts_the_jobs_each_sweep_runs() {
+        let params = SweepParams {
+            packets_per_source: 40,
+            ..tiny()
+        };
+        let dir = std::env::temp_dir().join(format!("tempriv_sweep_table_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for sweep in Sweep::ALL {
+            let manifest = dir.join(format!("{}.jsonl", sweep.name()));
+            let counter = Arc::new(CountingObserver::new());
+            let runtime = Runtime::builder()
+                .workers(2)
+                .observer(counter.clone())
+                .manifest_path(&manifest)
+                .build()
+                .unwrap();
+            let rows = sweep.run_json_rows(&params, &runtime);
+            let header = ManifestReader::read(&manifest).unwrap().header;
+            let jobs = sweep.jobs(&params);
+            assert_eq!(header.experiment, sweep.name());
+            assert_eq!(header.jobs, jobs, "{sweep:?}: manifest header");
+            assert_eq!(counter.computed(), jobs, "{sweep:?}: jobs run");
+            assert_eq!(rows.len(), jobs, "{sweep:?}: one row per job");
+        }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn sweep_names_round_trip_and_unknown_names_list_every_sweep() {
+        for sweep in Sweep::ALL {
+            assert_eq!(Sweep::from_name(sweep.name()), Ok(sweep));
+            assert_eq!(Sweep::from_wire_name(sweep.wire_name()), Ok(sweep));
+        }
+        let err = Sweep::from_name("fig9").unwrap_err();
+        assert!(err.contains("unknown experiment `fig9`"), "{err}");
+        let wire_err = Sweep::from_wire_name("fig9").unwrap_err();
+        for sweep in Sweep::ALL {
+            assert!(err.contains(sweep.name()), "{err}");
+            assert!(wire_err.contains(sweep.wire_name()), "{wire_err}");
+        }
+        // The two name sets differ, so neither lookup accepts the other's.
+        assert!(Sweep::from_wire_name("adversary-panel").is_err());
+        assert!(Sweep::from_name("adversary").is_err());
     }
 }

@@ -68,7 +68,7 @@ pub use delay::{DelayPlan, DelayStrategy};
 pub use metrics::{
     evaluate_adversary, AdversaryReport, FlowOutcome, NodeReport, ShardStats, SimOutcome,
 };
-pub use replication::{replicate, replicate_on, replication_seed, ReplicatedMetric};
+pub use replication::{replicate, replication_seed, ReplicatedMetric};
 pub use report::{FlowAssessment, PrivacyAssessment};
 pub use sharded::ShardPlan;
 pub use sim_driver::{BuildError, NetworkSimulation, NetworkSimulationBuilder, Workload};

@@ -2,7 +2,7 @@
 //!
 //! The paper reports single simulation runs; a production study replicates
 //! each configuration across independent seeds and reports means with
-//! confidence intervals. [`replicate`] runs any per-seed measurement on the
+//! confidence intervals. [`replicate`] runs any per-seed measurement on a
 //! bounded worker pool; [`ReplicatedMetric`] summarizes the results.
 
 use serde::{Deserialize, Serialize};
@@ -26,36 +26,15 @@ pub fn replication_seed(base_seed: u64, i: u32) -> u64 {
     splitmix64(base_seed.wrapping_add(u64::from(i).wrapping_add(1).wrapping_mul(GOLDEN)))
 }
 
-/// Runs `measure(seed)` for `replications` derived seeds on the bounded
-/// worker pool, preserving replication order. Seeds come from
-/// [`replication_seed`], so reruns are reproducible and independent of
-/// the worker count.
+/// Runs `measure(seed)` for `replications` derived seeds on `pool`,
+/// preserving replication order. Seeds come from [`replication_seed`],
+/// so reruns are reproducible and independent of the worker count.
 ///
 /// # Panics
 ///
 /// Panics if `replications == 0` or a worker panics.
 #[must_use]
-pub fn replicate<T, F>(base_seed: u64, replications: u32, measure: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(u64) -> T + Sync,
-{
-    replicate_on(&WorkerPool::new(), base_seed, replications, measure)
-}
-
-/// [`replicate`] on an explicit worker pool (inject a single-worker pool
-/// for serial debugging or a sized one for batch studies).
-///
-/// # Panics
-///
-/// Panics if `replications == 0` or a worker panics.
-#[must_use]
-pub fn replicate_on<T, F>(
-    pool: &WorkerPool,
-    base_seed: u64,
-    replications: u32,
-    measure: F,
-) -> Vec<T>
+pub fn replicate<T, F>(pool: &WorkerPool, base_seed: u64, replications: u32, measure: F) -> Vec<T>
 where
     T: Send,
     F: Fn(u64) -> T + Sync,
@@ -118,13 +97,13 @@ mod tests {
 
     #[test]
     fn replicate_is_ordered_and_reproducible() {
-        let a = replicate(100, 4, |seed| seed ^ 1);
+        let a = replicate(&WorkerPool::new(), 100, 4, |seed| seed ^ 1);
         let expected: Vec<u64> = (0..4).map(|i| replication_seed(100, i) ^ 1).collect();
         assert_eq!(a, expected);
-        let b = replicate(100, 4, |seed| seed ^ 1);
+        let b = replicate(&WorkerPool::new(), 100, 4, |seed| seed ^ 1);
         assert_eq!(a, b);
         // And the result is independent of the worker count.
-        let serial = replicate_on(&WorkerPool::with_workers(1), 100, 4, |seed| seed ^ 1);
+        let serial = replicate(&WorkerPool::with_workers(1), 100, 4, |seed| seed ^ 1);
         assert_eq!(a, serial);
     }
 
@@ -155,7 +134,7 @@ mod tests {
     fn replicated_mse_is_stable_across_seeds() {
         // Five seeds of the paper setup at 1/lambda = 2: the MSE spread
         // should be modest (the mechanism, not the seed, drives it).
-        let values = replicate(5000, 5, |seed| {
+        let values = replicate(&WorkerPool::new(), 5000, 5, |seed| {
             let mut cfg = ExperimentConfig::paper_default();
             cfg.packets_per_source = 400;
             cfg.seed = seed;
@@ -173,6 +152,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one replication")]
     fn zero_replications_rejected() {
-        let _ = replicate(0, 0, |s| s);
+        let _ = replicate(&WorkerPool::new(), 0, 0, |s| s);
     }
 }

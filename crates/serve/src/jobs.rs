@@ -11,24 +11,18 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use tempriv_core::experiment::{
-    adversary_panel_sweep_with, delay_ablation_sweep_with, fig2_sweep_with, fig3_sweep_with,
-    mix_comparison_sweep_with, victim_ablation_sweep_with, SweepParams,
-};
+use tempriv_core::experiment::{Sweep, SweepParams};
 use tempriv_core::telemetry::JobAudit;
 use tempriv_net::FlowId;
 use tempriv_runtime::{content_digest, BlobKind, Runtime, TelemetrySink};
 use tempriv_telemetry::DEFAULT_DIGEST_WINDOW;
-
-/// Experiment names [`execute`] understands.
-pub const EXPERIMENTS: &[&str] = &["fig2", "fig3", "adversary", "victim", "delay", "mix"];
 
 /// A sweep submission. Every numeric field is optional in the wire form;
 /// zero/empty means "use the smoke default", so a minimal request body is
 /// just `{"experiment":"fig2"}`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobSpec {
-    /// Which sweep to run (one of [`EXPERIMENTS`]).
+    /// Which sweep to run: a [`Sweep::wire_name`].
     pub experiment: String,
     /// Inter-arrival times `1/λ` to sweep (empty = smoke default).
     #[serde(default)]
@@ -86,13 +80,7 @@ impl JobSpec {
     ///
     /// Returns a message for an unknown experiment or invalid parameters.
     pub fn canonicalize(mut self) -> Result<JobSpec, String> {
-        if !EXPERIMENTS.contains(&self.experiment.as_str()) {
-            return Err(format!(
-                "unknown experiment {:?} (expected one of {})",
-                self.experiment,
-                EXPERIMENTS.join(", ")
-            ));
-        }
+        Sweep::from_wire_name(&self.experiment)?;
         let smoke = SweepParams::smoke();
         if self.inv_lambdas.is_empty() {
             self.inv_lambdas = smoke.inv_lambdas.clone();
@@ -147,10 +135,13 @@ impl JobSpec {
         content_digest(format!("serve|{}", self.canonical_json()).as_bytes())
     }
 
-    /// Number of sweep points (= runtime jobs = SSE privacy slots).
+    /// Runtime jobs the sweep runs, from the [`Sweep`] table: one
+    /// telemetry slot each, so one digest point, trace section and SSE
+    /// privacy frame each. Sweeps with several cases per point
+    /// (`victim`, `delay`, `mix`) run that many jobs per sweep point.
     #[must_use]
     pub fn points(&self) -> usize {
-        self.inv_lambdas.len()
+        Sweep::from_wire_name(&self.experiment).map_or(0, |sweep| sweep.jobs(&self.sweep_params()))
     }
 
     /// The core sweep parameters this spec describes.
@@ -168,7 +159,7 @@ impl JobSpec {
 }
 
 /// Runs a canonical spec to completion and returns the result rows as
-/// canonical JSON. When `sink` is given, each point attaches its audit
+/// canonical JSON. When `sink` is given, each job attaches its audit
 /// digest, plus privacy, span and flight blobs when the spec asks for
 /// them; the runtime streams privacy blobs into it as the sweep
 /// progresses (the SSE endpoint polls the same sink). Per-node metrics
@@ -211,49 +202,45 @@ pub fn execute(spec: &JobSpec, sink: Option<Arc<TelemetrySink>>) -> Result<Strin
     execute_rows(spec, &runtime)
 }
 
-/// Runs the spec's sweep on `runtime` and serializes the result rows.
+/// Runs the spec's sweep on `runtime` and serializes the result rows as
+/// one JSON array.
 fn execute_rows(spec: &JobSpec, runtime: &Runtime) -> Result<String, String> {
-    let params = spec.sweep_params();
-    let rows_json = match spec.experiment.as_str() {
-        "fig2" => serde_json::to_string(&fig2_sweep_with(&params, runtime)),
-        "fig3" => serde_json::to_string(&fig3_sweep_with(&params, runtime)),
-        "adversary" => serde_json::to_string(&adversary_panel_sweep_with(&params, runtime)),
-        "victim" => serde_json::to_string(&victim_ablation_sweep_with(&params, runtime)),
-        "delay" => serde_json::to_string(&delay_ablation_sweep_with(&params, runtime)),
-        "mix" => serde_json::to_string(&mix_comparison_sweep_with(&params, runtime)),
-        other => return Err(format!("unknown experiment {other:?}")),
-    };
-    rows_json.map_err(|e| format!("result serialization failed: {e}"))
+    let rows =
+        Sweep::from_wire_name(&spec.experiment)?.run_json_rows(&spec.sweep_params(), runtime);
+    Ok(format!("[{}]", rows.join(",")))
 }
 
 /// The digest summary served at `GET /v1/jobs/:id/digest`: one
-/// [`JobAudit`] per sweep point plus a job-level root folding the point
-/// roots. The serialized summary is cached next to the result rows, so a
-/// warm hit replays the exact bytes — and therefore the exact root — the
-/// cold run produced.
+/// [`JobAudit`] per runtime job ([`JobSpec::points`]) plus a root
+/// folding the job roots. The serialized summary is cached next to the
+/// result rows, so a warm hit replays the exact bytes — and therefore
+/// the exact root — the cold run produced.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobDigest {
-    /// One audit record per sweep point, in point order.
+    /// One audit record per runtime job, in job order.
     pub points: Vec<JobAudit>,
-    /// Digest over the per-point roots, in order.
+    /// Digest over the per-job roots, in order.
     pub root: String,
 }
 
 /// The cache key a spec's digest summary lives under (parallel to the
-/// result rows cached under [`JobSpec::key`]).
+/// result rows cached under [`JobSpec::key`]). Summaries cached under
+/// the older `audit|` prefix folded only one job per sweep point, which
+/// truncated the `victim`, `delay` and `mix` digests; nothing reads
+/// that prefix, so such a job answers "predates the audit".
 #[must_use]
 pub fn digest_key(key: &str) -> String {
-    format!("audit|{key}")
+    format!("audit-jobs|{key}")
 }
 
-/// Folds the per-point audit blobs a cold run attached to `sink` into
-/// the serialized [`JobDigest`]. `None` when any point is missing its
-/// blob (the run was not audited).
+/// Folds the per-job audit blobs a cold run attached to `sink` into the
+/// serialized [`JobDigest`]. `None` when any of the `jobs` is missing
+/// its blob (the run was not audited).
 #[must_use]
-pub fn collect_digest(sink: &TelemetrySink, points: usize) -> Option<String> {
-    let mut audits = Vec::with_capacity(points);
-    for point in 0..points {
-        let blob = sink.get(BlobKind::Audit, point)?;
+pub fn collect_digest(sink: &TelemetrySink, jobs: usize) -> Option<String> {
+    let mut audits = Vec::with_capacity(jobs);
+    for job in 0..jobs {
+        let blob = sink.get(BlobKind::Audit, job)?;
         audits.push(serde_json::from_str::<JobAudit>(&blob).ok()?);
     }
     let mut lines = String::new();
@@ -333,6 +320,30 @@ mod tests {
         let second = execute(&spec, None).unwrap();
         assert_eq!(first, second, "same spec must produce identical bytes");
         assert!(first.starts_with('['), "rows serialize as a JSON array");
+    }
+
+    #[test]
+    fn the_digest_folds_every_job_of_every_experiment() {
+        for sweep in Sweep::ALL {
+            let spec = JobSpec {
+                experiment: sweep.wire_name().to_string(),
+                ..tiny_spec()
+            }
+            .canonicalize()
+            .unwrap();
+            let sink = Arc::new(TelemetrySink::new());
+            execute(&spec, Some(Arc::clone(&sink))).unwrap();
+            let digest: JobDigest =
+                serde_json::from_str(&collect_digest(&sink, spec.points()).expect("audited"))
+                    .unwrap();
+            let slots = sink.take_all(BlobKind::Audit);
+            assert_eq!(slots.len(), spec.points(), "{sweep:?}: audit slots");
+            assert!(
+                slots.iter().all(Option::is_some),
+                "{sweep:?}: every job audited"
+            );
+            assert_eq!(digest.points.len(), spec.points(), "{sweep:?}: jobs folded");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! | `POST /v1/jobs` | submit a sweep (`X-Tenant` header names the tenant) |
 //! | `GET /v1/jobs/:id` | status + embedded result (`?wait_ms=` long-polls) |
 //! | `GET /v1/jobs/:id/result` | raw result rows, byte-stable |
-//! | `GET /v1/jobs/:id/privacy` | SSE stream of per-point privacy series |
+//! | `GET /v1/jobs/:id/privacy` | SSE stream of per-job privacy series |
 //! | `GET /metrics` | Prometheus text exposition |
 //! | `GET /healthz` | liveness |
 //! | `POST /v1/shutdown` | graceful stop (workers finish in-flight jobs) |
@@ -47,7 +47,7 @@ pub mod metrics;
 pub mod server;
 
 pub use admission::{Admission, RejectReason};
-pub use jobs::{execute, JobSpec, EXPERIMENTS};
+pub use jobs::{execute, JobSpec};
 pub use journal::{ServeEvent, ServeJournal};
 pub use loadgen::{run_load, LatencyMs, LoadParams, LoadReport};
 pub use metrics::ServeMetrics;

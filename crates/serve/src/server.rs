@@ -782,7 +782,7 @@ fn job_result(state: &ServerState, id: &str) -> Response {
 }
 
 /// Child index reserved for the queue-wait span, outside the runtime's
-/// job-index range (jobs are capped at 64 sweep points).
+/// job-index range (at most 64 sweep points of a few cases each).
 const QUEUE_SPAN_CHILD: u64 = 1 << 32;
 
 /// Exports one traced job's end-to-end Chrome trace: the serve request
@@ -795,7 +795,7 @@ const QUEUE_SPAN_CHILD: u64 = 1 << 32;
 /// separate process rows.
 #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
 fn job_trace(state: &ServerState, id: &str) -> Response {
-    let (ctx, points, submitted_at, picked_at, done_at, sink) = {
+    let (ctx, jobs, submitted_at, picked_at, done_at, sink) = {
         let inner = state.inner.lock().expect("store lock");
         let Some(entry) = inner.entries.get(id) else {
             return Response::error(404, &format!("no such job: {id}"));
@@ -847,8 +847,8 @@ fn job_trace(state: &ServerState, id: &str) -> Response {
         let offset = picked_at.map_or(0i64, |p| {
             p.saturating_duration_since(epoch).as_micros() as i64
         });
-        for point in 0..points {
-            if let Some(blob) = sink.get(BlobKind::Spans, point) {
+        for job_index in 0..jobs {
+            if let Some(blob) = sink.get(BlobKind::Spans, job_index) {
                 if let Ok(job) = serde_json::from_str::<JobSpans>(&blob) {
                     for span in &job.spans {
                         let start = (span.start_us as i64 + offset).max(0) as u64;
@@ -865,7 +865,7 @@ fn job_trace(state: &ServerState, id: &str) -> Response {
                             .get(i + 1)
                             .map_or(0, |s| (s.start_us as i64 + offset).max(0) as u64);
                         phase_events.extend(profile.profile.chrome_phase_events(
-                            &format!("point {point}: {}", profile.label),
+                            &format!("job {job_index}: {}", profile.label),
                             anchor,
                             phase_tid,
                         ));
@@ -873,7 +873,7 @@ fn job_trace(state: &ServerState, id: &str) -> Response {
                     }
                 }
             }
-            if let Some(blob) = sink.get(BlobKind::Trace, point) {
+            if let Some(blob) = sink.get(BlobKind::Trace, job_index) {
                 if let Ok(trace) = serde_json::from_str::<JobTrace>(&blob) {
                     for scenario in &trace.scenarios {
                         flight_events.extend(scenario.log.chrome_trace_events());
@@ -888,9 +888,10 @@ fn job_trace(state: &ServerState, id: &str) -> Response {
     Response::json(200, wrap_chrome_events(&events))
 }
 
-/// Streams per-sweep-point privacy blobs as SSE `point` events while the
-/// job runs, then a final `done` event. Jobs without a privacy interval
-/// (or answered from cache) go straight to `done`.
+/// Streams per-job privacy blobs as SSE `point` events while the job
+/// runs (one per runtime job, [`JobSpec::points`]), then a final `done`
+/// event. Jobs without a privacy interval (or answered from cache) go
+/// straight to `done`.
 fn stream_privacy(state: &ServerState, request: &Request, stream: &mut TcpStream) {
     let id = request
         .path
@@ -898,32 +899,29 @@ fn stream_privacy(state: &ServerState, request: &Request, stream: &mut TcpStream
         .and_then(|rest| rest.strip_suffix("/privacy"))
         .unwrap_or_default()
         .to_string();
-    {
+    let jobs = {
         let inner = state.inner.lock().expect("store lock");
-        if !inner.entries.contains_key(&id) {
+        let Some(entry) = inner.entries.get(&id) else {
             let _ = Response::error(404, &format!("no such job: {id}")).write_to(stream);
             return;
-        }
-    }
+        };
+        entry.spec.points()
+    };
     if write_sse_preamble(stream).is_err() {
         return;
     }
 
     let mut next_point = 0usize;
     loop {
-        let (sink, done, points) = {
+        let (sink, done) = {
             let inner = state.inner.lock().expect("store lock");
             let Some(entry) = inner.entries.get(&id) else {
                 return;
             };
-            (
-                entry.live.clone(),
-                matches!(entry.state, JobState::Done(_)),
-                entry.spec.points(),
-            )
+            (entry.live.clone(), matches!(entry.state, JobState::Done(_)))
         };
         if let Some(sink) = &sink {
-            while next_point < points {
+            while next_point < jobs {
                 let Some(blob) = sink.get(BlobKind::Privacy, next_point) else {
                     break;
                 };

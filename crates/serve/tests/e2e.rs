@@ -1,8 +1,13 @@
 //! End-to-end serve tests over real sockets: cold/warm byte identity,
-//! live SSE privacy streaming, admission control over HTTP, and
-//! kill-and-restart queue resume from the journal.
+//! live SSE privacy streaming, admission control over HTTP,
+//! kill-and-restart queue resume from the journal, and digests that
+//! cover every job of a sweep.
 
+use std::sync::Arc;
+
+use tempriv_runtime::{ResultCache, TelemetrySink};
 use tempriv_serve::client::{read_sse, request, submit_job};
+use tempriv_serve::jobs::{collect_digest, execute, JobDigest, JobSpec};
 use tempriv_serve::journal::{ServeEvent, ServeJournal};
 use tempriv_serve::server::{ServeConfig, Server};
 
@@ -424,6 +429,73 @@ fn digest_endpoint_returns_the_same_root_warm_and_cold() {
     );
 
     shutdown(&addr, handle);
+}
+
+#[test]
+fn victim_job_digests_and_streams_every_job_not_just_every_point() {
+    let (addr, handle) = spawn_server(ephemeral(|_| {}));
+
+    // One sweep point under four victim policies: four runtime jobs.
+    let spec = "{\"experiment\":\"victim\",\"inv_lambdas\":[4.0],\
+                \"packets_per_source\":40,\"seed\":13,\"privacy_interval\":50}";
+    let resp = submit_job(&addr, "victim", spec).unwrap();
+    assert_eq!(resp.status, 202, "{}", resp.text());
+    let id = extract_id(&resp.text());
+
+    let frames = read_sse(&addr, &format!("/v1/jobs/{id}/privacy")).unwrap();
+    let events: Vec<&str> = frames.iter().map(|(event, _)| event.as_str()).collect();
+    assert_eq!(
+        events,
+        ["point", "point", "point", "point", "done"],
+        "{frames:?}"
+    );
+    assert!(frames[3].1.contains("\"point\":3"));
+    assert!(frames[4].1.contains("\"points\":4"));
+
+    wait_done(&addr, &id);
+    let digest = request(&addr, "GET", &format!("/v1/jobs/{id}/digest"), &[], &[]).unwrap();
+    assert_eq!(digest.status, 200, "{}", digest.text());
+    let digest: JobDigest = serde_json::from_str(&digest.text()).unwrap();
+    assert_eq!(digest.points.len(), 4);
+    assert!(!digest.root.is_empty());
+
+    shutdown(&addr, handle);
+}
+
+#[test]
+fn a_digest_cached_under_the_old_key_is_not_served() {
+    let dir = std::env::temp_dir().join(format!("tempriv_e2e_stale_digest_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let body = "{\"experiment\":\"victim\",\"inv_lambdas\":[4.0],\
+                \"packets_per_source\":40,\"seed\":71}";
+    // What an older server froze in its cache: the rows, plus a digest
+    // that folds only the first of the sweep's four jobs, stored under
+    // the old `audit|` key.
+    {
+        let spec = JobSpec::from_body(body.as_bytes()).unwrap();
+        let sink = Arc::new(TelemetrySink::new());
+        let rows = execute(&spec, Some(Arc::clone(&sink))).unwrap();
+        let truncated = collect_digest(&sink, 1).expect("audited");
+        let cache = ResultCache::on_disk(&dir).unwrap();
+        cache.put(&spec.key(), &rows);
+        cache.put(&format!("audit|{}", spec.key()), &truncated);
+    }
+
+    let (addr, handle) = spawn_server(ephemeral(|cfg| cfg.cache_dir = Some(dir.clone())));
+    let warm = submit_job(&addr, "stale", body).unwrap();
+    assert_eq!(warm.status, 200, "{}", warm.text());
+    assert!(warm.text().contains("\"cached\":true"));
+    let id = extract_id(&warm.text());
+    let digest = request(&addr, "GET", &format!("/v1/jobs/{id}/digest"), &[], &[]).unwrap();
+    assert_eq!(digest.status, 404, "{}", digest.text());
+    assert!(
+        digest.text().contains("predates the audit"),
+        "{}",
+        digest.text()
+    );
+
+    shutdown(&addr, handle);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

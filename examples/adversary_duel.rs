@@ -10,7 +10,8 @@
 //! cargo run --release --example adversary_duel
 //! ```
 
-use temporal_privacy::core::experiment::{adversary_panel_sweep, SweepParams};
+use temporal_privacy::core::experiment::{adversary_panel_sweep_with, SweepParams};
+use temporal_privacy::runtime::{Runtime, WorkerPool};
 
 fn main() {
     let params = SweepParams {
@@ -25,7 +26,7 @@ fn main() {
         "{:>9} {:>12} {:>12} {:>12} {:>12}",
         "1/lambda", "baseline", "adaptive", "route-aware", "oracle"
     );
-    for row in adversary_panel_sweep(&params) {
+    for row in adversary_panel_sweep_with(&params, &Runtime::new(WorkerPool::new())) {
         println!(
             "{:>9} {:>12.0} {:>12.0} {:>12.0} {:>12.0}",
             row.inv_lambda, row.baseline_mse, row.adaptive_mse, row.route_aware_mse, row.oracle_mse

@@ -11,8 +11,9 @@
 //! cargo run --release --example burst_surveillance
 //! ```
 
-use temporal_privacy::core::experiment::{burst_adversary_experiment, SweepParams};
+use temporal_privacy::core::experiment::{burst_adversary_experiment_with, SweepParams};
 use temporal_privacy::net::TrafficModel;
+use temporal_privacy::runtime::{Runtime, WorkerPool};
 
 fn main() {
     let (burst, off, window) = (200u32, 2_000.0, 300.0);
@@ -30,7 +31,13 @@ fn main() {
         inv_lambdas: vec![1.0, 1.5, 2.0, 2.5, 3.0],
         ..SweepParams::paper_default()
     };
-    for row in burst_adversary_experiment(&params, burst, off, window) {
+    for row in burst_adversary_experiment_with(
+        &params,
+        burst,
+        off,
+        window,
+        &Runtime::new(WorkerPool::new()),
+    ) {
         println!(
             "{:>16} {:>12.0} {:>16.0} {:>18.0} {:>10.0}",
             row.burst_interval,

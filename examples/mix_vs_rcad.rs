@@ -13,9 +13,10 @@
 //! cargo run --release --example mix_vs_rcad
 //! ```
 
-use temporal_privacy::core::experiment::{mix_comparison_sweep, SweepParams};
+use temporal_privacy::core::experiment::{mix_comparison_sweep_with, SweepParams};
 use temporal_privacy::core::{BufferPolicy, DelayPlan, ExperimentConfig};
 use temporal_privacy::net::energy::EnergyModel;
+use temporal_privacy::runtime::{Runtime, WorkerPool};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = SweepParams {
@@ -27,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<20} {:>9} {:>14} {:>10} {:>12}",
         "mechanism", "1/lambda", "oracle MSE", "latency", "reordering"
     );
-    for row in mix_comparison_sweep(&params) {
+    for row in mix_comparison_sweep_with(&params, &Runtime::new(WorkerPool::new())) {
         println!(
             "{:<20} {:>9} {:>14.1} {:>10.1} {:>12.3}",
             format!("{:?}", row.mechanism),

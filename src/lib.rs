@@ -12,7 +12,7 @@
 //! with the shortest remaining delay when a buffer fills, instead of
 //! dropping.
 //!
-//! This crate re-exports the five member crates:
+//! This crate re-exports the six member crates:
 //!
 //! | module | crate | contents |
 //! |---|---|---|
@@ -21,6 +21,7 @@
 //! | [`queueing`] | `tempriv-queueing` | Erlang loss, M/M/∞, M/M/k/k, tandem/tree models |
 //! | [`infotheory`] | `tempriv-infotheory` | entropies, mutual information, leakage bounds |
 //! | [`sim`] | `tempriv-sim` | the deterministic discrete-event kernel |
+//! | [`runtime`] | `tempriv-runtime` | the worker pool, result cache and run manifests sweeps run on |
 //!
 //! # Quick start
 //!
@@ -52,4 +53,5 @@ pub use tempriv_core as core;
 pub use tempriv_infotheory as infotheory;
 pub use tempriv_net as net;
 pub use tempriv_queueing as queueing;
+pub use tempriv_runtime as runtime;
 pub use tempriv_sim as sim;

@@ -8,8 +8,9 @@
 //! 2/8/20 decay check below does not sample (see EXPERIMENTS.md).
 
 use temporal_privacy::core::experiment::{
-    adversary_panel_sweep, fig2_sweep, fig3_sweep, SweepParams,
+    adversary_panel_sweep_with, fig2_sweep_with, fig3_sweep_with, SweepParams,
 };
+use temporal_privacy::runtime::{Runtime, WorkerPool};
 
 fn quick(inv_lambdas: Vec<f64>, packets: u32) -> SweepParams {
     SweepParams {
@@ -21,7 +22,7 @@ fn quick(inv_lambdas: Vec<f64>, packets: u32) -> SweepParams {
 
 #[test]
 fn fig2a_privacy_ordering_at_high_traffic() {
-    let rows = fig2_sweep(&quick(vec![2.0], 600));
+    let rows = fig2_sweep_with(&quick(vec![2.0], 600), &Runtime::new(WorkerPool::new()));
     let fast = &rows[0];
     // No-delay leaks everything: MSE exactly 0 under the paper's
     // constant-tau link abstraction.
@@ -40,7 +41,10 @@ fn fig2a_privacy_ordering_at_high_traffic() {
 
 #[test]
 fn fig2a_rcad_mse_decays_with_slower_traffic() {
-    let rows = fig2_sweep(&quick(vec![2.0, 8.0, 20.0], 400));
+    let rows = fig2_sweep_with(
+        &quick(vec![2.0, 8.0, 20.0], 400),
+        &Runtime::new(WorkerPool::new()),
+    );
     assert!(rows[0].rcad.mse > rows[1].rcad.mse);
     assert!(rows[1].rcad.mse > 0.5 * rows[0].rcad.mse || rows[1].rcad.mse > rows[2].rcad.mse);
     // At the slowest rate RCAD approaches the unlimited-buffer MSE
@@ -56,7 +60,10 @@ fn fig2a_rcad_mse_decays_with_slower_traffic() {
 
 #[test]
 fn fig2b_latency_ordering_and_magnitudes() {
-    let rows = fig2_sweep(&quick(vec![2.0, 20.0], 600));
+    let rows = fig2_sweep_with(
+        &quick(vec![2.0, 20.0], 600),
+        &Runtime::new(WorkerPool::new()),
+    );
     for row in &rows {
         // No-delay latency is exactly h*tau = 15 for flow S1.
         assert!((row.no_delay.mean_latency - 15.0).abs() < 1e-9);
@@ -85,7 +92,10 @@ fn fig2b_latency_ordering_and_magnitudes() {
 
 #[test]
 fn fig3_adaptive_adversary_gains_at_high_traffic_only() {
-    let rows = fig3_sweep(&quick(vec![2.0, 20.0], 800));
+    let rows = fig3_sweep_with(
+        &quick(vec![2.0, 20.0], 800),
+        &Runtime::new(WorkerPool::new()),
+    );
     let fast = &rows[0];
     assert!(
         fast.adaptive_mse < 0.7 * fast.baseline_mse,
@@ -102,7 +112,10 @@ fn fig3_adaptive_adversary_gains_at_high_traffic_only() {
 
 #[test]
 fn e1_adversary_hierarchy_is_ordered() {
-    let rows = adversary_panel_sweep(&quick(vec![2.0, 8.0], 800));
+    let rows = adversary_panel_sweep_with(
+        &quick(vec![2.0, 8.0], 800),
+        &Runtime::new(WorkerPool::new()),
+    );
     for row in &rows {
         assert!(row.adaptive_mse <= row.baseline_mse + 1e-9, "{row:?}");
         assert!(row.route_aware_mse <= row.adaptive_mse + 1e-9, "{row:?}");
