@@ -246,3 +246,34 @@ fn per_node_delay_plan_serial_is_pinned() {
     let sim = build(field().delay_plan(per_node_plan()));
     assert_eq!(serial(&sim), 0x5ac2_d455_0800_b6fd);
 }
+
+// Periodic traffic draws nothing from the traffic streams, so the pins
+// above leave the creation schedule's random draws uncovered. These two
+// models draw every gap: Poisson from an exponential, jittered periodic
+// from a uniform offset. They were recorded while the serial run still
+// drew each gap lazily in event order and the sharded runner presampled
+// the same draws up front, so they pin that the two creation paths agree.
+
+#[test]
+fn poisson_serial_is_pinned() {
+    let sim = build(field().traffic(TrafficModel::poisson(0.5)));
+    assert_eq!(serial(&sim), 0x674c_995a_2896_c819);
+}
+
+#[test]
+fn poisson_trunk_cut_two_shards_is_pinned() {
+    let out = build(field().traffic(TrafficModel::poisson(0.5))).run_sharded(2, 1);
+    assert_eq!(fingerprint(&out, &[]), 0x8cdb_ee8a_0382_1434);
+}
+
+#[test]
+fn jittered_periodic_serial_is_pinned() {
+    let sim = build(field().traffic(TrafficModel::periodic_jitter(2.0, 0.5)));
+    assert_eq!(serial(&sim), 0x739c_5799_9cc7_ea99);
+}
+
+#[test]
+fn jittered_periodic_trunk_cut_two_shards_is_pinned() {
+    let out = build(field().traffic(TrafficModel::periodic_jitter(2.0, 0.5))).run_sharded(2, 1);
+    assert_eq!(fingerprint(&out, &[]), 0xbe45_8230_80d7_3064);
+}
