@@ -32,7 +32,7 @@ use tempriv_telemetry::audit::{
 use tempriv_telemetry::DEFAULT_DIGEST_WINDOW;
 
 use crate::args::Args;
-use crate::commands::{io_err, optional, CliError};
+use crate::commands::{check_shardable, io_err, optional, CliError};
 
 const AUDIT_USAGE: &str = "usage: tempriv audit <run|diff|bisect|ledger>; \
                            try `tempriv help` for the flag list";
@@ -158,6 +158,7 @@ fn outcome_digest_run(
     workers: usize,
 ) -> Result<RunDigest, String> {
     let sim = cfg.build().map_err(|e| e.to_string())?;
+    check_shardable(cfg, shards)?;
     let outcome = if shards > 1 {
         sim.run_sharded(shards, workers)
     } else {

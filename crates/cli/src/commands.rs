@@ -251,6 +251,20 @@ pub(crate) fn io_err(e: std::io::Error) -> String {
     format!("I/O error: {e}")
 }
 
+/// `--shards N` above 1 runs the sharded engine, whose conservative
+/// lookahead is the link delay: a config that rounds it to zero ticks
+/// cannot be sharded.
+pub(crate) fn check_shardable(cfg: &ExperimentConfig, shards: u32) -> Result<(), String> {
+    if shards > 1 && tempriv_sim::time::SimDuration::from_units(cfg.link_delay).is_zero() {
+        return Err(format!(
+            "--shards {shards} needs a positive link_delay (the sharded engine's \
+             lookahead), got {}; run it with --shards 1",
+            cfg.link_delay
+        ));
+    }
+    Ok(())
+}
+
 const RUN_USAGE: &str = "usage: tempriv run <config.json> [--out outcome.json] [--seed N] \
      [--shards N] [--workers N]";
 
@@ -272,6 +286,7 @@ fn cmd_run<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     if shards == 0 || workers == 0 {
         return Err("--shards and --workers must be positive".into());
     }
+    check_shardable(&cfg, shards)?;
     let started = std::time::Instant::now();
     let outcome = if shards > 1 {
         sim.run_sharded(shards, workers)

@@ -1,5 +1,7 @@
 //! `tempriv run` rejects input it does not read: the binary exits 1 and
-//! prints the usage line instead of running with the input ignored.
+//! prints the usage line instead of running with the input ignored. Bad
+//! link settings, and `--shards` on a zero link delay, exit 1 with a
+//! message naming the setting, never a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -11,9 +13,10 @@ fn tempriv(args: &[&str]) -> Output {
         .expect("the tempriv binary starts")
 }
 
-/// A real config, so a rejection can only come from the arguments.
-fn config() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tempriv_run_args_{}", std::process::id()));
+/// A real config, so a rejection can only come from the arguments. Each
+/// test passes its own `tag`, so parallel tests never share a directory.
+fn config(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tempriv_run_args_{}_{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("cfg.json");
     let made = tempriv(&["init-config", path.to_str().unwrap()]);
@@ -34,7 +37,7 @@ fn assert_rejected(out: &Output, reason: &str) {
 
 #[test]
 fn run_rejects_an_unknown_option_and_a_stray_positional() {
-    let cfg = config();
+    let cfg = config("options");
     let cfg = cfg.to_str().unwrap();
     assert_rejected(
         &tempriv(&["run", cfg, "--bogus", "1"]),
@@ -46,4 +49,80 @@ fn run_rejects_an_unknown_option_and_a_stray_positional() {
     );
     assert_rejected(&tempriv(&["run", cfg, "--seed"]), "--seed needs a value");
     std::fs::remove_dir_all(std::path::Path::new(cfg).parent().unwrap()).unwrap();
+}
+
+/// `config(tag)` with 20 packets per source and `from` replaced by `to`.
+fn config_with(tag: &str, from: &str, to: &str) -> PathBuf {
+    let path = config(tag);
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.contains(from), "init-config writes {from}");
+    let text = text
+        .replace(from, to)
+        .replace("\"packets_per_source\": 1000", "\"packets_per_source\": 20");
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+/// Exit 1, `reason` on stderr, nothing on stdout.
+fn assert_fails(out: &Output, reason: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains(reason), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+}
+
+#[test]
+fn run_rejects_out_of_range_link_settings() {
+    for (tag, from, to, reason) in [
+        (
+            "delay_negative",
+            "\"link_delay\": 1.0",
+            "\"link_delay\": -1.0",
+            "link_delay must be",
+        ),
+        (
+            "delay_huge",
+            "\"link_delay\": 1.0",
+            "\"link_delay\": 1e300",
+            "link_delay must be",
+        ),
+        (
+            "loss_above_one",
+            "\"link_loss\": 0.0",
+            "\"link_loss\": 1.5",
+            "link_loss must be in [0, 1)",
+        ),
+        (
+            "loss_negative",
+            "\"link_loss\": 0.0",
+            "\"link_loss\": -0.1",
+            "link_loss must be in [0, 1)",
+        ),
+        (
+            "jitter_negative",
+            "\"link_jitter\": 0.0",
+            "\"link_jitter\": -1.0",
+            "link_jitter must be",
+        ),
+    ] {
+        let cfg = config_with(tag, from, to);
+        assert_fails(&tempriv(&["run", cfg.to_str().unwrap()]), reason);
+        std::fs::remove_dir_all(cfg.parent().unwrap()).unwrap();
+    }
+}
+
+#[test]
+fn sharding_a_zero_link_delay_is_an_error_not_a_panic() {
+    let cfg = config_with("zero_delay", "\"link_delay\": 1.0", "\"link_delay\": 0.0");
+    let path = cfg.to_str().unwrap();
+    let reason = "--shards 2 needs a positive link_delay";
+    assert_fails(&tempriv(&["run", path, "--shards", "2"]), reason);
+    assert_fails(
+        &tempriv(&["audit", "run", path, "--shards", "2", "--outcome"]),
+        reason,
+    );
+    // Serial runs need no lookahead.
+    let serial = tempriv(&["run", path]);
+    assert!(serial.status.success(), "{serial:?}");
+    std::fs::remove_dir_all(cfg.parent().unwrap()).unwrap();
 }

@@ -12,7 +12,7 @@ use tempriv_net::link::LinkModel;
 use tempriv_net::routing::RoutingTree;
 use tempriv_net::topology::Topology;
 use tempriv_net::traffic::TrafficModel;
-use tempriv_sim::time::SimDuration;
+use tempriv_sim::time::{SimDuration, TICKS_PER_UNIT};
 
 use crate::buffer::BufferPolicy;
 use crate::delay::DelayPlan;
@@ -164,17 +164,30 @@ impl ExperimentConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if the layout or simulation parameters are
-    /// invalid.
+    /// Returns [`ConfigError`] if the layout, the link settings or the
+    /// simulation parameters are invalid.
     pub fn build(&self) -> Result<NetworkSimulation, ConfigError> {
         let (routing, sources) = self.layout.build()?;
-        let mut link = LinkModel::constant(SimDuration::from_units(self.link_delay));
-        if self.link_loss > 0.0 {
-            link = link.with_loss(self.link_loss);
+        // A span the simulation clock can hold: finite, non-negative, and
+        // at most u64::MAX ticks.
+        let in_clock_range =
+            |units: f64| units >= 0.0 && units * TICKS_PER_UNIT as f64 <= u64::MAX as f64;
+        let bad = |field: &str, expected: &str, value: f64| {
+            ConfigError::Link(format!("{field} must be {expected}, got {value:?}"))
+        };
+        const TIME: &str = "a non-negative time the simulation clock can hold";
+        if !in_clock_range(self.link_delay) {
+            return Err(bad("link_delay", TIME, self.link_delay));
         }
-        if self.link_jitter > 0.0 {
-            link = link.with_jitter(self.link_jitter);
+        if !(0.0..1.0).contains(&self.link_loss) {
+            return Err(bad("link_loss", "in [0, 1)", self.link_loss));
         }
+        if !in_clock_range(self.link_jitter) {
+            return Err(bad("link_jitter", TIME, self.link_jitter));
+        }
+        let link = LinkModel::constant(SimDuration::from_units(self.link_delay))
+            .with_loss(self.link_loss)
+            .with_jitter(self.link_jitter);
         let sim = NetworkSimulation::builder(routing, sources)
             .traffic(self.traffic)
             .packets_per_source(self.packets_per_source)
@@ -193,6 +206,8 @@ impl ExperimentConfig {
 pub enum ConfigError {
     /// The layout spec failed to materialize.
     Layout(LayoutBuildError),
+    /// A `link_*` setting is out of range; says which and why.
+    Link(String),
     /// The simulation parameters failed validation.
     Simulation(BuildError),
 }
@@ -213,6 +228,7 @@ impl core::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             ConfigError::Layout(e) => write!(f, "{e}"),
+            ConfigError::Link(reason) => write!(f, "invalid link: {reason}"),
             ConfigError::Simulation(e) => write!(f, "{e}"),
         }
     }

@@ -513,21 +513,23 @@ pub enum DelayDistributionKind {
     Constant,
 }
 
+impl DelayDistributionKind {
+    /// This distribution with mean `1/μ = mean`.
+    fn strategy(self, mean: f64) -> DelayStrategy {
+        match self {
+            DelayDistributionKind::Exponential => DelayStrategy::Exponential { mean },
+            DelayDistributionKind::Uniform => DelayStrategy::Uniform { mean },
+            DelayDistributionKind::Constant => DelayStrategy::Constant { delay: mean },
+        }
+    }
+}
+
 /// The delay distributions ablation A2 compares, in row order, each at
-/// the paper's `1/μ = 30`.
-const DELAY_KINDS: [(DelayDistributionKind, DelayStrategy); 3] = [
-    (
-        DelayDistributionKind::Exponential,
-        DelayStrategy::Exponential { mean: 30.0 },
-    ),
-    (
-        DelayDistributionKind::Uniform,
-        DelayStrategy::Uniform { mean: 30.0 },
-    ),
-    (
-        DelayDistributionKind::Constant,
-        DelayStrategy::Constant { delay: 30.0 },
-    ),
+/// the sweep's `delay_mean`.
+const DELAY_KINDS: [DelayDistributionKind; 3] = [
+    DelayDistributionKind::Exponential,
+    DelayDistributionKind::Uniform,
+    DelayDistributionKind::Constant,
 ];
 
 /// Ablation A2: delay distributions at equal mean, unlimited buffers —
@@ -539,10 +541,13 @@ pub fn delay_ablation_sweep_with(params: &SweepParams, runtime: &Runtime) -> Vec
         params,
         runtime,
         &grid(&DELAY_KINDS, &params.inv_lambdas),
-        |((kind, _), l)| format!("dist={kind:?}|{}", point_tag(*l)),
-        |&((kind, strategy), inv_lambda), telemetry| {
+        // `@delay_mean` moved the key when the distributions stopped
+        // running at a fixed mean 30: rows cached before then are never
+        // replayed under another `delay_mean`.
+        |(kind, l)| format!("dist={kind:?}@delay_mean|{}", point_tag(*l)),
+        |&(kind, inv_lambda), telemetry| {
             let mut cfg = params.config(inv_lambda);
-            cfg.delay = DelayPlan::Shared(strategy);
+            cfg.delay = DelayPlan::Shared(kind.strategy(params.delay_mean));
             cfg.buffer = BufferPolicy::Unlimited;
             let metrics = run_point(&cfg, params.report_flow, telemetry, &format!("{kind:?}"));
             DelayAblationRow {
@@ -980,6 +985,49 @@ mod tests {
             job_key("fig2", &other.canonical_json(), &point_tag(2.0))
         );
         assert_ne!(k1, job_key("fig2", &json, &point_tag(4.0)));
+    }
+
+    #[test]
+    fn delay_ablation_runs_at_the_sweep_delay_mean() {
+        let params = SweepParams {
+            inv_lambdas: vec![20.0],
+            packets_per_source: 40,
+            delay_mean: 8.0,
+            ..SweepParams::paper_default()
+        };
+        // What a cache written while every distribution ran at mean 30
+        // holds for the Constant row: 15 hops × (τ + 30) = 465.
+        let stale = DelayAblationRow {
+            inv_lambda: 20.0,
+            distribution: DelayDistributionKind::Constant,
+            mse: 0.0,
+            mean_latency: 465.0,
+        };
+        let old_key = job_key(
+            Sweep::DelayAblation.name(),
+            &params.canonical_json(),
+            &format!("dist=Constant|{}", point_tag(20.0)),
+        );
+        let counter = Arc::new(CountingObserver::new());
+        let runtime = Runtime::builder()
+            .workers(1)
+            .observer(counter.clone())
+            .build()
+            .unwrap();
+        runtime
+            .cache()
+            .put(&old_key, &serde_json::to_string(&stale).unwrap());
+        let rows = delay_ablation_sweep_with(&params, &runtime);
+        assert_eq!(counter.cached(), 0, "the pre-fix entry is not served");
+        let constant = &rows[2];
+        assert_eq!(constant.distribution, DelayDistributionKind::Constant);
+        // A constant delay makes the latency exact: 15 × (τ + 8) = 135.
+        assert!(
+            (constant.mean_latency - 135.0).abs() < 1e-9,
+            "{}",
+            constant.mean_latency
+        );
+        assert!(rows[0].mean_latency < 300.0, "{:?}", rows[0]);
     }
 
     #[test]

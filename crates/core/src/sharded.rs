@@ -1,4 +1,12 @@
-//! Sharded conservative-parallel execution of the network simulation.
+//! The one runner every simulation run goes through, serial or sharded.
+//!
+//! Every run first presamples its creations once
+//! (`CreationSchedule`): packet ids and creation instants, sorted by
+//! `(time, flow)`, which is also the truth log. A serial run is the
+//! one-shard case: one [`Engine`] and driver hold the whole field, carry
+//! the caller's probe and timer, and run to completion with no windows.
+//! A sharded run cuts the field and runs one engine per shard; both end
+//! in the same `assemble`.
 //!
 //! A convergecast tree cuts into connected pieces along its edges; a
 //! packet crossing a cut edge is handed to the next node's shard.
@@ -22,15 +30,12 @@
 //! its window, never *what* it computes.
 //!
 //! Global RNG streams cannot survive partitioning (their draw order was
-//! the serial event order), so sharded runs index the victim, link, and
-//! reading streams by shard; the serial engine is the one-shard special
-//! case drawing from index 0. Packet ids and creation instants are
-//! preassigned by a presampling pass over the per-flow traffic streams,
-//! sorted by `(time, flow)` — the same order the serial engine assigns
-//! them. One shard therefore reproduces a serial run exactly, and
-//! multiple shards reproduce it whenever no shared global stream is
-//! actually drawn from (lossless links and deterministic victim
-//! policies, which covers every configuration in the paper).
+//! the serial event order), so runs index the victim, link, and reading
+//! streams by shard; a serial run draws from index 0. Every run replays
+//! the same creation schedule, so one shard reproduces a serial run
+//! exactly, and multiple shards reproduce it whenever no shared global
+//! stream is actually drawn from (lossless links and deterministic
+//! victim policies, which covers every configuration in the paper).
 //!
 //! [`PacketStore`]: crate::store::PacketStore
 
@@ -42,7 +47,7 @@ use tempriv_sim::engine::Engine;
 use tempriv_sim::profile::{NoopPhaseTimer, Phase, PhaseTimer};
 use tempriv_sim::rng::RngFactory;
 use tempriv_sim::time::{SimDuration, SimTime};
-use tempriv_telemetry::NullProbe;
+use tempriv_telemetry::{NullProbe, SimProbe};
 
 use crate::metrics::{ShardStats, SimOutcome, TruthRecord};
 use crate::node_table::node_reports;
@@ -331,111 +336,173 @@ pub(crate) struct Handoff {
     pub(crate) created_at: SimTime,
 }
 
-/// Replays one flow's presampled creation schedule: `(instant, packet
-/// id)` pairs in time order. Empty for flows homed on other shards.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FlowCursor {
-    times: Vec<SimTime>,
+/// Every packet creation of a run, presampled once before the first
+/// event fires. It is three flat arrays however many flows there are.
+///
+/// A [`Workload::Model`] flow draws its gaps from its own `TRAFFIC`
+/// substream; a [`Workload::Schedules`] flow lists its instants (sorted
+/// at build). Packet ids follow `(instant, flow)` order — the order the
+/// creation events fire in — with a flow's own ties in listing order.
+/// The truth log is the schedule's one copy of each instant, so it is
+/// presampled once and moved into the outcome.
+pub(crate) struct CreationSchedule {
+    /// Creation instant and flow of every packet, indexed by packet id.
+    truth: Vec<TruthRecord>,
+    /// Packet ids grouped by flow, each group in creation order: flow
+    /// `i`'s `k`-th packet is `pids[offsets[i] + k]`.
     pids: Vec<PacketId>,
-    next: usize,
+    /// `offsets[i]..offsets[i + 1]` is flow `i`'s group in `pids`.
+    offsets: Vec<usize>,
+    /// RNG draws the presampling consumed.
+    draws: u64,
 }
 
-impl FlowCursor {
-    /// The first creation, if the flow creates anything.
-    pub(crate) fn first(&self) -> Option<(SimTime, PacketId)> {
-        self.times.first().map(|&t| (t, self.pids[0]))
-    }
-
-    /// The creation the cursor currently points at.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cursor is exhausted (more creations fired than were
-    /// presampled — a scheduling bug).
-    pub(crate) fn current(&self) -> (SimTime, PacketId) {
-        (self.times[self.next], self.pids[self.next])
-    }
-
-    /// Advances past the current creation; returns the next one, if any.
-    pub(crate) fn advance(&mut self) -> Option<(SimTime, PacketId)> {
-        self.next += 1;
-        if self.next < self.times.len() {
-            Some((self.times[self.next], self.pids[self.next]))
-        } else {
-            None
+impl CreationSchedule {
+    /// Lays every flow's creations out flow by flow, then numbers the
+    /// packets in `(instant, flow)` order.
+    fn presample(sim: &NetworkSimulation) -> CreationSchedule {
+        let mut truth: Vec<TruthRecord> = Vec::new();
+        let mut offsets = Vec::with_capacity(sim.sources.len() + 1);
+        offsets.push(0);
+        let mut draws = 0;
+        // Until the ids are assigned, `packet` holds the flow-major index.
+        fn record(truth: &mut Vec<TruthRecord>, flow: usize, created_at: SimTime) {
+            truth.push(TruthRecord {
+                packet: PacketId(truth.len() as u64),
+                flow: FlowId(flow as u32),
+                created_at,
+            });
         }
-    }
-}
-
-/// Presamples every flow's creation schedule and assigns packet ids in
-/// `(time, flow)` order — the order the serial engine assigns them.
-/// Returns the global truth log, one cursor per flow, and the RNG draws
-/// the presampling consumed (the same draws the serial engine spends
-/// sampling interarrivals lazily).
-fn presample(sim: &NetworkSimulation) -> (Vec<TruthRecord>, Vec<FlowCursor>, u64) {
-    let n_flows = sim.sources.len();
-    let factory = RngFactory::new(sim.seed);
-    let mut draws = 0u64;
-    let per_flow_times: Vec<Vec<SimTime>> = match &sim.workload {
-        Workload::Model(traffic) => (0..n_flows)
-            .map(|i| {
-                let mut rng = factory.substream(streams::TRAFFIC, i as u64);
-                let mut sampler = traffic.sampler();
-                let mut at = SimTime::ZERO;
-                let times = (0..sim.packets_per_source)
-                    .map(|_| {
+        match &sim.workload {
+            Workload::Model(traffic) => {
+                let factory = RngFactory::new(sim.seed);
+                truth.reserve(sim.sources.len() * sim.packets_per_source as usize);
+                for flow in 0..sim.sources.len() {
+                    let mut rng = factory.substream(streams::TRAFFIC, flow as u64);
+                    let mut sampler = traffic.sampler();
+                    let mut at = SimTime::ZERO;
+                    for _ in 0..sim.packets_per_source {
                         at += sampler.next_interarrival(&mut rng);
-                        at
-                    })
-                    .collect();
-                draws += rng.draws();
-                times
-            })
-            .collect(),
-        Workload::Schedules(schedules) => schedules.clone(),
-    };
-    let mut order: Vec<(SimTime, u32, u32)> = Vec::new();
-    for (flow, times) in per_flow_times.iter().enumerate() {
-        for (k, &at) in times.iter().enumerate() {
-            order.push((at, flow as u32, k as u32));
+                        record(&mut truth, flow, at);
+                    }
+                    draws += rng.draws();
+                    offsets.push(truth.len());
+                }
+            }
+            Workload::Schedules(schedules) => {
+                truth.reserve(schedules.iter().map(Vec::len).sum());
+                for (flow, schedule) in schedules.iter().enumerate() {
+                    for &at in schedule {
+                        record(&mut truth, flow, at);
+                    }
+                    offsets.push(truth.len());
+                }
+            }
+        }
+        truth.sort_unstable_by_key(|r| (r.created_at, r.flow.0, r.packet.0));
+        let mut pids = vec![PacketId(0); truth.len()];
+        for (id, r) in truth.iter_mut().enumerate() {
+            pids[r.packet.0 as usize] = PacketId(id as u64);
+            r.packet = PacketId(id as u64);
+        }
+        CreationSchedule {
+            truth,
+            pids,
+            offsets,
+            draws,
         }
     }
-    order.sort_unstable();
-    let mut truth = Vec::with_capacity(order.len());
-    let mut pids: Vec<Vec<PacketId>> = vec![Vec::new(); n_flows];
-    for (i, &(at, flow, _)) in order.iter().enumerate() {
-        let pid = PacketId(i as u64);
-        truth.push(TruthRecord {
-            packet: pid,
-            flow: FlowId(flow),
-            created_at: at,
-        });
-        pids[flow as usize].push(pid);
+
+    /// When packet `id` is created.
+    pub(crate) fn instant(&self, id: PacketId) -> SimTime {
+        self.truth[id.0 as usize].created_at
     }
-    let cursors = per_flow_times
-        .into_iter()
-        .zip(pids)
-        .map(|(times, pids)| FlowCursor {
-            times,
-            pids,
-            next: 0,
-        })
-        .collect();
-    (truth, cursors, draws)
+
+    /// The instant of flow `flow`'s first creation, if it creates any.
+    fn first(&self, flow: usize) -> Option<SimTime> {
+        let k = self.offsets[flow];
+        (k < self.offsets[flow + 1]).then(|| self.instant(self.pids[k]))
+    }
+
+    /// Flow `flow`'s creation number `seq` (from 0): its packet id, and
+    /// the instant of the flow's next creation, if there is one.
+    pub(crate) fn creation(&self, flow: usize, seq: u32) -> (PacketId, Option<SimTime>) {
+        let k = self.offsets[flow] + seq as usize;
+        let next = (k + 1 < self.offsets[flow + 1]).then(|| self.instant(self.pids[k + 1]));
+        (self.pids[k], next)
+    }
+
+    /// Moves the truth log and the presampling draws into `outcome`.
+    fn complete(self, mut outcome: SimOutcome) -> SimOutcome {
+        outcome.truth = self.truth;
+        outcome.rng_draws += self.draws;
+        outcome
+    }
 }
 
-/// One shard's private execution state.
-struct Shard<'a> {
+/// One shard's private execution state; a serial run is one shard
+/// holding the whole field, with the caller's probe and timer.
+struct Shard<'a, P: SimProbe = NullProbe, T: PhaseTimer = NoopPhaseTimer> {
     idx: u32,
     engine: Engine<Ev>,
-    driver: Driver<'a, NullProbe, NoopPhaseTimer>,
+    driver: Driver<'a, P, T>,
 }
 
-impl Shard<'_> {
+impl<'a, P: SimProbe, T: PhaseTimer> Shard<'a, P, T> {
+    /// The whole field when `shard` is `None`, else shard `idx` of the cut
+    /// `shard_of`, with the first creation of every flow it homes queued.
+    fn new(
+        sim: &'a NetworkSimulation,
+        schedule: &'a CreationSchedule,
+        probe: &'a mut P,
+        timer: &'a mut T,
+        shard: Option<(u32, &'a [u32])>,
+    ) -> Self {
+        let driver = Driver::new(sim, schedule, probe, timer, shard);
+        let mut engine = Engine::new();
+        for (flow, source) in sim.sources.iter().enumerate() {
+            let home = shard.is_none_or(|(idx, of)| of[source.index()] == idx);
+            if let Some(at) = schedule.first(flow).filter(|_| home) {
+                engine
+                    .schedule_at(
+                        at,
+                        Ev::Create {
+                            flow: FlowId(flow as u32),
+                        },
+                    )
+                    .expect("creation schedules start at t >= 0");
+            }
+        }
+        Shard {
+            idx: driver.my_shard,
+            engine,
+            driver,
+        }
+    }
+
     /// Runs this shard's events strictly before `end`.
     fn run_window(&mut self, end: SimTime) {
         let Shard { engine, driver, .. } = self;
         engine.run_before(end, |sched, ev| driver.handle(sched, ev));
+    }
+
+    /// Runs every event, then hands the probe its run-end reports.
+    fn run_to_end(&mut self) {
+        let Shard { engine, driver, .. } = self;
+        engine.run(|sched, ev| driver.handle(sched, ev));
+        let events = engine.delivered();
+        let peak_fes = engine.peak_pending() as u64;
+        if P::ACTIVE && driver.probe.is_active() {
+            for i in 0..driver.sim.routing.len() {
+                let high_water = driver.nodes.get(i).map_or(0, |s| s.buffer.high_water());
+                driver.probe.on_high_water(i, high_water as u64);
+            }
+        }
+        driver.probe.on_engine_stats(events, peak_fes);
+        driver
+            .probe
+            .on_queue_stats(engine.queue_footprint() as u64, engine.queue_compactions());
+        driver.probe.on_run_end(engine.now());
     }
 }
 
@@ -471,6 +538,28 @@ pub enum CutStrategy {
     Balanced,
 }
 
+/// Runs `sim` serially: the one-shard case of this runner, with no
+/// [`ShardPlan`]. The engine runs straight to completion with no
+/// windows, so a zero link delay needs no lookahead; the driver carries
+/// the caller's probe and timer.
+pub(crate) fn run_serial<P: SimProbe, T: PhaseTimer>(
+    sim: &NetworkSimulation,
+    probe: &mut P,
+    timer: &mut T,
+) -> SimOutcome {
+    // Allocation gauge: everything the driver thread allocates between
+    // here and outcome assembly is this run's footprint. Reads zero
+    // unless a counting allocator is installed and enabled.
+    let mem_base = tempriv_telemetry::memprof::thread_snapshot();
+    let schedule = CreationSchedule::presample(sim);
+    let mut shard = Shard::new(sim, &schedule, probe, timer, None);
+    shard.run_to_end();
+    let outcome = assemble(sim, None, vec![shard], mem_base);
+    schedule.complete(outcome)
+}
+
+/// Runs `sim` cut into `shards` by `strategy`: one `NullProbe` driver per
+/// shard, windows on `workers` threads, `timer` on the coordinator.
 pub(crate) fn run_sharded<T: PhaseTimer>(
     sim: &NetworkSimulation,
     shards: u32,
@@ -484,56 +573,30 @@ pub(crate) fn run_sharded<T: PhaseTimer>(
         lookahead > SimDuration::ZERO,
         "sharded runs need a positive link delay as conservative lookahead"
     );
-    // Allocation gauge parity with the serial path. Threaded runs only
-    // see the coordinator's allocations; the single-threaded runner (the
-    // one the mem benches use) sees everything.
+    // Threaded runs only see the coordinator's allocations; the
+    // single-threaded runner (the one the mem benches use) sees
+    // everything.
     let mem_base = tempriv_telemetry::memprof::thread_snapshot();
     let plan = match strategy {
         CutStrategy::Exact => ShardPlan::cut(&sim.routing, shards),
         CutStrategy::Balanced => ShardPlan::cut_balanced(&sim.routing, &sim.sources, shards),
     };
     let n_shards = shards as usize;
-    let (truth, mut cursors, presample_draws) = presample(sim);
-
-    let n_flows = sim.sources.len();
+    let schedule = CreationSchedule::presample(sim);
     let mut probes: Vec<NullProbe> = (0..n_shards).map(|_| NullProbe).collect();
     let mut noop_timers: Vec<NoopPhaseTimer> = (0..n_shards).map(|_| NoopPhaseTimer).collect();
-
-    // Home every flow's cursor on its source's shard; foreign flows get
-    // an empty cursor so indexing by flow stays direct.
-    let mut shard_cursors: Vec<Vec<FlowCursor>> =
-        vec![vec![FlowCursor::default(); n_flows]; n_shards];
-    for i in (0..n_flows).rev() {
-        let home = plan.shard_of()[sim.sources[i].index()] as usize;
-        shard_cursors[home][i] = std::mem::take(&mut cursors[i]);
-    }
-
     let mut states: Vec<Shard<'_>> = probes
         .iter_mut()
         .zip(noop_timers.iter_mut())
-        .zip(shard_cursors)
         .enumerate()
-        .map(|(idx, ((probe, noop), preassigned))| {
-            let mut driver = Driver::new(sim, probe, noop, Some((idx as u32, plan.shard_of())));
-            driver.preassigned = preassigned;
-            let mut engine = Engine::new();
-            for (flow, cursor) in driver.preassigned.iter().enumerate() {
-                if let Some((at, _)) = cursor.first() {
-                    engine
-                        .schedule_at(
-                            at,
-                            Ev::Create {
-                                flow: FlowId(flow as u32),
-                            },
-                        )
-                        .expect("creation schedules start at t >= 0");
-                }
-            }
-            Shard {
-                idx: idx as u32,
-                engine,
-                driver,
-            }
+        .map(|(idx, (probe, noop))| {
+            Shard::new(
+                sim,
+                &schedule,
+                probe,
+                noop,
+                Some((idx as u32, plan.shard_of())),
+            )
         })
         .collect();
 
@@ -543,9 +606,8 @@ pub(crate) fn run_sharded<T: PhaseTimer>(
     } else {
         states = run_windows_threaded(states, &plan, lookahead, workers, timer);
     }
-
-    let mem = tempriv_telemetry::memprof::thread_snapshot().since(mem_base);
-    assemble(sim, &plan, truth, presample_draws, states, mem)
+    let outcome = assemble(sim, Some(&plan), states, mem_base);
+    schedule.complete(outcome)
 }
 
 /// The no-thread runner: shards execute their windows sequentially on
@@ -706,18 +768,19 @@ fn run_windows_threaded<'a, T: PhaseTimer>(
     returned
 }
 
-/// Stitches per-shard state into the one [`SimOutcome`] a serial run
-/// would have produced (plus per-shard stats).
-fn assemble(
+/// Stitches per-shard state into one [`SimOutcome`] (plus per-shard
+/// stats when the run was cut by `plan`). The truth log and the
+/// presampling draws are the schedule's; [`CreationSchedule::complete`]
+/// adds them.
+fn assemble<P: SimProbe, T: PhaseTimer>(
     sim: &NetworkSimulation,
-    plan: &ShardPlan,
-    truth: Vec<TruthRecord>,
-    presample_draws: u64,
-    mut states: Vec<Shard<'_>>,
-    mem: tempriv_telemetry::memprof::ThreadMemSnapshot,
+    plan: Option<&ShardPlan>,
+    mut states: Vec<Shard<'_, P, T>>,
+    mem_base: tempriv_telemetry::memprof::ThreadMemSnapshot,
 ) -> SimOutcome {
-    let shard_of = plan.shard_of();
-    let sink_shard = shard_of[sim.routing.sink().index()] as usize;
+    let mem = tempriv_telemetry::memprof::thread_snapshot().since(mem_base);
+    let shard_of = |node: usize| plan.map_or(0, |plan| plan.shard_of()[node] as usize);
+    let sink_shard = shard_of(sim.routing.sink().index());
     let end_time = states
         .iter()
         .map(|s| s.engine.now())
@@ -725,25 +788,24 @@ fn assemble(
         .unwrap_or(SimTime::ZERO);
     let events: u64 = states.iter().map(|s| s.engine.delivered()).sum();
     let peak_fes: u64 = states.iter().map(|s| s.engine.peak_pending() as u64).sum();
-    let rng_draws = presample_draws + states.iter().map(|s| s.driver.rng_draws()).sum::<u64>();
+    let rng_draws = states.iter().map(|s| s.driver.rng_draws()).sum();
     let link_losses = states.iter().map(|s| s.driver.link_losses).sum();
-    let shard_stats = states
-        .iter()
-        .map(|s| ShardStats {
-            shard: s.idx,
-            nodes: plan.nodes_in(s.idx),
-            events: s.engine.delivered(),
-            handoffs_out: s.driver.handoffs_out,
-            peak_fes: s.engine.peak_pending() as u64,
-        })
-        .collect();
+    let shard_stats = plan.map_or_else(Vec::new, |plan| {
+        states
+            .iter()
+            .map(|s| ShardStats {
+                shard: s.idx,
+                nodes: plan.nodes_in(s.idx),
+                events: s.engine.delivered(),
+                handoffs_out: s.driver.handoffs_out,
+                peak_fes: s.engine.peak_pending() as u64,
+            })
+            .collect()
+    });
     let flows = std::mem::take(&mut states[sink_shard].driver.sink_tables).into_flows(sim, |i| {
-        let home = shard_of[sim.sources[i].index()] as usize;
-        u64::from(states[home].driver.seq[i])
+        u64::from(states[shard_of(sim.sources[i].index())].driver.seq[i])
     });
-    let reached = node_reports(sim, end_time, |i| {
-        states[shard_of[i] as usize].driver.nodes.get(i)
-    });
+    let reached = node_reports(sim, end_time, |i| states[shard_of(i)].driver.nodes.get(i));
     let observations = crate::sim_driver::canonicalize(std::mem::take(
         &mut states[sink_shard].driver.observations,
     ));
@@ -751,7 +813,7 @@ fn assemble(
         end_time,
         flows,
         observations,
-        truth,
+        truth: Vec::new(),
         reached,
         field_nodes: u32::try_from(sim.routing.len()).expect("node ids are u32"),
         link_losses,

@@ -10,10 +10,10 @@
 //! Runs are deterministic: a given [`NetworkSimulation`] and seed always
 //! produce the identical [`SimOutcome`].
 
-use tempriv_net::ids::{FlowId, NodeId, PacketId};
+use tempriv_net::ids::{FlowId, NodeId};
 use tempriv_net::link::LinkModel;
 use tempriv_net::routing::RoutingTree;
-use tempriv_net::traffic::{TrafficModel, TrafficSampler};
+use tempriv_net::traffic::TrafficModel;
 use tempriv_sim::engine::{Engine, Scheduler};
 use tempriv_sim::profile::{NoopPhaseTimer, Phase, PhaseTimer};
 use tempriv_sim::rng::{RngFactory, SimRng};
@@ -24,16 +24,16 @@ use tempriv_telemetry::{NullProbe, PacketEvent, SimProbe};
 use crate::adversary::{AdversaryKnowledge, Observation};
 use crate::buffer::BufferPolicy;
 use crate::delay::DelayPlan;
-use crate::metrics::{FlowOutcome, SimOutcome, TruthRecord};
-use crate::node_table::{node_reports, NodeTable};
+use crate::metrics::{FlowOutcome, SimOutcome};
+use crate::node_table::NodeTable;
+use crate::sharded::CreationSchedule;
 use crate::store::PacketStore;
 
 /// RNG stream namespaces (one per stochastic component class).
 ///
 /// `DELAY` and `TRAFFIC` substreams are indexed per node / per flow;
-/// `VICTIM`, `LINK`, and `READING` are indexed per *shard* — the serial
-/// engine is the one-shard special case drawing from substream index 0,
-/// so serial digests are unchanged by the sharded runner's existence.
+/// `VICTIM`, `LINK`, and `READING` are indexed per *shard* — a serial run
+/// is the one-shard case and draws from substream index 0.
 pub(crate) mod streams {
     pub const DELAY: u64 = 1;
     pub const TRAFFIC: u64 = 2;
@@ -116,7 +116,8 @@ impl NetworkSimulationBuilder {
     }
 
     /// Replaces the stochastic workload with explicit per-flow creation
-    /// schedules (one `Vec<SimTime>` per flow, in flow order).
+    /// schedules (one `Vec<SimTime>` per flow, in flow order). A schedule
+    /// need not be sorted: [`build`](Self::build) sorts each one.
     #[must_use]
     pub fn schedules(mut self, schedules: Vec<Vec<SimTime>>) -> Self {
         self.workload = Workload::Schedules(schedules);
@@ -172,14 +173,16 @@ impl NetworkSimulationBuilder {
         self
     }
 
-    /// Validates and builds the simulation.
+    /// Validates and builds the simulation. Explicit creation schedules
+    /// come out sorted: a packet is created at each listed instant, in
+    /// time order, whatever order the instants were listed in.
     ///
     /// # Errors
     ///
     /// Returns [`BuildError`] if a source is unknown or is the sink, no
     /// sources were given, the buffer policy is invalid, or the packet
     /// budget is zero.
-    pub fn build(self) -> Result<NetworkSimulation, BuildError> {
+    pub fn build(mut self) -> Result<NetworkSimulation, BuildError> {
         if self.sources.is_empty() {
             return Err(BuildError::NoSources);
         }
@@ -197,7 +200,7 @@ impl NetworkSimulationBuilder {
         if let Err(reason) = self.buffer_policy.validate() {
             return Err(BuildError::InvalidBuffer { reason });
         }
-        match &self.workload {
+        match &mut self.workload {
             Workload::Model(_) => {
                 if self.packets_per_source == 0 {
                     return Err(BuildError::NoPackets);
@@ -212,6 +215,9 @@ impl NetworkSimulationBuilder {
                 }
                 if schedules.iter().all(Vec::is_empty) {
                     return Err(BuildError::NoPackets);
+                }
+                for schedule in schedules {
+                    schedule.sort();
                 }
             }
         }
@@ -431,10 +437,12 @@ impl NetworkSimulation {
     /// (which runs the shards inline with no threads at all).
     ///
     /// Shard-indexed RNG streams make `shards` itself part of the random
-    /// configuration: `run_sharded(1, _)` reproduces [`run`] exactly, and
-    /// higher shard counts reproduce it whenever no stochastic component
-    /// draws from a shared global stream (lossless links, deterministic
-    /// victim policies — e.g. the paper's configurations).
+    /// configuration: `run_sharded(1, _)` reproduces [`run`] exactly
+    /// (only [`SimOutcome::shards`] differs: a serial run leaves it
+    /// empty), and higher shard counts reproduce it whenever no
+    /// stochastic component draws from a shared global stream (lossless
+    /// links, deterministic victim policies — e.g. the paper's
+    /// configurations).
     ///
     /// # Panics
     ///
@@ -444,13 +452,7 @@ impl NetworkSimulation {
     /// [`run`]: NetworkSimulation::run
     #[must_use]
     pub fn run_sharded(&self, shards: u32, workers: usize) -> SimOutcome {
-        crate::sharded::run_sharded(
-            self,
-            shards,
-            workers,
-            crate::sharded::CutStrategy::Exact,
-            &mut NoopPhaseTimer,
-        )
+        self.run_sharded_profiled(shards, workers, &mut NoopPhaseTimer)
     }
 
     /// [`run_sharded`](NetworkSimulation::run_sharded) with the
@@ -529,86 +531,17 @@ impl NetworkSimulation {
     /// with any timer attached. [`NoopPhaseTimer`] monomorphizes every
     /// switch to nothing, keeping the `run`/`run_probed` hot path free
     /// of profiling overhead.
+    ///
+    /// Every serial run lands here: the sharded runner's one-shard case
+    /// ([`crate::sharded`]), with the whole field on one engine run to
+    /// completion without windows, so a zero link delay is fine.
     #[must_use]
     pub fn run_profiled<P: SimProbe, T: PhaseTimer>(
         &self,
         probe: &mut P,
         timer: &mut T,
     ) -> SimOutcome {
-        let n_nodes = self.routing.len();
-        let n_flows = self.sources.len();
-        // Allocation gauge: everything the driver thread allocates
-        // between here and outcome assembly is this run's footprint.
-        // Reads zero unless a counting allocator is installed + enabled.
-        let mem_base = tempriv_telemetry::memprof::thread_snapshot();
-
-        let mut driver = Driver::new(self, probe, timer, None);
-        driver
-            .truth
-            .reserve(n_flows * self.packets_per_source as usize);
-
-        let mut engine: Engine<Ev> = Engine::new();
-        match &self.workload {
-            Workload::Model(_) => {
-                for i in 0..self.sources.len() {
-                    let flow = FlowId(i as u32);
-                    let first = SimTime::ZERO
-                        + driver.traffic_samplers[i].next_interarrival(&mut driver.traffic_rngs[i]);
-                    engine
-                        .schedule_at(first, Ev::Create { flow })
-                        .expect("initial schedule at t >= 0");
-                }
-            }
-            Workload::Schedules(schedules) => {
-                for (i, schedule) in schedules.iter().enumerate() {
-                    let flow = FlowId(i as u32);
-                    for &at in schedule {
-                        engine
-                            .schedule_at(at, Ev::Create { flow })
-                            .expect("initial schedule at t >= 0");
-                    }
-                }
-            }
-        }
-        engine.run(|sched, ev| driver.handle(sched, ev));
-        let end_time = engine.now();
-        let events = engine.delivered();
-        let peak_fes = engine.peak_pending() as u64;
-        let queue_footprint = engine.queue_footprint() as u64;
-        let queue_compactions = engine.queue_compactions();
-
-        if P::ACTIVE && driver.probe.is_active() {
-            for i in 0..n_nodes {
-                let high_water = driver.nodes.get(i).map_or(0, |s| s.buffer.high_water());
-                driver.probe.on_high_water(i, high_water as u64);
-            }
-        }
-        driver.probe.on_engine_stats(events, peak_fes);
-        driver
-            .probe
-            .on_queue_stats(queue_footprint, queue_compactions);
-        driver.probe.on_run_end(end_time);
-
-        let rng_draws = driver.rng_draws();
-
-        let mem = tempriv_telemetry::memprof::thread_snapshot().since(mem_base);
-
-        let seq = &driver.seq;
-        SimOutcome {
-            end_time,
-            flows: driver.sink_tables.into_flows(self, |i| u64::from(seq[i])),
-            observations: canonicalize(driver.observations),
-            truth: driver.truth,
-            reached: node_reports(self, end_time, |i| driver.nodes.get(i)),
-            field_nodes: u32::try_from(n_nodes).expect("node ids are u32"),
-            link_losses: driver.link_losses,
-            rng_draws,
-            events,
-            peak_fes,
-            allocs: mem.allocs,
-            alloc_bytes: mem.bytes,
-            shards: Vec::new(),
-        }
+        crate::sharded::run_serial(self, probe, timer)
     }
 }
 
@@ -694,21 +627,17 @@ pub(crate) struct Driver<'a, P: SimProbe, T: PhaseTimer> {
     /// Engine state of every node a packet has touched.
     pub(crate) nodes: NodeTable,
     pub(crate) link_losses: u64,
-    pub(crate) next_packet_id: u64,
+    /// Packets created so far per flow: also the position of the flow's
+    /// next creation in `schedule`.
     pub(crate) seq: Vec<u32>,
-    pub(crate) truth: Vec<TruthRecord>,
+    /// Every packet id and creation instant of the run, presampled before
+    /// the first event; `on_create` replays it.
+    pub(crate) schedule: &'a CreationSchedule,
     pub(crate) observations: Vec<Observation>,
     pub(crate) sink_tables: SinkTables,
-    pub(crate) traffic_rngs: Vec<SimRng>,
-    pub(crate) traffic_samplers: Vec<TrafficSampler>,
     pub(crate) victim_rng: SimRng,
     pub(crate) link_rng: SimRng,
     pub(crate) reading_rng: SimRng,
-    /// Sharded mode only: packet ids and creation instants preassigned by
-    /// the global presampling pass, one cursor per flow. Empty in serial
-    /// runs — `on_create` then assigns ids in event order and samples the
-    /// traffic model lazily, exactly as before the sharded runner existed.
-    pub(crate) preassigned: Vec<crate::sharded::FlowCursor>,
     /// Sharded mode only: the shard each node belongs to. `None` keeps
     /// every forward local (serial).
     pub(crate) shard_of: Option<&'a [u32]>,
@@ -735,30 +664,20 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
     /// Driver state for one simulation run: the whole run when `shard`
     /// is `None`, else shard `idx` of the cut `shard_of`. Shard-indexed
     /// RNG streams draw from substream `idx` (the serial run is index 0).
-    /// A shard samples no traffic (the sharded runner presamples it and
-    /// sets `preassigned`) and sizes the per-flow sink tables only if it
-    /// owns the sink.
+    /// Creations replay `schedule`; the per-flow sink tables are sized
+    /// only if this driver owns the sink.
     pub(crate) fn new(
         sim: &'a NetworkSimulation,
+        schedule: &'a CreationSchedule,
         probe: &'a mut P,
         timer: &'a mut T,
         shard: Option<(u32, &'a [u32])>,
     ) -> Self {
-        let n_flows = sim.sources.len();
         let factory = RngFactory::new(sim.seed);
         let sink = sim.routing.sink();
         let my_shard = shard.map_or(0, |(idx, _)| idx);
         let shard_of = shard.map(|(_, shard_of)| shard_of);
         let owns_sink = shard_of.is_none_or(|of| of[sink.index()] == my_shard);
-        let (traffic_rngs, traffic_samplers) = match (&sim.workload, shard) {
-            (Workload::Model(traffic), None) => (
-                (0..n_flows)
-                    .map(|i| factory.substream(streams::TRAFFIC, i as u64))
-                    .collect(),
-                vec![traffic.sampler(); n_flows],
-            ),
-            _ => (Vec::new(), Vec::new()),
-        };
         Driver {
             sim,
             probe,
@@ -769,21 +688,17 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
             store: PacketStore::new(),
             nodes: NodeTable::new(sim),
             link_losses: 0,
-            next_packet_id: 0,
-            seq: vec![0; n_flows],
-            truth: Vec::new(),
+            seq: vec![0; sim.sources.len()],
+            schedule,
             observations: Vec::new(),
             sink_tables: if owns_sink {
                 SinkTables::new(sim)
             } else {
                 SinkTables::default()
             },
-            traffic_rngs,
-            traffic_samplers,
             victim_rng: factory.substream(streams::VICTIM, u64::from(my_shard)),
             link_rng: factory.substream(streams::LINK, u64::from(my_shard)),
             reading_rng: factory.substream(streams::READING, u64::from(my_shard)),
-            preassigned: Vec::new(),
             shard_of,
             my_shard,
             outbox: Vec::new(),
@@ -791,10 +706,10 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
         }
     }
 
-    /// Total RNG draws across every stream this driver owns.
+    /// Total RNG draws across every stream this driver owns (the traffic
+    /// streams belong to the schedule).
     pub(crate) fn rng_draws(&self) -> u64 {
         self.nodes.rng_draws()
-            + self.traffic_rngs.iter().map(SimRng::draws).sum::<u64>()
             + self.victim_rng.draws()
             + self.link_rng.draws()
             + self.reading_rng.draws()
@@ -839,39 +754,22 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
     fn on_create(&mut self, sched: &mut Scheduler<'_, Ev>, flow: FlowId) {
         let i = flow.index();
         let source = self.sim.sources[i];
+        let (id, next_at) = self.schedule.creation(i, self.seq[i]);
         self.seq[i] += 1;
-        let id = if self.preassigned.is_empty() {
-            // Serial: ids follow global event order; the next creation is
-            // sampled lazily from the flow's traffic stream. Truth is
-            // recorded as it happens.
-            let id = PacketId(self.next_packet_id);
-            self.next_packet_id += 1;
-            id
-        } else {
-            // Sharded: the presampling pass fixed every creation instant
-            // and packet id up front (and recorded truth globally); the
-            // cursor replays them and schedules the flow's next creation.
-            let cursor = &mut self.preassigned[i];
-            let (at, id) = cursor.current();
-            debug_assert_eq!(at, sched.now(), "cursor must replay the schedule");
-            if let Some((next_at, _)) = cursor.advance() {
-                let prev = self.timer.switch(Phase::QueuePush);
-                sched
-                    .schedule_at(next_at, Ev::Create { flow })
-                    .expect("creation schedules are time-ordered");
-                self.timer.switch(prev);
-            }
-            id
-        };
+        debug_assert_eq!(
+            self.schedule.instant(id),
+            sched.now(),
+            "creations replay the schedule"
+        );
+        if let Some(next_at) = next_at {
+            let prev = self.timer.switch(Phase::QueuePush);
+            sched
+                .schedule_at(next_at, Ev::Create { flow })
+                .expect("creation schedules are time-ordered");
+            self.timer.switch(prev);
+        }
         let reading = self.reading_rng.sample_uniform(0.0, 100.0);
         let slot = self.store.alloc(id, flow, source, sched.now(), reading);
-        if self.preassigned.is_empty() {
-            self.truth.push(TruthRecord {
-                packet: id,
-                flow,
-                created_at: sched.now(),
-            });
-        }
         observe(self.probe, self.timer, |p| {
             p.on_packet(
                 sched.now(),
@@ -882,15 +780,6 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
                 },
             );
         });
-        if self.preassigned.is_empty()
-            && matches!(self.sim.workload, Workload::Model(_))
-            && self.seq[i] < self.sim.packets_per_source
-        {
-            let gap = self.traffic_samplers[i].next_interarrival(&mut self.traffic_rngs[i]);
-            let prev = self.timer.switch(Phase::QueuePush);
-            sched.schedule_in(gap, Ev::Create { flow });
-            self.timer.switch(prev);
-        }
         self.process_at(sched, source, slot);
     }
 
@@ -1520,6 +1409,63 @@ mod tests {
                 tempriv_sim::time::SimDuration::from_units(3.0)
             );
         }
+    }
+
+    #[test]
+    fn unsorted_schedules_run_as_their_sorted_copy() {
+        // Flow 0 lists its instants out of order, with a tie of its own;
+        // flow 1 ties with it at 5 and 9.
+        let layout = Convergecast::builder()
+            .trunk_hops(2)
+            .flows([4, 6])
+            .build()
+            .unwrap();
+        let at = |units: &[f64]| -> Vec<SimTime> {
+            units.iter().map(|&u| SimTime::from_units(u)).collect()
+        };
+        let build = |schedules: Vec<Vec<SimTime>>| {
+            NetworkSimulation::builder(layout.routing().clone(), layout.sources().to_vec())
+                .schedules(schedules)
+                .buffer_policy(BufferPolicy::Rcad {
+                    capacity: 2,
+                    victim: VictimPolicy::ShortestRemaining,
+                })
+                .seed(3)
+                .build()
+                .unwrap()
+        };
+        let unsorted = build(vec![
+            at(&[9.0, 5.0, 50.0, 5.0, 20.0]),
+            at(&[5.0, 9.0, 30.0, 40.0]),
+        ]);
+        let sorted = build(vec![
+            at(&[5.0, 5.0, 9.0, 20.0, 50.0]),
+            at(&[5.0, 9.0, 30.0, 40.0]),
+        ]);
+        assert_eq!(unsorted.workload(), sorted.workload());
+        let serial = unsorted.run();
+        assert_eq!(serial, unsorted.run_sharded(1, 1));
+        assert_eq!(serial, sorted.run());
+        assert_eq!(serial.total_delivered(), 9);
+        let created: Vec<(u32, f64)> = serial
+            .truth
+            .iter()
+            .map(|t| (t.flow.0, t.created_at.as_units()))
+            .collect();
+        assert_eq!(
+            created,
+            [
+                (0, 5.0),
+                (0, 5.0),
+                (1, 5.0),
+                (0, 9.0),
+                (1, 9.0),
+                (0, 20.0),
+                (1, 30.0),
+                (1, 40.0),
+                (0, 50.0)
+            ]
+        );
     }
 
     #[test]

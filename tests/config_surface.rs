@@ -3,7 +3,7 @@
 //! external tooling drive), and round-trip faithfully.
 
 use temporal_privacy::core::{
-    BufferPolicy, DelayPlan, DelayStrategy, ExperimentConfig, LayoutSpec, VictimPolicy,
+    BufferPolicy, ConfigError, DelayPlan, DelayStrategy, ExperimentConfig, LayoutSpec, VictimPolicy,
 };
 use temporal_privacy::net::TrafficModel;
 
@@ -150,4 +150,32 @@ fn legacy_configs_without_new_fields_still_parse() {
     assert_eq!(cfg.link_jitter, 0.0);
     let out = cfg.build().unwrap().run();
     assert_eq!(out.total_delivered(), 200);
+}
+
+#[test]
+fn out_of_range_link_settings_are_config_errors() {
+    let base = ExperimentConfig {
+        packets_per_source: 20,
+        ..ExperimentConfig::paper_default()
+    };
+    let rejects = |field: &str, set: &dyn Fn(&mut ExperimentConfig)| {
+        let mut cfg = base.clone();
+        set(&mut cfg);
+        let err = cfg.build().map(|_| ()).unwrap_err();
+        assert!(matches!(err, ConfigError::Link(_)), "{field}: {err}");
+        assert!(err.to_string().contains(field), "{err}");
+    };
+    rejects("link_delay", &|c| c.link_delay = -1.0);
+    rejects("link_delay", &|c| c.link_delay = 1e300);
+    rejects("link_delay", &|c| c.link_delay = f64::NAN);
+    rejects("link_delay", &|c| c.link_delay = f64::INFINITY);
+    rejects("link_loss", &|c| c.link_loss = 1.5);
+    rejects("link_loss", &|c| c.link_loss = -0.1);
+    rejects("link_loss", &|c| c.link_loss = 1.0);
+    rejects("link_jitter", &|c| c.link_jitter = -1.0);
+    rejects("link_jitter", &|c| c.link_jitter = f64::INFINITY);
+    // A zero link delay still builds and runs serially.
+    let mut cfg = base;
+    cfg.link_delay = 0.0;
+    assert_eq!(cfg.build().unwrap().run().total_delivered(), 80);
 }
