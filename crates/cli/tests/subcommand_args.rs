@@ -2,6 +2,8 @@
 //! `trace`, `watch`, `audit`, `serve` and `bench serve` reject input
 //! they do not read: the binary exits 1, names the offender and prints
 //! the command's usage line instead of running with the input ignored.
+//! `sweep`, `profile`, `resume` and `calc` likewise exit 1 on values
+//! outside the range their computation takes, instead of panicking.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -204,6 +206,95 @@ fn calc_rejects_options_its_mode_does_not_read() {
         "calc", "btq", "--lambda", "1", "--mu", "2", "--j", "3", "--n", "4",
     ]);
     assert!(ok.status.success(), "{ok:?}");
+}
+
+#[test]
+fn calc_rejects_values_outside_each_formulas_domain() {
+    let cases: [(&[&str], &str, &str); 5] = [
+        (
+            &["calc", "erlang", "--rho", "-1", "--slots", "3"],
+            "--rho must be non-negative and finite",
+            "usage: tempriv calc erlang --rho R --slots K",
+        ),
+        (
+            &["calc", "servers", "--rho", "2", "--alpha", "0"],
+            "--alpha must be in (0, 1]",
+            "usage: tempriv calc servers --rho R --alpha A",
+        ),
+        (
+            &[
+                "calc", "mu", "--lambda", "0", "--slots", "3", "--alpha", "0.1",
+            ],
+            "--lambda must be positive and finite",
+            "usage: tempriv calc mu --lambda L --slots K --alpha A",
+        ),
+        (
+            &["calc", "mminf", "--lambda", "1", "--mu", "0"],
+            "--mu must be positive and finite",
+            "usage: tempriv calc mminf --lambda L --mu M",
+        ),
+        (
+            &["calc", "btq", "--lambda", "0", "--mu", "1", "--n", "5"],
+            "--lambda must be positive and finite",
+            "usage: tempriv calc btq --lambda L --mu M",
+        ),
+    ];
+    for (args, reason, usage) in cases {
+        assert_rejected(&tempriv(args), reason, usage);
+    }
+}
+
+/// Exit 1 naming `reason`, nothing on stdout and no panic.
+fn assert_fails(out: &Output, reason: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains(reason), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+}
+
+#[test]
+fn sweep_and_profile_reject_zero_packets() {
+    let reason = "packets_per_source must be at least 1";
+    assert_fails(
+        &tempriv(&["sweep", "--points", "2", "--packets", "0", "--quiet"]),
+        reason,
+    );
+    assert_fails(&tempriv(&["profile", "--packets", "0"]), reason);
+}
+
+#[test]
+fn sweep_and_profile_reject_points_that_are_not_positive_and_finite() {
+    let reason = "inv_lambdas must be positive and finite";
+    for points in ["0", "-2", "nan", "inf"] {
+        assert_fails(&tempriv(&["sweep", "--points", points, "--quiet"]), reason);
+    }
+    assert_fails(&tempriv(&["profile", "--points", "2,inf"]), reason);
+}
+
+#[test]
+fn resume_rejects_out_of_range_recorded_params() {
+    let dir = scratch("resume_params");
+    for (params, reason) in [
+        (
+            r#"{\"inv_lambdas\":[2.0],\"packets_per_source\":0,\"delay_mean\":30.0,\"capacity\":10,\"report_flow\":0,\"seed\":2007}"#,
+            "packets_per_source must be at least 1",
+        ),
+        (
+            r#"{\"inv_lambdas\":[-2.0],\"packets_per_source\":60,\"delay_mean\":30.0,\"capacity\":10,\"report_flow\":0,\"seed\":2007}"#,
+            "inv_lambdas must be positive and finite",
+        ),
+    ] {
+        let manifest = dir.join("run.jsonl");
+        std::fs::write(
+            &manifest,
+            format!(
+                r#"{{"experiment":"fig2","params_json":"{params}","jobs":1,"cache_dir":null}}"#
+            ) + "\n",
+        )
+        .unwrap();
+        assert_fails(&tempriv(&["resume", manifest.to_str().unwrap()]), reason);
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -71,6 +71,26 @@ impl SweepParams {
         }
     }
 
+    /// Checks the ranges every sweep runs in: positive finite
+    /// inter-arrival times, at least one packet per source, and a
+    /// non-negative finite delay mean.
+    ///
+    /// # Errors
+    ///
+    /// Names the first parameter out of range.
+    pub fn check(&self) -> Result<(), String> {
+        if self.inv_lambdas.iter().any(|x| !x.is_finite() || *x <= 0.0) {
+            return Err("inv_lambdas must be positive and finite".to_string());
+        }
+        if self.packets_per_source == 0 {
+            return Err("packets_per_source must be at least 1".to_string());
+        }
+        if !self.delay_mean.is_finite() || self.delay_mean < 0.0 {
+            return Err("delay_mean must be non-negative and finite".to_string());
+        }
+        Ok(())
+    }
+
     fn config(&self, inv_lambda: f64) -> ExperimentConfig {
         ExperimentConfig {
             layout: LayoutSpec::PaperFigure1,

@@ -47,7 +47,7 @@ use tempriv_sim::engine::Engine;
 use tempriv_sim::profile::{NoopPhaseTimer, Phase, PhaseTimer};
 use tempriv_sim::rng::RngFactory;
 use tempriv_sim::time::{SimDuration, SimTime};
-use tempriv_telemetry::{NullProbe, SimProbe};
+use tempriv_telemetry::{NullProbe, ProbeEvent, SimProbe};
 
 use crate::metrics::{ShardStats, SimOutcome, TruthRecord};
 use crate::node_table::node_reports;
@@ -486,23 +486,28 @@ impl<'a, P: SimProbe, T: PhaseTimer> Shard<'a, P, T> {
         engine.run_before(end, |sched, ev| driver.handle(sched, ev));
     }
 
-    /// Runs every event, then hands the probe its run-end reports.
+    /// Runs every event, then hands the probe its run-end reports: one
+    /// high-water mark per field node, then the engine accounting.
     fn run_to_end(&mut self) {
         let Shard { engine, driver, .. } = self;
         engine.run(|sched, ev| driver.handle(sched, ev));
-        let events = engine.delivered();
-        let peak_fes = engine.peak_pending() as u64;
         if P::ACTIVE && driver.probe.is_active() {
-            for i in 0..driver.sim.routing.len() {
-                let high_water = driver.nodes.get(i).map_or(0, |s| s.buffer.high_water());
-                driver.probe.on_high_water(i, high_water as u64);
+            let end = engine.now();
+            for node in 0..driver.sim.routing.len() {
+                let high_water = driver.nodes.get(node).map_or(0, |s| s.buffer.high_water());
+                let high_water = high_water as u64;
+                driver
+                    .probe
+                    .on_event(end, ProbeEvent::HighWater { node, high_water });
             }
+            let run_end = ProbeEvent::RunEnd {
+                events: engine.delivered(),
+                peak_fes: engine.peak_pending() as u64,
+                queue_footprint: engine.queue_footprint() as u64,
+                queue_compactions: engine.queue_compactions(),
+            };
+            driver.probe.on_event(end, run_end);
         }
-        driver.probe.on_engine_stats(events, peak_fes);
-        driver
-            .probe
-            .on_queue_stats(engine.queue_footprint() as u64, engine.queue_compactions());
-        driver.probe.on_run_end(engine.now());
     }
 }
 

@@ -19,7 +19,7 @@ use tempriv_sim::profile::{NoopPhaseTimer, Phase, PhaseTimer};
 use tempriv_sim::rng::{RngFactory, SimRng};
 use tempriv_sim::stats::{Histogram, OnlineStats};
 use tempriv_sim::time::SimTime;
-use tempriv_telemetry::{NullProbe, PacketEvent, SimProbe};
+use tempriv_telemetry::{NullProbe, PacketEvent, ProbeEvent, SimProbe};
 
 use crate::adversary::{AdversaryKnowledge, Observation};
 use crate::buffer::BufferPolicy;
@@ -648,14 +648,21 @@ pub(crate) struct Driver<'a, P: SimProbe, T: PhaseTimer> {
     pub(crate) handoffs_out: u64,
 }
 
-/// Calls one probe hook with its time charged to [`Phase::Probe`]. An
-/// inactive probe ([`NullProbe`], `None`) skips both the hook and the
-/// two phase switches, so it neither costs nor shows a probe segment.
+/// Reports one event at `now` to the probe, with its time charged to
+/// [`Phase::Probe`]. `event` builds the event only for an active probe;
+/// an inactive one ([`NullProbe`], `None`) skips the build, the report
+/// and the two phase switches, so it neither costs nor shows a probe
+/// segment.
 #[inline(always)]
-fn observe<P: SimProbe, T: PhaseTimer>(probe: &mut P, timer: &mut T, hook: impl FnOnce(&mut P)) {
+fn observe<P: SimProbe, T: PhaseTimer>(
+    probe: &mut P,
+    timer: &mut T,
+    now: SimTime,
+    event: impl FnOnce() -> ProbeEvent,
+) {
     if P::ACTIVE && probe.is_active() {
         let prev = timer.switch(Phase::Probe);
-        hook(probe);
+        probe.on_event(now, event());
         timer.switch(prev);
     }
 }
@@ -770,15 +777,12 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
         }
         let reading = self.reading_rng.sample_uniform(0.0, 100.0);
         let slot = self.store.alloc(id, flow, source, sched.now(), reading);
-        observe(self.probe, self.timer, |p| {
-            p.on_packet(
-                sched.now(),
-                PacketEvent::Created {
-                    packet: id.0,
-                    flow: i,
-                    node: source.index(),
-                },
-            );
+        observe(self.probe, self.timer, sched.now(), || {
+            ProbeEvent::Packet(PacketEvent::Created {
+                packet: id.0,
+                flow: i,
+                node: source.index(),
+            })
         });
         self.process_at(sched, source, slot);
     }
@@ -794,30 +798,30 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
         // Threshold mixes batch instead of delaying: the delay plan is
         // ignored at mix nodes.
         if let BufferPolicy::ThresholdMix { threshold } = self.sim.buffer_policy {
-            observe(self.probe, self.timer, |p| {
-                p.on_arrival(node.index(), sched.now());
-                p.on_packet(
-                    sched.now(),
-                    PacketEvent::Enqueued {
-                        packet: self.store.pid(slot).0,
-                        flow: self.store.flow(slot).index(),
-                        node: node.index(),
-                    },
-                );
+            observe(self.probe, self.timer, sched.now(), || {
+                ProbeEvent::Packet(PacketEvent::Enqueued {
+                    packet: self.store.pid(slot).0,
+                    flow: self.store.flow(slot).index(),
+                    node: node.index(),
+                })
             });
             self.store.park(slot, sched.now(), SimTime::MAX, None);
             let state = &mut self.nodes[n];
             state.buffer.insert(&self.store, slot);
             let depth = state.buffer.len() as u64;
             state.occupancy.transition(sched.now(), depth);
-            observe(self.probe, self.timer, |p| {
-                p.on_occupancy(node.index(), sched.now(), depth)
+            observe(self.probe, self.timer, sched.now(), || {
+                ProbeEvent::Occupancy {
+                    node: node.index(),
+                    depth,
+                }
             });
             if state.buffer.len() >= threshold {
                 state.flushes += 1;
                 let batch = state.buffer.len() as u64;
-                observe(self.probe, self.timer, |p| {
-                    p.on_flush(node.index(), sched.now(), batch)
+                observe(self.probe, self.timer, sched.now(), || ProbeEvent::Flush {
+                    node: node.index(),
+                    batch,
                 });
                 let mut scratch = std::mem::take(&mut self.mix_scratch);
                 state.buffer.drain_slots_into(&mut scratch);
@@ -826,8 +830,11 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
                 }
                 self.mix_scratch = scratch;
                 self.nodes[n].occupancy.transition(sched.now(), 0);
-                observe(self.probe, self.timer, |p| {
-                    p.on_occupancy(node.index(), sched.now(), 0)
+                observe(self.probe, self.timer, sched.now(), || {
+                    ProbeEvent::Occupancy {
+                        node: node.index(),
+                        depth: 0,
+                    }
                 });
             }
             return;
@@ -838,9 +845,6 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
             self.forward(sched, n, node, slot);
             return;
         }
-        observe(self.probe, self.timer, |p| {
-            p.on_arrival(node.index(), sched.now())
-        });
         let delay = strategy.sample(&mut state.rng);
         // Full buffer? Apply the policy before inserting.
         if let Some(cap) = self.capacity {
@@ -848,16 +852,12 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
                 match self.sim.buffer_policy {
                     BufferPolicy::DropTail { .. } => {
                         state.drops += 1;
-                        observe(self.probe, self.timer, |p| {
-                            p.on_drop(node.index(), sched.now());
-                            p.on_packet(
-                                sched.now(),
-                                PacketEvent::Dropped {
-                                    packet: self.store.pid(slot).0,
-                                    flow: self.store.flow(slot).index(),
-                                    node: node.index(),
-                                },
-                            );
+                        observe(self.probe, self.timer, sched.now(), || {
+                            ProbeEvent::Packet(PacketEvent::Dropped {
+                                packet: self.store.pid(slot).0,
+                                flow: self.store.flow(slot).index(),
+                                node: node.index(),
+                            })
                         });
                         self.store.release(slot);
                         return;
@@ -880,22 +880,21 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
                         debug_assert!(cancelled, "victim timer must be pending");
                         self.timer.switch(prev);
                         state.preemptions += 1;
-                        observe(self.probe, self.timer, |p| {
-                            p.on_preemption(node.index(), sched.now());
-                            p.on_packet(
-                                sched.now(),
-                                PacketEvent::Preempted {
-                                    packet: victim_id.0,
-                                    flow: self.store.flow(victim_slot).index(),
-                                    node: node.index(),
-                                    victim_policy: victim.name(),
-                                },
-                            );
+                        observe(self.probe, self.timer, sched.now(), || {
+                            ProbeEvent::Packet(PacketEvent::Preempted {
+                                packet: victim_id.0,
+                                flow: self.store.flow(victim_slot).index(),
+                                node: node.index(),
+                                victim_policy: victim.name(),
+                            })
                         });
                         let depth = state.buffer.len() as u64;
                         state.occupancy.transition(sched.now(), depth);
-                        observe(self.probe, self.timer, |p| {
-                            p.on_occupancy(node.index(), sched.now(), depth)
+                        observe(self.probe, self.timer, sched.now(), || {
+                            ProbeEvent::Occupancy {
+                                node: node.index(),
+                                depth,
+                            }
                         });
                         // "Transmit it immediately rather than drop packets."
                         self.forward(sched, n, node, victim_slot);
@@ -908,23 +907,23 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
         let prev = self.timer.switch(Phase::QueuePush);
         let timer = sched.schedule_in(delay, Ev::Release { node, slot });
         self.timer.switch(prev);
-        observe(self.probe, self.timer, |p| {
-            p.on_packet(
-                sched.now(),
-                PacketEvent::Enqueued {
-                    packet: self.store.pid(slot).0,
-                    flow: self.store.flow(slot).index(),
-                    node: node.index(),
-                },
-            );
+        observe(self.probe, self.timer, sched.now(), || {
+            ProbeEvent::Packet(PacketEvent::Enqueued {
+                packet: self.store.pid(slot).0,
+                flow: self.store.flow(slot).index(),
+                node: node.index(),
+            })
         });
         self.store.park(slot, sched.now(), release_at, Some(timer));
         let state = &mut self.nodes[n];
         state.buffer.insert(&self.store, slot);
         let depth = state.buffer.len() as u64;
         state.occupancy.transition(sched.now(), depth);
-        observe(self.probe, self.timer, |p| {
-            p.on_occupancy(node.index(), sched.now(), depth)
+        observe(self.probe, self.timer, sched.now(), || {
+            ProbeEvent::Occupancy {
+                node: node.index(),
+                depth,
+            }
         });
     }
 
@@ -940,8 +939,11 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
         debug_assert_eq!(removed, slot, "buffer entry must map back to its slot");
         let depth = state.buffer.len() as u64;
         state.occupancy.transition(sched.now(), depth);
-        observe(self.probe, self.timer, |p| {
-            p.on_occupancy(node.index(), sched.now(), depth)
+        observe(self.probe, self.timer, sched.now(), || {
+            ProbeEvent::Occupancy {
+                node: node.index(),
+                depth,
+            }
         });
         self.forward(sched, n, node, slot);
     }
@@ -949,15 +951,12 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
     /// Transmits `slot` from `node`, whose record is `self.nodes[n]`.
     #[inline]
     fn forward(&mut self, sched: &mut Scheduler<'_, Ev>, n: usize, node: NodeId, slot: u32) {
-        observe(self.probe, self.timer, |p| {
-            p.on_packet(
-                sched.now(),
-                PacketEvent::Departed {
-                    packet: self.store.pid(slot).0,
-                    flow: self.store.flow(slot).index(),
-                    node: node.index(),
-                },
-            );
+        observe(self.probe, self.timer, sched.now(), || {
+            ProbeEvent::Packet(PacketEvent::Departed {
+                packet: self.store.pid(slot).0,
+                flow: self.store.flow(slot).index(),
+                node: node.index(),
+            })
         });
         self.store.record_hop(slot);
         let next = self
@@ -1007,16 +1006,13 @@ impl<'a, P: SimProbe, T: PhaseTimer> Driver<'a, P, T> {
         let created = self.store.created_at(slot);
         let latency = (now - created).as_units();
         self.sink_tables.record(flow.index(), latency);
-        observe(self.probe, self.timer, |p| {
-            p.on_delivery(flow.index(), now, latency);
-            p.on_packet(
-                now,
-                PacketEvent::ArrivedAtSink {
-                    packet: pid.0,
-                    flow: flow.index(),
-                    node: self.sim.routing.sink().index(),
-                },
-            );
+        observe(self.probe, self.timer, now, || {
+            ProbeEvent::Packet(PacketEvent::ArrivedAtSink {
+                packet: pid.0,
+                flow: flow.index(),
+                node: self.sim.routing.sink().index(),
+                created_at: created,
+            })
         });
         self.observations.push(Observation {
             arrival: now,

@@ -85,23 +85,11 @@ impl JobSpec {
         if self.inv_lambdas.is_empty() {
             self.inv_lambdas = smoke.inv_lambdas.clone();
         }
-        if self.inv_lambdas.iter().any(|x| !x.is_finite() || *x <= 0.0) {
-            return Err("inv_lambdas must be positive and finite".to_string());
-        }
-        if self.inv_lambdas.len() > 64 {
-            return Err("at most 64 sweep points per job".to_string());
-        }
         if self.packets_per_source == 0 {
             self.packets_per_source = smoke.packets_per_source;
         }
-        if self.packets_per_source > 100_000 {
-            return Err("packets_per_source too large (max 100000)".to_string());
-        }
         if self.delay_mean == 0.0 {
             self.delay_mean = smoke.delay_mean;
-        }
-        if !self.delay_mean.is_finite() || self.delay_mean < 0.0 {
-            return Err("delay_mean must be non-negative and finite".to_string());
         }
         if self.capacity == 0 {
             self.capacity = smoke.capacity;
@@ -111,6 +99,13 @@ impl JobSpec {
         }
         if self.shards == 0 {
             self.shards = 1;
+        }
+        self.sweep_params().check()?;
+        if self.inv_lambdas.len() > 64 {
+            return Err("at most 64 sweep points per job".to_string());
+        }
+        if self.packets_per_source > 100_000 {
+            return Err("packets_per_source too large (max 100000)".to_string());
         }
         if self.shards > 64 {
             return Err("at most 64 engine shards per simulation".to_string());

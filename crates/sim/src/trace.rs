@@ -27,7 +27,6 @@ pub struct Trace<E> {
     records: VecDeque<(SimTime, E)>,
     capacity: usize,
     dropped: u64,
-    enabled: bool,
 }
 
 impl<E> Trace<E> {
@@ -43,34 +42,12 @@ impl<E> Trace<E> {
             records: VecDeque::with_capacity(capacity),
             capacity,
             dropped: 0,
-            enabled: true,
         }
-    }
-
-    /// Creates a disabled trace that records nothing (zero overhead beyond
-    /// the branch).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Trace {
-            records: VecDeque::new(),
-            capacity: 1,
-            dropped: 0,
-            enabled: false,
-        }
-    }
-
-    /// `true` if recording is active.
-    #[must_use]
-    pub const fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Appends a record, evicting the oldest if at capacity.
     #[inline]
     pub fn record(&mut self, time: SimTime, event: E) {
-        if !self.enabled {
-            return;
-        }
         if self.records.len() == self.capacity {
             self.records.pop_front();
             self.dropped += 1;
@@ -134,15 +111,6 @@ mod tests {
         assert_eq!(kept, vec![2, 3, 4]);
         assert_eq!(tr.dropped(), 2);
         assert_eq!(tr.len(), 3);
-    }
-
-    #[test]
-    fn disabled_records_nothing() {
-        let mut tr = Trace::disabled();
-        tr.record(t(1.0), ());
-        assert!(tr.is_empty());
-        assert!(!tr.is_enabled());
-        assert_eq!(tr.dropped(), 0);
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //! * [`registry`] — a dependency-free metrics registry (counters, gauges,
 //!   fixed-bin histograms) with cheap index handles and snapshot export to
 //!   canonical JSON and the Prometheus text exposition format;
-//! * [`probe`] — the [`SimProbe`] trait the simulation driver calls at
-//!   event boundaries, a zero-overhead [`NullProbe`] default, and a
-//!   [`RecordingProbe`] that accumulates per-node occupancy dwell
-//!   statistics, decimated occupancy time series, preemption/drop/flush
-//!   counts, buffer high-water marks, and a bounded event trace;
+//! * [`probe`] — the [`SimProbe`] trait, whose one method
+//!   [`SimProbe::on_event`] receives every [`ProbeEvent`] the simulation
+//!   driver reports (packet lifecycle boundaries, occupancy changes, mix
+//!   flushes, and the run-end high-water marks and engine accounting), a
+//!   zero-overhead [`NullProbe`] default, and a [`RecordingProbe`] that
+//!   accumulates per-node occupancy dwell statistics, decimated
+//!   occupancy time series, arrival/preemption/drop/flush counts, buffer
+//!   high-water marks and delivery latency moments;
 //! * [`flight`] — a [`FlightRecorder`] ring buffer of per-packet
 //!   lifecycle [`PacketEvent`]s with lineage reconstruction, latency
 //!   spectra, and export to JSONL and Chrome `trace_event` JSON;
@@ -33,7 +36,7 @@
 //!   [`AllocScope`] attribution to kernel phases and pipeline layers,
 //!   serializable [`MemBreakdown`] ledgers, and peak-RSS gauges;
 //! * [`audit`] — the determinism observatory: a [`DigestProbe`] folding
-//!   the packet event stream into windowed checkpoint digests and a
+//!   the packet events into windowed checkpoint digests and a
 //!   Merkle-style run root, [`audit::diff`] naming the first divergent
 //!   window between two runs, and the canonical [`audit::digest`]
 //!   content-identity primitives shared by the runtime cache, serve
