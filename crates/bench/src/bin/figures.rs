@@ -22,7 +22,7 @@ use tempriv_bench::table::{fmt_f, Series};
 use tempriv_bench::validation::{
     btq_bound_experiment, burke_experiment, erlang_loss_experiment, mm_inf_occupancy_experiment,
 };
-use tempriv_core::adaptive_mu::{flows_per_node, rate_controlled_plan};
+use tempriv_core::adaptive_mu::rate_controlled_plan;
 use tempriv_core::adversary::BaselineAdversary;
 use tempriv_core::buffer::BufferPolicy;
 use tempriv_core::delay::DelayPlan;
@@ -395,7 +395,7 @@ fn a3() {
         let outcome = sim.run();
         let knowledge = sim.adversary_knowledge();
         let report = evaluate_adversary(&outcome, &BaselineAdversary, &knowledge);
-        let counts = flows_per_node(sim.routing(), sim.sources());
+        let counts = sim.routing().flows_per_node(sim.sources());
         let max_rate = outcome
             .field_reports()
             .zip(&counts)

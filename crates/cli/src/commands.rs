@@ -15,7 +15,7 @@ use tempriv_core::telemetry::{privacy_flow_configs, JobMem, JobSpans, JobTrace, 
 use tempriv_core::SimOutcome;
 use tempriv_infotheory::bounds::{btq_packet_bound_nats, btq_stream_bound_nats};
 use tempriv_infotheory::DEFAULT_STREAMING_BINS;
-use tempriv_queueing::erlang::{erlang_b, min_servers_for_loss, service_rate_for_loss};
+use tempriv_queueing::erlang::{erlang_b, min_servers_for_loss, service_rate_for_loss, MAX_SLOTS};
 use tempriv_queueing::mm_inf::MmInf;
 use tempriv_runtime::{
     BlobKind, ManifestReader, ResultCache, Runtime, StderrReporter, TelemetrySink, WorkerPool,
@@ -1627,6 +1627,15 @@ fn ensure(ok: bool, message: &str) -> Result<(), String> {
     }
 }
 
+/// Each Erlang evaluation is `O(slots)`, so calc takes no more slots
+/// than the inverse solvers search.
+fn ensure_slots(slots: u32) -> Result<(), String> {
+    ensure(
+        slots <= MAX_SLOTS,
+        &format!("--slots must be at most {MAX_SLOTS}"),
+    )
+}
+
 fn positive(x: f64) -> bool {
     x.is_finite() && x > 0.0
 }
@@ -1641,6 +1650,7 @@ fn calc<W: Write>(mode: &str, args: &Args, out: &mut W) -> Result<(), String> {
                 rho >= 0.0 && rho.is_finite(),
                 "--rho must be non-negative and finite",
             )?;
+            ensure_slots(slots)?;
             writeln!(out, "E({rho}, {slots}) = {:.6}", erlang_b(rho, slots)).map_err(io_err)
         }
         "servers" => {
@@ -1651,12 +1661,10 @@ fn calc<W: Write>(mode: &str, args: &Args, out: &mut W) -> Result<(), String> {
                 "--rho must be non-negative and finite",
             )?;
             ensure(alpha > 0.0 && alpha <= 1.0, "--alpha must be in (0, 1]")?;
-            writeln!(
-                out,
-                "min slots for E({rho}, k) <= {alpha}: k = {}",
-                min_servers_for_loss(rho, alpha)
-            )
-            .map_err(io_err)
+            let k = min_servers_for_loss(rho, alpha).ok_or_else(|| {
+                format!("E({rho}, k) <= {alpha} needs more than {MAX_SLOTS} slots")
+            })?;
+            writeln!(out, "min slots for E({rho}, k) <= {alpha}: k = {k}").map_err(io_err)
         }
         "mu" => {
             let lambda: f64 = required(args, "lambda")?;
@@ -1664,8 +1672,11 @@ fn calc<W: Write>(mode: &str, args: &Args, out: &mut W) -> Result<(), String> {
             let alpha: f64 = required(args, "alpha")?;
             ensure(positive(lambda), "--lambda must be positive and finite")?;
             ensure(slots > 0, "--slots must be at least 1")?;
+            ensure_slots(slots)?;
             ensure(alpha > 0.0 && alpha < 1.0, "--alpha must be in (0, 1)")?;
-            let mu = service_rate_for_loss(lambda, slots, alpha);
+            let mu = service_rate_for_loss(lambda, slots, alpha).ok_or_else(|| {
+                format!("no mu pins E(lambda/mu, {slots}) at {alpha}: the loss is too close to 1")
+            })?;
             writeln!(
                 out,
                 "mu = {mu:.6} (mean delay 1/mu = {:.3}) pins E(lambda/mu, {slots}) at {alpha}",

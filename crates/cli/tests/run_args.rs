@@ -104,6 +104,13 @@ fn run_rejects_out_of_range_link_settings() {
             "\"link_jitter\": -1.0",
             "link_jitter must be",
         ),
+        // One hop fits the clock, the 22-hop route of flow S2 does not.
+        (
+            "delay_long_path",
+            "\"link_delay\": 1.0",
+            "\"link_delay\": 1e12",
+            "(22 hops) overflows the simulation clock",
+        ),
     ] {
         let cfg = config_with(tag, from, to);
         assert_fails(&tempriv(&["run", cfg.to_str().unwrap()]), reason);

@@ -3,7 +3,8 @@
 //! they do not read: the binary exits 1, names the offender and prints
 //! the command's usage line instead of running with the input ignored.
 //! `sweep`, `profile`, `resume` and `calc` likewise exit 1 on values
-//! outside the range their computation takes, instead of panicking.
+//! outside the range their computation takes, instead of panicking, and
+//! `calc` exits 1 on a loss target no buffer it searches can reach.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -16,9 +17,9 @@ fn tempriv(args: &[&str]) -> Output {
         .expect("the tempriv binary starts")
 }
 
-/// Runs a command that would start a server or a load run if it
-/// accepted its input, killing it after a deadline so that a regression
-/// fails the test instead of hanging it.
+/// Runs a command that would start a server, a load run or a long
+/// solve if it accepted its input, killing it after a deadline so that a
+/// regression fails the test instead of hanging it.
 fn tempriv_with_deadline(args: &[&str]) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_tempriv"))
         .args(args)
@@ -241,6 +242,41 @@ fn calc_rejects_values_outside_each_formulas_domain() {
     ];
     for (args, reason, usage) in cases {
         assert_rejected(&tempriv(args), reason, usage);
+    }
+}
+
+#[test]
+fn calc_reports_unreachable_loss_targets_and_oversized_buffers() {
+    let cases: [(&[&str], &str, &str); 3] = [
+        (
+            &["calc", "servers", "--rho", "1e7", "--alpha", "0.01"],
+            "needs more than 1000000 slots",
+            "usage: tempriv calc servers --rho R --alpha A",
+        ),
+        (
+            &[
+                "calc",
+                "mu",
+                "--lambda",
+                "1",
+                "--slots",
+                "10",
+                "--alpha",
+                "0.9999999999999",
+            ],
+            "no mu pins E(lambda/mu, 10) at 0.9999999999999",
+            "usage: tempriv calc mu --lambda L --slots K --alpha A",
+        ),
+        (
+            &[
+                "calc", "mu", "--lambda", "1", "--slots", "10000000", "--alpha", "0.1",
+            ],
+            "--slots must be at most 1000000",
+            "usage: tempriv calc mu --lambda L --slots K --alpha A",
+        ),
+    ];
+    for (args, reason, usage) in cases {
+        assert_rejected(&tempriv_with_deadline(args), reason, usage);
     }
 }
 

@@ -17,18 +17,6 @@ use tempriv_queueing::erlang::service_rate_for_loss;
 
 use crate::delay::{DelayPlan, DelayStrategy};
 
-/// Number of flows routed through every node (the sink included).
-#[must_use]
-pub fn flows_per_node(routing: &RoutingTree, sources: &[NodeId]) -> Vec<u32> {
-    let mut counts = vec![0u32; routing.len()];
-    for &src in sources {
-        for node in routing.path(src) {
-            counts[node.index()] += 1;
-        }
-    }
-    counts
-}
-
 /// Builds the per-node rate-controlled delay plan.
 ///
 /// Each node carrying `m` flows sees aggregate Poisson-superposed traffic
@@ -38,8 +26,9 @@ pub fn flows_per_node(routing: &RoutingTree, sources: &[NodeId]) -> Vec<u32> {
 ///
 /// # Panics
 ///
-/// Panics if `per_flow_rate` is non-positive or not finite, `k == 0`, or
-/// `alpha` is not in (0, 1).
+/// Panics if `per_flow_rate` is non-positive or not finite, `k == 0`,
+/// `alpha` is not in (0, 1), or `alpha` is so close to 1 that `k` slots
+/// reach it at no offered load [`service_rate_for_loss`] searches.
 #[must_use]
 pub fn rate_controlled_plan(
     routing: &RoutingTree,
@@ -52,7 +41,7 @@ pub fn rate_controlled_plan(
         per_flow_rate.is_finite() && per_flow_rate > 0.0,
         "per-flow rate must be positive, got {per_flow_rate}"
     );
-    let counts = flows_per_node(routing, sources);
+    let counts = routing.flows_per_node(sources);
     let strategies: Vec<DelayStrategy> = counts
         .iter()
         .enumerate()
@@ -61,7 +50,8 @@ pub fn rate_controlled_plan(
                 DelayStrategy::None
             } else {
                 let lambda = f64::from(m) * per_flow_rate;
-                let mu = service_rate_for_loss(lambda, k, alpha);
+                let mu = service_rate_for_loss(lambda, k, alpha)
+                    .expect("loss target reachable with k slots");
                 DelayStrategy::exponential(1.0 / mu)
             }
         })
@@ -83,7 +73,7 @@ mod tests {
     #[test]
     fn counts_match_convergecast_structure() {
         let layout = Convergecast::paper_figure1();
-        let counts = flows_per_node(layout.routing(), layout.sources());
+        let counts = layout.routing().flows_per_node(layout.sources());
         // Sink and trunk carry all four flows.
         assert_eq!(counts[0], 4);
         for i in 1..=8 {
@@ -100,7 +90,7 @@ mod tests {
         let layout = Convergecast::paper_figure1();
         let (k, alpha, rate) = (10u32, 0.05, 0.5);
         let plan = rate_controlled_plan(layout.routing(), layout.sources(), rate, k, alpha);
-        let counts = flows_per_node(layout.routing(), layout.sources());
+        let counts = layout.routing().flows_per_node(layout.sources());
         for idx in 0..layout.len() {
             let strategy = plan.for_node(NodeId(idx as u32));
             if counts[idx] == 0 || idx == 0 {

@@ -185,6 +185,20 @@ impl ExperimentConfig {
         if !in_clock_range(self.link_jitter) {
             return Err(bad("link_jitter", TIME, self.link_jitter));
         }
+        // The longest route must also fit: each hop adds up to one
+        // delay plus one jitter to a packet's clock.
+        let max_hops = sources
+            .iter()
+            .filter_map(|&src| routing.hops(src))
+            .max()
+            .unwrap_or(0);
+        let per_hop = self.link_delay + self.link_jitter;
+        if !in_clock_range(per_hop * f64::from(max_hops)) {
+            return Err(ConfigError::Link(format!(
+                "link_delay + link_jitter ({per_hop:?}) over the longest route \
+                 ({max_hops} hops) overflows the simulation clock"
+            )));
+        }
         let link = LinkModel::constant(SimDuration::from_units(self.link_delay))
             .with_loss(self.link_loss)
             .with_jitter(self.link_jitter);

@@ -417,9 +417,9 @@ impl SimOutcome {
 
     /// Latency statistics of `flow` with the first `discard_frac` and
     /// last `discard_frac` of arrivals dropped — the steady-state view
-    /// that excludes the cold-start ramp (see
-    /// `tempriv_queueing::mm_inf::MmInf::warmup_time`) and the drain
-    /// tail.
+    /// that excludes the cold-start ramp (an M/M/∞ station started empty
+    /// holds `ρ·(1 − e^{−μt})` packets on average at time `t`) and the
+    /// drain tail.
     ///
     /// # Panics
     ///

@@ -84,24 +84,18 @@ pub fn expected_loads(sim: &NetworkSimulation) -> Vec<Option<NodeLoadModel>> {
     if rate <= 0.0 {
         return loads;
     }
-    // Flows through each node: every source's path, sink excluded (the
-    // sink consumes packets and never delays them).
-    let mut flows_through = vec![0u32; n];
-    for &src in sim.sources() {
-        let mut path = sim.routing().path(src);
-        path.pop();
-        for hop in path {
-            flows_through[hop.index()] += 1;
-        }
-    }
+    let flows_through = sim.routing().flows_per_node(sim.sources());
+    let sink = sim.routing().sink();
     let poisson_arrivals = matches!(model, TrafficModel::Poisson { .. });
     for (i, load) in loads.iter_mut().enumerate() {
         let flows = flows_through[i];
-        if flows == 0 {
+        #[allow(clippy::cast_possible_truncation)]
+        let node = NodeId(i as u32);
+        // The sink consumes packets and never delays them.
+        if flows == 0 || node == sink {
             continue;
         }
-        #[allow(clippy::cast_possible_truncation)]
-        let strategy = sim.delay_plan().for_node(NodeId(i as u32));
+        let strategy = sim.delay_plan().for_node(node);
         if strategy.is_none() {
             continue;
         }
@@ -1279,23 +1273,47 @@ mod tests {
 
     #[test]
     fn expected_loads_follow_route_fan_in() {
-        let sim = paper_sim(BufferPolicy::Unlimited, TrafficModel::poisson(0.5));
-        let loads = expected_loads(&sim);
-        // Every load present is λ = flows·rate, μ = 1/30.
-        let present: Vec<&NodeLoadModel> = loads.iter().flatten().collect();
-        assert!(!present.is_empty());
-        for load in &present {
-            assert!((load.mu - 1.0 / 30.0).abs() < 1e-12);
-            assert!(load.poisson_arrivals);
-            assert!(load.exponential_delay);
+        use tempriv_net::geometric::GeometricDeployment;
+        use tempriv_net::routing::RoutingTree;
+        use tempriv_sim::rng::RngFactory;
+        let figure1 = paper_sim(BufferPolicy::Unlimited, TrafficModel::poisson(0.5));
+        // A 200-node unit-disk field, BFS-routed to the corner sink.
+        let deploy = GeometricDeployment::new(14.0, 14.0, 200, 2.0);
+        let mut rng = RngFactory::new(3).stream(0);
+        let (topo, _) = deploy.sample_connected(&mut rng, 64).unwrap();
+        let routing = RoutingTree::shortest_path(&topo, NodeId(0)).unwrap();
+        let sources = (1..200).step_by(20).map(NodeId).collect();
+        let field = NetworkSimulation::builder(routing, sources)
+            .traffic(TrafficModel::poisson(0.25))
+            .packets_per_source(10)
+            .delay_plan(DelayPlan::shared_exponential(30.0))
+            .buffer_policy(BufferPolicy::Unlimited)
+            .seed(7)
+            .build()
+            .unwrap();
+        for (sim, rate) in [(&figure1, 0.5), (&field, 0.25)] {
+            let loads = expected_loads(sim);
+            let flows = sim.routing().flows_per_node(sim.sources());
+            let sink = sim.routing().sink().index();
+            // Every delaying node carries λ = flows through it × rate,
+            // μ = 1/30; only the sink and nodes off every route have no
+            // load.
+            for (i, load) in loads.iter().enumerate() {
+                let Some(load) = load else {
+                    assert!(flows[i] == 0 || i == sink, "node {i} has no load");
+                    continue;
+                };
+                assert_ne!(i, sink, "the sink never delays");
+                assert_eq!(load.lambda, f64::from(flows[i]) * rate, "node {i}");
+                assert!((load.mu - 1.0 / 30.0).abs() < 1e-12);
+                assert!(load.poisson_arrivals);
+                assert!(load.exponential_delay);
+            }
+            // Fan-in: some node carries more than one flow, so the max λ
+            // exceeds the single-flow λ.
+            let max_lambda = loads.iter().flatten().map(|l| l.lambda).fold(0.0, f64::max);
+            assert!(max_lambda > rate + 1e-12);
         }
-        // Fan-in: some node carries more than one flow, so the max λ
-        // exceeds the single-flow λ.
-        let max_lambda = present.iter().map(|l| l.lambda).fold(0.0, f64::max);
-        assert!(max_lambda > 0.5 + 1e-12);
-        // The sink never delays: its slot is None.
-        let sink = sim.routing().sink();
-        assert!(loads[sink.index()].is_none());
     }
 
     #[test]

@@ -195,15 +195,6 @@ impl Convergecast {
     pub const fn trunk_hops(&self) -> u32 {
         self.trunk_hops
     }
-
-    /// Number of flows whose route passes through `node`.
-    #[must_use]
-    pub fn flows_through(&self, node: NodeId) -> usize {
-        self.sources
-            .iter()
-            .filter(|&&src| self.routing.path(src).contains(&node))
-            .count()
-    }
 }
 
 /// Errors from convergecast layout construction.
@@ -266,13 +257,12 @@ mod tests {
     #[test]
     fn all_flows_share_the_trunk() {
         let c = Convergecast::paper_figure1();
-        // Every trunk node carries all four flows.
-        for i in 1..=8u32 {
-            assert_eq!(c.flows_through(NodeId(i)), 4, "trunk node {i}");
-        }
+        let flows = c.routing().flows_per_node(c.sources());
+        // Every trunk node (n1..=n8) carries all four flows.
+        assert_eq!(flows[1..=8], [4; 8]);
         // Each source carries exactly its own flow.
         for &src in c.sources() {
-            assert_eq!(c.flows_through(src), 1);
+            assert_eq!(flows[src.index()], 1);
         }
     }
 

@@ -8,7 +8,8 @@
 //!   (adversaries read headers and arrival times, never payloads),
 //! * [`topology`] — deployment graphs (line, grid, explicit),
 //! * [`geometric`] — random unit-disk deployments,
-//! * [`routing`] — min-hop convergecast routing trees (BFS),
+//! * [`routing`] — min-hop convergecast routing trees (BFS) and the
+//!   flows through each node that set its §4 load,
 //! * [`convergecast`] — the paper's Figure 1 evaluation layout: flows with
 //!   hop counts 15/22/9/11 merging on a shared trunk into the sink,
 //! * [`traffic`] — periodic (the §5 evaluation workload), jittered, and

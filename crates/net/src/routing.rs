@@ -175,6 +175,21 @@ impl RoutingTree {
         path
     }
 
+    /// Number of flows routed through every node, indexed by node, when
+    /// each of `sources` sends one flow to the sink (the sink included).
+    /// Times a per-flow rate, this is the Poisson-superposed arrival rate
+    /// λ of each station in the paper's §4 load model.
+    #[must_use]
+    pub fn flows_per_node(&self, sources: &[NodeId]) -> Vec<u32> {
+        let mut counts = vec![0u32; self.len()];
+        for &src in sources {
+            for node in self.path(src) {
+                counts[node.index()] += 1;
+            }
+        }
+        counts
+    }
+
     /// Number of routing children of `node` (nodes whose next hop is it).
     #[must_use]
     pub fn child_count(&self, node: NodeId) -> usize {

@@ -55,12 +55,49 @@ proptest! {
             prop_assert_eq!(layout.routing().hops(layout.source(flow)), Some(h));
         }
         // Every trunk node carries all flows.
-        for t in 1..=trunk {
-            prop_assert_eq!(layout.flows_through(NodeId(t)), flows.len());
+        let counts = layout.routing().flows_per_node(layout.sources());
+        for &c in &counts[1..=trunk as usize] {
+            prop_assert_eq!(c as usize, flows.len());
         }
         // Node count: sink + trunk + sum of private chains.
         let expected = 1 + trunk + flows.iter().map(|&h| h - trunk).sum::<u32>();
         prop_assert_eq!(layout.len() as u32, expected);
+    }
+
+    /// In any random routing tree, per-node flow counts are
+    /// non-decreasing along every source-to-sink path (traffic only
+    /// accumulates) and the sink carries every flow.
+    #[test]
+    fn tree_aggregation_monotone_along_paths(
+        parent_choices in prop::collection::vec(any::<usize>(), 0..40),
+        source_choices in prop::collection::vec(any::<usize>(), 0..12),
+    ) {
+        // Node i > 0 hangs off some earlier node, so the pointers always
+        // form a tree rooted at the sink n0.
+        let parents: Vec<Option<NodeId>> = std::iter::once(None)
+            .chain(
+                parent_choices
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &c)| Some(NodeId((c % (i + 1)) as u32))),
+            )
+            .collect();
+        let n = parents.len();
+        let tree = RoutingTree::from_parents(NodeId(0), parents).unwrap();
+        let sources: Vec<NodeId> = source_choices
+            .iter()
+            .map(|&c| NodeId((c % n) as u32))
+            .collect();
+        let counts = tree.flows_per_node(&sources);
+        prop_assert_eq!(counts.len(), n);
+        for &src in &sources {
+            let path = tree.path(src);
+            prop_assert!(counts[src.index()] >= 1);
+            for hop in path.windows(2) {
+                prop_assert!(counts[hop[1].index()] >= counts[hop[0].index()]);
+            }
+        }
+        prop_assert_eq!(counts[tree.sink().index()] as usize, sources.len());
     }
 
     /// Every traffic model produces positive gaps with the right mean.

@@ -15,6 +15,15 @@
 
 use crate::math::bisect;
 
+/// Largest buffer the inverse solvers search. Each evaluation of
+/// [`erlang_b`] is `O(k)`, so this cap bounds the cost of every solve; a
+/// target that needs more slots is reported as unreachable.
+pub const MAX_SLOTS: u32 = 1_000_000;
+
+/// Largest offered load [`service_rate_for_loss`] brackets before it
+/// reports the target unreachable.
+const MAX_OFFERED_LOAD: f64 = 1e12;
+
 /// Erlang loss (Erlang-B) probability `E(ρ, k)`.
 ///
 /// Evaluated with the standard numerically stable recurrence
@@ -51,34 +60,8 @@ pub fn erlang_b(rho: f64, k: u32) -> f64 {
     b
 }
 
-/// Occupancy PMF of an M/M/k/k station: truncated Poisson
-/// `p_i = (ρⁱ/i!) / Σ_{j=0..k} ρʲ/j!` for `i = 0..=k`.
-///
-/// # Panics
-///
-/// Panics if `rho` is negative or not finite.
-#[must_use]
-pub fn mmkk_occupancy_pmf(rho: f64, k: u32) -> Vec<f64> {
-    assert!(
-        rho.is_finite() && rho >= 0.0,
-        "offered load must be non-negative and finite, got {rho}"
-    );
-    // Build unnormalized terms iteratively: t_0 = 1, t_i = t_{i-1} * rho / i.
-    // Normalizing as we go keeps everything finite even for large rho.
-    let mut terms = Vec::with_capacity(k as usize + 1);
-    let mut t = 1.0f64;
-    let mut max_t = 1.0f64;
-    terms.push(t);
-    for i in 1..=k {
-        t = t * rho / i as f64;
-        max_t = max_t.max(t);
-        terms.push(t);
-    }
-    let sum: f64 = terms.iter().map(|x| x / max_t).sum();
-    terms.into_iter().map(|x| (x / max_t) / sum).collect()
-}
-
-/// Smallest `k` such that `E(ρ, k) ≤ alpha`.
+/// Smallest `k` such that `E(ρ, k) ≤ alpha`, or `None` if even
+/// [`MAX_SLOTS`] slots lose more than `alpha`.
 ///
 /// # Panics
 ///
@@ -89,36 +72,40 @@ pub fn mmkk_occupancy_pmf(rho: f64, k: u32) -> Vec<f64> {
 /// ```
 /// use tempriv_queueing::erlang::{erlang_b, min_servers_for_loss};
 ///
-/// let k = min_servers_for_loss(10.0, 0.01);
+/// let k = min_servers_for_loss(10.0, 0.01).unwrap();
 /// assert!(erlang_b(10.0, k) <= 0.01);
 /// assert!(k == 0 || erlang_b(10.0, k - 1) > 0.01);
+/// // Ten million erlangs need more slots than the solver searches.
+/// assert_eq!(min_servers_for_loss(1e7, 0.01), None);
 /// ```
 #[must_use]
-pub fn min_servers_for_loss(rho: f64, alpha: f64) -> u32 {
+pub fn min_servers_for_loss(rho: f64, alpha: f64) -> Option<u32> {
     assert!(
         alpha > 0.0 && alpha <= 1.0,
         "target loss must be in (0, 1], got {alpha}"
     );
     let mut k = 0u32;
-    // E(rho, k) -> 0 as k -> inf, so this terminates; the recurrence form
-    // below reuses B_{k-1} rather than recomputing from scratch.
+    // The recurrence form below reuses B_{k-1} rather than recomputing
+    // from scratch.
     let mut b = 1.0f64;
     while b > alpha {
+        if k == MAX_SLOTS {
+            return None;
+        }
         k += 1;
         b = rho * b / (k as f64 + rho * b);
-        assert!(k < 1_000_000, "loss target unreachable (rho = {rho})");
     }
-    k
+    Some(k)
 }
 
 /// The offered load `ρ*` at which `E(ρ*, k) = alpha` — the inverse of the
-/// loss formula in its first argument (which is strictly increasing in ρ).
+/// loss formula in its first argument (which is strictly increasing in ρ)
+/// — or `None` if `ρ*` exceeds [`MAX_OFFERED_LOAD`].
 ///
 /// # Panics
 ///
 /// Panics if `k == 0` (loss is identically 1) or `alpha` is not in (0, 1).
-#[must_use]
-pub fn offered_load_for_loss(k: u32, alpha: f64) -> f64 {
+fn offered_load_for_loss(k: u32, alpha: f64) -> Option<f64> {
     assert!(k > 0, "a station with no buffer slots always drops");
     assert!(
         alpha > 0.0 && alpha < 1.0,
@@ -128,10 +115,13 @@ pub fn offered_load_for_loss(k: u32, alpha: f64) -> f64 {
     let mut hi = 1.0f64;
     while erlang_b(hi, k) < alpha {
         hi *= 2.0;
-        assert!(hi < 1e12, "loss target {alpha} unreachable for k = {k}");
+        if hi >= MAX_OFFERED_LOAD {
+            return None;
+        }
     }
-    bisect(|rho| erlang_b(rho, k) - alpha, 0.0, hi, 200)
-        .expect("erlang_b is monotone; bracket is valid")
+    let rho = bisect(|rho| erlang_b(rho, k) - alpha, 0.0, hi, 200)
+        .expect("erlang_b is monotone; bracket is valid");
+    Some(rho)
 }
 
 /// Chooses the service rate μ (i.e. the reciprocal mean buffering delay)
@@ -139,6 +129,8 @@ pub fn offered_load_for_loss(k: u32, alpha: f64) -> f64 {
 /// incoming traffic rate `lambda` — the paper's rate-controlled tuning rule
 /// ("as we approach the sink and λ increases, we must decrease the average
 /// delay time 1/μ to maintain E(ρ,k) at a target packet drop rate α").
+/// Returns `None` if `k` slots reach `alpha` only at an offered load of
+/// 10¹² or more (an `alpha` within ~`k/10¹²` of 1).
 ///
 /// # Panics
 ///
@@ -149,16 +141,18 @@ pub fn offered_load_for_loss(k: u32, alpha: f64) -> f64 {
 /// ```
 /// use tempriv_queueing::erlang::{erlang_b, service_rate_for_loss};
 ///
-/// let mu = service_rate_for_loss(0.5, 10, 0.1);
+/// let mu = service_rate_for_loss(0.5, 10, 0.1).unwrap();
 /// assert!((erlang_b(0.5 / mu, 10) - 0.1).abs() < 1e-9);
+/// // Ten slots lose 1e-13 of the traffic only at loads near 1e14.
+/// assert_eq!(service_rate_for_loss(1.0, 10, 1.0 - 1e-13), None);
 /// ```
 #[must_use]
-pub fn service_rate_for_loss(lambda: f64, k: u32, alpha: f64) -> f64 {
+pub fn service_rate_for_loss(lambda: f64, k: u32, alpha: f64) -> Option<f64> {
     assert!(
         lambda.is_finite() && lambda > 0.0,
         "arrival rate must be positive, got {lambda}"
     );
-    lambda / offered_load_for_loss(k, alpha)
+    offered_load_for_loss(k, alpha).map(|rho| lambda / rho)
 }
 
 #[cfg(test)]
@@ -229,34 +223,10 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_pmf_normalizes_and_truncates() {
-        let pmf = mmkk_occupancy_pmf(15.0, 10);
-        assert_eq!(pmf.len(), 11);
-        let sum: f64 = pmf.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-        // Blocking probability = P(N = k).
-        assert!((pmf[10] - erlang_b(15.0, 10)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn occupancy_pmf_small_load_concentrates_at_zero() {
-        let pmf = mmkk_occupancy_pmf(0.01, 5);
-        assert!(pmf[0] > 0.99);
-    }
-
-    #[test]
-    fn occupancy_pmf_handles_huge_load() {
-        let pmf = mmkk_occupancy_pmf(1e8, 10);
-        let sum: f64 = pmf.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-        assert!(pmf[10] > 0.999);
-    }
-
-    #[test]
     fn min_servers_inverse_of_loss() {
         for &rho in &[0.5, 2.0, 10.0, 40.0] {
             for &alpha in &[0.2, 0.05, 0.01] {
-                let k = min_servers_for_loss(rho, alpha);
+                let k = min_servers_for_loss(rho, alpha).unwrap();
                 assert!(erlang_b(rho, k) <= alpha);
                 if k > 0 {
                     assert!(erlang_b(rho, k - 1) > alpha);
@@ -269,7 +239,7 @@ mod tests {
     fn offered_load_inverts_loss() {
         for &k in &[1u32, 5, 10, 50] {
             for &alpha in &[0.01, 0.1, 0.5] {
-                let rho = offered_load_for_loss(k, alpha);
+                let rho = offered_load_for_loss(k, alpha).unwrap();
                 assert!(
                     (erlang_b(rho, k) - alpha).abs() < 1e-9,
                     "k={k} alpha={alpha} rho={rho}"
@@ -280,8 +250,8 @@ mod tests {
 
     #[test]
     fn service_rate_scales_linearly_with_lambda() {
-        let mu1 = service_rate_for_loss(0.5, 10, 0.1);
-        let mu2 = service_rate_for_loss(1.0, 10, 0.1);
+        let mu1 = service_rate_for_loss(0.5, 10, 0.1).unwrap();
+        let mu2 = service_rate_for_loss(1.0, 10, 0.1).unwrap();
         assert!((mu2 / mu1 - 2.0).abs() < 1e-9);
     }
 

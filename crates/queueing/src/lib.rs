@@ -7,13 +7,8 @@
 //!   numerically stable evaluation and the inverse solvers behind RCAD's
 //!   *rate-controlled* tuning,
 //! * [`mm_inf`] — the M/M/∞ buffering model (occupancy is Poisson(ρ)),
-//! * [`mmkk`] — finite-buffer M/M/k/k stations,
-//! * [`tandem`] — multihop paths via Burke's theorem, with Erlang and
-//!   hypoexponential end-to-end delay laws,
-//! * [`tree`] — routing trees with Poisson superposition and per-node
-//!   service-rate assignment for a target drop rate,
-//! * [`poisson`] — the Poisson distribution/process utilities everything
-//!   above rests on,
+//! * [`poisson`] — the Poisson distribution, and the total-variation
+//!   distance that scores simulated occupancy against it,
 //! * [`goodness`] — Kolmogorov–Smirnov and CV² checks used to validate
 //!   Burke's theorem on simulated departures,
 //! * [`math`] — log-gamma and bisection.
@@ -41,15 +36,9 @@ pub mod erlang;
 pub mod goodness;
 pub mod math;
 pub mod mm_inf;
-pub mod mmkk;
 pub mod poisson;
-pub mod tandem;
-pub mod tree;
 
-pub use erlang::{erlang_b, min_servers_for_loss, offered_load_for_loss, service_rate_for_loss};
+pub use erlang::{erlang_b, min_servers_for_loss, service_rate_for_loss, MAX_SLOTS};
 pub use goodness::{cv_squared, ks_critical_5pct, ks_exponential, ks_statistic};
 pub use mm_inf::MmInf;
-pub use mmkk::Mmkk;
 pub use poisson::Poisson;
-pub use tandem::{Erlang, Hypoexponential, TandemPath};
-pub use tree::{QueueTree, TreeNodeId};

@@ -56,8 +56,8 @@ pub fn ln_factorial(n: u64) -> f64 {
 /// Finds a root of `f` on `[lo, hi]` by bisection.
 ///
 /// `f(lo)` and `f(hi)` must bracket a sign change. Returns the midpoint of
-/// the final bracket after `iterations` halvings (64 halvings exhaust f64
-/// precision).
+/// the final bracket after `iterations` halvings, or sooner once the
+/// bracket is two adjacent floats and cannot shrink further.
 ///
 /// # Errors
 ///
@@ -79,6 +79,10 @@ where
     }
     for _ in 0..iterations {
         let mid = 0.5 * (lo + hi);
+        if mid == lo || mid == hi {
+            // Adjacent floats: no further halving can move the bracket.
+            break;
+        }
         let fmid = f(mid);
         if fmid == 0.0 {
             return Ok(mid);

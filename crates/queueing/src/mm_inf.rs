@@ -49,24 +49,6 @@ impl MmInf {
         MmInf { lambda, mu }
     }
 
-    /// Arrival rate λ.
-    #[must_use]
-    pub const fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Service rate μ (reciprocal of the mean buffering delay).
-    #[must_use]
-    pub const fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// Mean buffering delay `1/μ`.
-    #[must_use]
-    pub fn mean_delay(&self) -> f64 {
-        1.0 / self.mu
-    }
-
     /// Utilization factor `ρ = λ/μ`.
     #[must_use]
     pub fn utilization(&self) -> f64 {
@@ -83,12 +65,6 @@ impl MmInf {
     #[must_use]
     pub fn occupancy(&self) -> Poisson {
         Poisson::new(self.utilization())
-    }
-
-    /// `P(N = k)` at stationarity (paper: `p_k = ρᵏ e^{−ρ} / k!`).
-    #[must_use]
-    pub fn occupancy_pmf(&self, k: u64) -> f64 {
-        self.occupancy().pmf(k)
     }
 
     /// Probability that more than `k` packets are buffered — how often a
@@ -108,47 +84,6 @@ impl MmInf {
     pub fn buffer_for_confidence(&self, q: f64) -> u64 {
         self.occupancy().quantile(q)
     }
-
-    /// Departure rate at stationarity. By Burke's theorem the output of a
-    /// stable birth–death station is Poisson at the input rate, which is
-    /// what lets the paper chain stations into tandem paths and trees.
-    #[must_use]
-    pub const fn departure_rate(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Mean occupancy at time `t` after a cold start (empty buffer):
-    /// `ρ·(1 − e^{−μt})`. The occupancy of an M/M/∞ station started
-    /// empty is Poisson with this time-varying mean — the transient the
-    /// finite-run experiments must out-wait before measurements reflect
-    /// the stationary law.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is negative or not finite.
-    #[must_use]
-    pub fn transient_mean_occupancy(&self, t: f64) -> f64 {
-        assert!(
-            t.is_finite() && t >= 0.0,
-            "time must be non-negative, got {t}"
-        );
-        self.utilization() * (1.0 - (-self.mu * t).exp())
-    }
-
-    /// Time for the mean occupancy to reach a fraction `frac` of its
-    /// stationary value ρ — how long a measurement must warm up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frac` is not in `(0, 1)`.
-    #[must_use]
-    pub fn warmup_time(&self, frac: f64) -> f64 {
-        assert!(
-            frac > 0.0 && frac < 1.0,
-            "fraction must be in (0,1), got {frac}"
-        );
-        -(1.0 - frac).ln() / self.mu
-    }
 }
 
 #[cfg(test)]
@@ -160,7 +95,7 @@ mod tests {
         // 1/lambda = 2, 1/mu = 30 => rho = 15.
         let m = MmInf::new(0.5, 1.0 / 30.0);
         assert!((m.utilization() - 15.0).abs() < 1e-12);
-        assert!((m.mean_delay() - 30.0).abs() < 1e-12);
+        assert_eq!(m.mean_occupancy(), m.utilization());
     }
 
     #[test]
@@ -170,7 +105,7 @@ mod tests {
         for k in 0..10u64 {
             let manual = rho.powi(k as i32) * (-rho).exp()
                 / (1..=k).map(|i| i as f64).product::<f64>().max(1.0);
-            assert!((m.occupancy_pmf(k) - manual).abs() < 1e-12, "k = {k}");
+            assert!((m.occupancy().pmf(k) - manual).abs() < 1e-12, "k = {k}");
         }
     }
 
@@ -195,39 +130,6 @@ mod tests {
         // With the Mica-2's ~10 slots, a rho = 15 load overflows almost
         // always — the paper's motivation for RCAD.
         assert!(m.overflow_probability(10) > 0.8);
-    }
-
-    #[test]
-    fn departure_equals_arrival_rate() {
-        let m = MmInf::new(0.7, 0.2);
-        assert_eq!(m.departure_rate(), 0.7);
-    }
-
-    #[test]
-    fn transient_occupancy_relaxes_to_rho() {
-        let m = MmInf::new(0.5, 1.0 / 30.0); // rho = 15
-        assert_eq!(m.transient_mean_occupancy(0.0), 0.0);
-        let half_life = m.warmup_time(0.5);
-        assert!((m.transient_mean_occupancy(half_life) - 7.5).abs() < 1e-9);
-        assert!(m.transient_mean_occupancy(1e6) > 14.999);
-        // Monotone.
-        let mut prev = 0.0;
-        for i in 1..20 {
-            let n = m.transient_mean_occupancy(i as f64 * 10.0);
-            assert!(n > prev);
-            prev = n;
-        }
-    }
-
-    #[test]
-    fn warmup_time_matches_inverse() {
-        let m = MmInf::new(0.5, 0.1);
-        let t = m.warmup_time(0.95);
-        assert!((m.transient_mean_occupancy(t) - 0.95 * m.utilization()).abs() < 1e-9);
-        // 95% warm-up of a 1/mu = 30 station is ~90 time units: the
-        // scale the finite paper runs must out-wait.
-        let paper = MmInf::new(0.5, 1.0 / 30.0);
-        assert!((paper.warmup_time(0.95) - 89.87).abs() < 0.1);
     }
 
     #[test]

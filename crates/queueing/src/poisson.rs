@@ -1,9 +1,8 @@
-//! Poisson distribution and process utilities.
+//! The Poisson distribution.
 //!
-//! The paper's traffic model leans on two classical properties: the
-//! *superposition* of independent Poisson flows is Poisson with the summed
-//! rate (how flows merge as they approach the sink, §4), and the M/M/∞
-//! occupancy law is a Poisson distribution in `ρ` (§4).
+//! The M/M/∞ occupancy law of §4 is a Poisson distribution in `ρ`. (The
+//! other Poisson property §4 uses, superposition of merging flows, is the
+//! per-node flow count `RoutingTree::flows_per_node` in `tempriv-net`.)
 
 use serde::{Deserialize, Serialize};
 
@@ -18,7 +17,7 @@ use crate::math::ln_factorial;
 ///
 /// let p = Poisson::new(2.0);
 /// assert!((p.pmf(0) - (-2.0f64).exp()).abs() < 1e-12);
-/// assert_eq!(p.mean(), 2.0);
+/// assert!((p.cdf(1) - 3.0 * (-2.0f64).exp()).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Poisson {
@@ -38,18 +37,6 @@ impl Poisson {
             "Poisson mean must be non-negative and finite, got {rho}"
         );
         Poisson { rho }
-    }
-
-    /// The distribution mean (and variance) ρ.
-    #[must_use]
-    pub const fn mean(&self) -> f64 {
-        self.rho
-    }
-
-    /// The distribution variance (equal to the mean).
-    #[must_use]
-    pub const fn variance(&self) -> f64 {
-        self.rho
     }
 
     /// `P(N = k)`, evaluated in log space for numerical stability.
@@ -94,29 +81,6 @@ impl Poisson {
             );
         }
     }
-}
-
-/// Rate of the superposition of independent Poisson flows (§4: "the
-/// combined stream arriving at node i of m independent Poisson processes
-/// with rate λ_ij is a Poisson process with rate λ_i = Σ λ_ij").
-///
-/// # Panics
-///
-/// Panics if any rate is negative or not finite.
-#[must_use]
-pub fn superpose<I>(rates: I) -> f64
-where
-    I: IntoIterator<Item = f64>,
-{
-    rates
-        .into_iter()
-        .inspect(|&r| {
-            assert!(
-                r.is_finite() && r >= 0.0,
-                "flow rates must be non-negative and finite, got {r}"
-            );
-        })
-        .sum()
 }
 
 /// Total-variation distance between an empirical PMF and a Poisson(ρ) —
@@ -200,19 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn superpose_sums_rates() {
-        assert_eq!(superpose([0.1, 0.2, 0.3]), 0.6000000000000001);
-        assert_eq!(superpose(std::iter::empty::<f64>()), 0.0);
-    }
-
-    #[test]
-    fn paper_superposition_example() {
-        // Four sources at rate lambda merge to 4*lambda before the sink.
-        let lambda = 1.0 / 2.0;
-        assert_eq!(superpose(vec![lambda; 4]), 2.0);
-    }
-
-    #[test]
     fn tv_distance_zero_for_exact_pmf() {
         let p = Poisson::new(3.0);
         let empirical: Vec<(u64, f64)> = (0..100).map(|k| (k, p.pmf(k))).collect();
@@ -229,6 +180,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_rate_rejected() {
-        let _ = superpose([1.0, -0.5]);
+        let _ = Poisson::new(-0.5);
     }
 }

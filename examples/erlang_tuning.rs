@@ -11,7 +11,7 @@
 //! cargo run --release --example erlang_tuning
 //! ```
 
-use temporal_privacy::core::adaptive_mu::{flows_per_node, rate_controlled_plan};
+use temporal_privacy::core::adaptive_mu::rate_controlled_plan;
 use temporal_privacy::core::{
     evaluate_adversary, BaselineAdversary, BufferPolicy, DelayPlan, NetworkSimulation,
 };
@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The §4 design rule, node by node.
     let plan = rate_controlled_plan(layout.routing(), layout.sources(), per_flow_rate, k, alpha);
-    let counts = flows_per_node(layout.routing(), layout.sources());
+    let counts = layout.routing().flows_per_node(layout.sources());
 
     println!("Per-node assignment for target loss alpha = {alpha} (1/lambda = {inv_lambda}):\n");
     println!(

@@ -18,7 +18,7 @@
 //! |---|---|---|
 //! | [`core`] | `tempriv-core` | RCAD, delay plans, adversaries, the network simulation |
 //! | [`net`] | `tempriv-net` | packets, topologies, routing, traffic, mobility |
-//! | [`queueing`] | `tempriv-queueing` | Erlang loss, M/M/∞, M/M/k/k, tandem/tree models |
+//! | [`queueing`] | `tempriv-queueing` | Erlang loss and its inverses, M/M/∞, Poisson, goodness-of-fit |
 //! | [`infotheory`] | `tempriv-infotheory` | entropies, mutual information, leakage bounds |
 //! | [`sim`] | `tempriv-sim` | the deterministic discrete-event kernel |
 //! | [`runtime`] | `tempriv-runtime` | the worker pool, result cache and run manifests sweeps run on |

@@ -2,7 +2,7 @@
 //! simulator: does pinning the Erlang loss per node actually equalize
 //! preemption pressure in a running network?
 
-use temporal_privacy::core::adaptive_mu::{flows_per_node, rate_controlled_plan};
+use temporal_privacy::core::adaptive_mu::rate_controlled_plan;
 use temporal_privacy::core::{BufferPolicy, DelayPlan, NetworkSimulation};
 use temporal_privacy::net::convergecast::Convergecast;
 use temporal_privacy::net::TrafficModel;
@@ -24,7 +24,7 @@ fn run(plan: DelayPlan, inv_lambda: f64) -> temporal_privacy::core::SimOutcome {
 fn rate_controlled_plan_equalizes_preemption_pressure() {
     let layout = Convergecast::paper_figure1();
     let inv_lambda = 4.0;
-    let counts = flows_per_node(layout.routing(), layout.sources());
+    let counts = layout.routing().flows_per_node(layout.sources());
 
     let uniform = run(DelayPlan::shared_exponential(30.0), inv_lambda);
     let controlled = run(
