@@ -37,6 +37,7 @@ use tempriv_bench::harness::{best_of_interleaved, ModeTiming, OverheadSummary};
 use tempriv_core::buffer::{BufferPolicy, VictimPolicy};
 use tempriv_core::delay::DelayPlan;
 use tempriv_core::metrics::SimOutcome;
+use tempriv_core::sharded::MAX_SHARDS;
 use tempriv_core::sim_driver::NetworkSimulation;
 use tempriv_core::telemetry::privacy_probe_for;
 use tempriv_net::convergecast::Convergecast;
@@ -747,6 +748,11 @@ fn parse_args() -> Result<Args, String> {
     let workers = parse("--workers", get("--workers"), 1)?;
     if shards == 0 || workers == 0 {
         return Err("--shards and --workers must be positive".into());
+    }
+    if shards > MAX_SHARDS {
+        return Err(format!(
+            "--shards must be at most {MAX_SHARDS}, got {shards}"
+        ));
     }
     let out = get("--out").map_or_else(
         || {

@@ -1,5 +1,6 @@
 //! `perf_baseline` rejects an option its selected bench does not read,
-//! and the per-layer bench names, before it times anything.
+//! the per-layer bench names and a shard count past the limit, before it
+//! times anything.
 
 use std::process::Command;
 
@@ -28,6 +29,8 @@ fn rejects_what_the_selected_bench_does_not_read() {
     }
     let message = "--shards is not read by --bench overhead";
     assert_fails(&["--shards", "2"], message); // overhead is the default
+    let message = "--shards must be at most 64, got 65";
+    assert_fails(&["--bench", "scale", "--shards", "65"], message);
     for old in ["trace", "privacy", "span", "audit", "mem"] {
         let message = format!("bad --bench `{old}`; overhead or scale");
         assert_fails(&["--bench", old], &message);

@@ -51,12 +51,6 @@ impl Args {
         self.positional.get(idx).map(String::as_str)
     }
 
-    /// Number of positional arguments.
-    #[must_use]
-    pub fn positional_len(&self) -> usize {
-        self.positional.len()
-    }
-
     /// The value of option `--key`, if given.
     #[must_use]
     pub fn option(&self, key: &str) -> Option<&str> {
@@ -155,7 +149,7 @@ mod tests {
         ]);
         assert_eq!(args.positional(0), Some("run"));
         assert_eq!(args.positional(1), Some("cfg.json"));
-        assert_eq!(args.positional_len(), 2);
+        assert_eq!(args.positional(2), None);
         assert_eq!(args.option("seed"), Some("7"));
         assert_eq!(args.option("out"), Some("o.json"));
         assert!(args.flag("quiet"));
@@ -222,6 +216,6 @@ mod tests {
     fn empty_input() {
         let args = Args::parse(Vec::<String>::new());
         assert_eq!(args.positional(0), None);
-        assert_eq!(args.positional_len(), 0);
+        assert!(args.positional.is_empty());
     }
 }

@@ -158,7 +158,6 @@ fn outcome_digest_run(
     workers: usize,
 ) -> Result<RunDigest, String> {
     let sim = cfg.build().map_err(|e| e.to_string())?;
-    check_shardable(cfg, shards)?;
     let outcome = if shards > 1 {
         sim.run_sharded(shards, workers)
     } else {
@@ -201,6 +200,7 @@ fn audit_run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     if shards == 0 || workers == 0 {
         return Err("--shards and --workers must be positive".into());
     }
+    check_shardable(&cfg, shards).map_err(|e| format!("{e}\n{RUN_USAGE}"))?;
     let (digest, mode) = if args.flag("outcome") {
         (outcome_digest_run(&cfg, shards, workers)?, "outcome digest")
     } else if shards > 1 {

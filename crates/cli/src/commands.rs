@@ -11,6 +11,7 @@ use tempriv_core::config::ExperimentConfig;
 use tempriv_core::experiment::{fig2_sweep_with, Sweep, SweepParams};
 use tempriv_core::replication::{replicate, ReplicatedMetric};
 use tempriv_core::report::PrivacyAssessment;
+use tempriv_core::sharded::MAX_SHARDS;
 use tempriv_core::telemetry::{privacy_flow_configs, JobMem, JobSpans, JobTrace, TelemetryExport};
 use tempriv_core::SimOutcome;
 use tempriv_infotheory::bounds::{btq_packet_bound_nats, btq_stream_bound_nats};
@@ -254,8 +255,13 @@ pub(crate) fn io_err(e: std::io::Error) -> String {
 
 /// `--shards N` above 1 runs the sharded engine, whose conservative
 /// lookahead is the link delay: a config that rounds it to zero ticks
-/// cannot be sharded.
+/// cannot be sharded. `N` is at most [`MAX_SHARDS`].
 pub(crate) fn check_shardable(cfg: &ExperimentConfig, shards: u32) -> Result<(), String> {
+    if shards > MAX_SHARDS {
+        return Err(format!(
+            "--shards must be at most {MAX_SHARDS}, got {shards}"
+        ));
+    }
     if shards > 1 && tempriv_sim::time::SimDuration::from_units(cfg.link_delay).is_zero() {
         return Err(format!(
             "--shards {shards} needs a positive link_delay (the sharded engine's \
@@ -287,7 +293,7 @@ fn cmd_run<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     if shards == 0 || workers == 0 {
         return Err("--shards and --workers must be positive".into());
     }
-    check_shardable(&cfg, shards)?;
+    check_shardable(&cfg, shards).map_err(|e| format!("{e}\n{RUN_USAGE}"))?;
     let started = std::time::Instant::now();
     let outcome = if shards > 1 {
         sim.run_sharded(shards, workers)

@@ -1,7 +1,8 @@
 //! `tempriv run` rejects input it does not read: the binary exits 1 and
-//! prints the usage line instead of running with the input ignored. Bad
-//! link settings, and `--shards` on a zero link delay, exit 1 with a
-//! message naming the setting, never a panic.
+//! prints the usage line instead of running with the input ignored, and
+//! so does a `--shards` count past the limit. Bad link settings, a delay
+//! plan too long for the clock and `--shards` on a zero link delay exit 1
+//! with a message naming the setting, never a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -48,6 +49,12 @@ fn run_rejects_an_unknown_option_and_a_stray_positional() {
         "unexpected argument `extra`",
     );
     assert_rejected(&tempriv(&["run", cfg, "--seed"]), "--seed needs a value");
+    // Past the shard limit nothing runs: no engine per shard is built.
+    let too_many = "--shards must be at most 64, got 65";
+    assert_rejected(&tempriv(&["run", cfg, "--shards", "65"]), too_many);
+    let audit = tempriv(&["audit", "run", cfg, "--shards", "65", "--outcome"]);
+    assert_fails(&audit, too_many);
+    assert_fails(&audit, "usage: tempriv audit run");
     std::fs::remove_dir_all(std::path::Path::new(cfg).parent().unwrap()).unwrap();
 }
 
@@ -110,6 +117,20 @@ fn run_rejects_out_of_range_link_settings() {
             "\"link_delay\": 1.0",
             "\"link_delay\": 1e12",
             "(22 hops) overflows the simulation clock",
+        ),
+        // Each exponential draw can reach ~37 means: 22 hops of them at
+        // mean 1e12 do not fit.
+        (
+            "delay_plan_long_path",
+            "\"mean\": 30.0",
+            "\"mean\": 1e12",
+            "invalid delay plan: the largest delay mean (1000000000000.0)",
+        ),
+        (
+            "delay_plan_zero_mean",
+            "\"mean\": 30.0",
+            "\"mean\": 0.0",
+            "invalid delay plan: Exponential { mean: 0.0 } needs a positive finite mean",
         ),
     ] {
         let cfg = config_with(tag, from, to);

@@ -67,7 +67,6 @@ pub fn rate_controlled_plan(
 mod tests {
     use super::*;
     use tempriv_net::convergecast::Convergecast;
-    use tempriv_net::ids::FlowId;
     use tempriv_queueing::erlang::erlang_b;
 
     #[test]
@@ -112,7 +111,7 @@ mod tests {
         let layout = Convergecast::paper_figure1();
         let plan = rate_controlled_plan(layout.routing(), layout.sources(), 0.5, 10, 0.05);
         let trunk_mean = plan.for_node(NodeId(1)).mean();
-        let source_mean = plan.for_node(layout.source(FlowId(0))).mean();
+        let source_mean = plan.for_node(layout.sources()[0]).mean();
         // 4x the traffic => 1/4 the delay budget.
         assert!((source_mean / trunk_mean - 4.0).abs() < 1e-6);
     }
@@ -122,10 +121,10 @@ mod tests {
         let layout = Convergecast::paper_figure1();
         let plan = rate_controlled_plan(layout.routing(), layout.sources(), 0.5, 10, 0.05);
         // Expected artificial delay along S1's path (exclude the sink).
-        let path = layout.routing().path(layout.source(FlowId(0)));
+        let path = layout.routing().path(layout.sources()[0]);
         let total = plan.path_mean_delay(&path[..path.len() - 1]);
         // 7 private hops at the single-flow mean + 8 trunk hops at 1/4 it.
-        let single = plan.for_node(layout.source(FlowId(0))).mean();
+        let single = plan.for_node(layout.sources()[0]).mean();
         let expected = 7.0 * single + 8.0 * single / 4.0;
         assert!(
             (total - expected).abs() < 1e-6,

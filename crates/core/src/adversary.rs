@@ -295,13 +295,6 @@ impl WindowedAdaptiveAdversary {
         );
         WindowedAdaptiveAdversary { window, threshold }
     }
-
-    /// A window of 100 time units with the paper's 0.1 threshold —
-    /// several burst lengths at the evaluation's traffic scales.
-    #[must_use]
-    pub fn paper_default() -> Self {
-        WindowedAdaptiveAdversary::new(100.0, 0.1)
-    }
 }
 
 impl Adversary for WindowedAdaptiveAdversary {
@@ -701,7 +694,7 @@ mod tests {
         let observations = vec![obs(500.0, 0, 15, 1)];
         let k = knowledge(30.0, None);
         let est =
-            WindowedAdaptiveAdversary::paper_default().estimate_creation_times(&observations, &k);
+            WindowedAdaptiveAdversary::new(100.0, 0.1).estimate_creation_times(&observations, &k);
         let base = BaselineAdversary.estimate_creation_times(&observations, &k);
         assert_eq!(est, base);
     }

@@ -15,8 +15,13 @@ use tempriv_net::traffic::TrafficModel;
 use tempriv_sim::time::{SimDuration, TICKS_PER_UNIT};
 
 use crate::buffer::BufferPolicy;
-use crate::delay::DelayPlan;
+use crate::delay::{DelayPlan, DelayStrategy};
 use crate::sim_driver::{BuildError, NetworkSimulation};
+
+/// Longest delay one node can draw, in means of its strategy: an
+/// exponential draw is `-mean·ln(1 − u)` with `1 − u ≥ 2⁻⁵³`, so at most
+/// `53·ln 2 ≈ 36.7` means; uniform and constant draws stay within two.
+const DELAY_TAIL_FACTOR: f64 = 37.0;
 
 /// Which deployment to simulate.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -164,8 +169,10 @@ impl ExperimentConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if the layout, the link settings or the
-    /// simulation parameters are invalid.
+    /// Returns [`ConfigError`] if the layout, the link settings, the delay
+    /// plan or the simulation parameters are invalid, or if the longest
+    /// route's link time and worst-case delays overflow the simulation
+    /// clock.
     pub fn build(&self) -> Result<NetworkSimulation, ConfigError> {
         let (routing, sources) = self.layout.build()?;
         // A span the simulation clock can hold: finite, non-negative, and
@@ -199,6 +206,34 @@ impl ExperimentConfig {
                  ({max_hops} hops) overflows the simulation clock"
             )));
         }
+        let strategies = match &self.delay {
+            DelayPlan::Shared(strategy) => std::slice::from_ref(strategy).iter().chain(None),
+            DelayPlan::PerNode {
+                strategies,
+                fallback,
+            } => strategies.iter().chain(Some(fallback)),
+        };
+        // A plan read from JSON has had no range check yet.
+        let invalid = |strategy: &&DelayStrategy| match **strategy {
+            DelayStrategy::None => false,
+            DelayStrategy::Exponential { mean } | DelayStrategy::Uniform { mean } => {
+                !(mean.is_finite() && mean > 0.0)
+            }
+            DelayStrategy::Constant { delay } => !(delay.is_finite() && delay >= 0.0),
+        };
+        if let Some(bad) = strategies.clone().find(invalid) {
+            return Err(ConfigError::Delay(format!(
+                "{bad:?} needs a positive finite mean (a constant delay: non-negative)"
+            )));
+        }
+        let max_mean = strategies.map(DelayStrategy::mean).fold(0.0, f64::max);
+        if !in_clock_range((per_hop + DELAY_TAIL_FACTOR * max_mean) * f64::from(max_hops)) {
+            return Err(ConfigError::Delay(format!(
+                "the largest delay mean ({max_mean:?}) times {DELAY_TAIL_FACTOR}, plus the \
+                 link time, over the longest route ({max_hops} hops) overflows the \
+                 simulation clock"
+            )));
+        }
         let link = LinkModel::constant(SimDuration::from_units(self.link_delay))
             .with_loss(self.link_loss)
             .with_jitter(self.link_jitter);
@@ -222,6 +257,9 @@ pub enum ConfigError {
     Layout(LayoutBuildError),
     /// A `link_*` setting is out of range; says which and why.
     Link(String),
+    /// A delay strategy is out of range, or the plan's worst-case delays
+    /// cannot fit on the clock; says which.
+    Delay(String),
     /// The simulation parameters failed validation.
     Simulation(BuildError),
 }
@@ -243,6 +281,7 @@ impl core::fmt::Display for ConfigError {
         match self {
             ConfigError::Layout(e) => write!(f, "{e}"),
             ConfigError::Link(reason) => write!(f, "invalid link: {reason}"),
+            ConfigError::Delay(reason) => write!(f, "invalid delay plan: {reason}"),
             ConfigError::Simulation(e) => write!(f, "{e}"),
         }
     }

@@ -119,22 +119,6 @@ pub fn decomposed_plan(
     }
 }
 
-/// Analytic delay variance of the reference flow under a plan (sum of
-/// per-node exponential variances along its path) — the privacy scale a
-/// mean-correcting adversary faces on an unlimited-buffer network.
-#[must_use]
-pub fn reference_delay_variance(
-    routing: &RoutingTree,
-    sources: &[NodeId],
-    plan: &DelayPlan,
-) -> f64 {
-    let path = routing.path(sources[0]);
-    path[..path.len() - 1]
-        .iter()
-        .map(|&v| plan.for_node(v).variance())
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,8 +129,22 @@ mod tests {
         Convergecast::paper_figure1()
     }
 
+    /// Analytic delay variance of the reference flow under a plan (sum of
+    /// per-node exponential variances along its path).
+    fn reference_delay_variance(
+        routing: &RoutingTree,
+        sources: &[NodeId],
+        plan: &DelayPlan,
+    ) -> f64 {
+        let path = routing.path(sources[0]);
+        path[..path.len() - 1]
+            .iter()
+            .map(|&v| plan.for_node(v).variance())
+            .sum()
+    }
+
     fn budget_of(plan: &DelayPlan, layout: &Convergecast, flow: FlowId) -> f64 {
-        let path = layout.routing().path(layout.source(flow));
+        let path = layout.routing().path(layout.sources()[flow.index()]);
         plan.path_mean_delay(&path[..path.len() - 1])
     }
 
@@ -155,7 +153,7 @@ mod tests {
         let l = layout();
         let plan = decomposed_plan(l.routing(), l.sources(), 450.0, DecompositionShape::Uniform);
         // Reference flow (S1, 15 hops): 450/15 = 30 per node.
-        let path = l.routing().path(l.source(FlowId(0)));
+        let path = l.routing().path(l.sources()[0]);
         for &v in &path[..path.len() - 1] {
             assert!((plan.for_node(v).mean() - 30.0).abs() < 1e-9);
         }
@@ -174,7 +172,7 @@ mod tests {
         for i in 0..l.num_flows() {
             let flow = FlowId(i as u32);
             assert!((budget_of(&plan, &l, flow) - 450.0).abs() < 1e-9);
-            assert!((plan.for_node(l.source(flow)).mean() - 450.0).abs() < 1e-9);
+            assert!((plan.for_node(l.sources()[flow.index()]).mean() - 450.0).abs() < 1e-9);
         }
         // Forwarders do not delay.
         assert!(plan.for_node(tempriv_net::ids::NodeId(1)).is_none());
@@ -189,7 +187,7 @@ mod tests {
             450.0,
             DecompositionShape::FarFromSink,
         );
-        let path = l.routing().path(l.source(FlowId(0)));
+        let path = l.routing().path(l.sources()[0]);
         let means: Vec<f64> = path[..path.len() - 1]
             .iter()
             .map(|&v| plan.for_node(v).mean())
@@ -210,7 +208,7 @@ mod tests {
             450.0,
             DecompositionShape::NearSink,
         );
-        let path = l.routing().path(l.source(FlowId(0)));
+        let path = l.routing().path(l.sources()[0]);
         let means: Vec<f64> = path[..path.len() - 1]
             .iter()
             .map(|&v| plan.for_node(v).mean())

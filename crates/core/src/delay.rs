@@ -51,34 +51,6 @@ impl DelayStrategy {
         DelayStrategy::Exponential { mean }
     }
 
-    /// Uniform delay on `[0, 2·mean]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is non-positive or not finite.
-    #[must_use]
-    pub fn uniform(mean: f64) -> Self {
-        assert!(
-            mean.is_finite() && mean > 0.0,
-            "delay mean must be positive, got {mean}"
-        );
-        DelayStrategy::Uniform { mean }
-    }
-
-    /// Constant delay of `delay`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is negative or not finite.
-    #[must_use]
-    pub fn constant(delay: f64) -> Self {
-        assert!(
-            delay.is_finite() && delay >= 0.0,
-            "delay must be non-negative, got {delay}"
-        );
-        DelayStrategy::Constant { delay }
-    }
-
     /// Mean of the delay distribution (what a deployment-aware adversary
     /// knows by Kerckhoff's principle).
     #[must_use]
@@ -169,18 +141,6 @@ impl DelayPlan {
     pub fn path_mean_delay<'a, I: IntoIterator<Item = &'a NodeId>>(&self, path: I) -> f64 {
         path.into_iter().map(|&n| self.for_node(n).mean()).sum()
     }
-
-    /// `true` if no node ever buffers.
-    #[must_use]
-    pub fn is_no_delay(&self) -> bool {
-        match self {
-            DelayPlan::Shared(s) => s.is_none(),
-            DelayPlan::PerNode {
-                strategies,
-                fallback,
-            } => strategies.iter().all(DelayStrategy::is_none) && fallback.is_none(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -205,7 +165,7 @@ mod tests {
 
     #[test]
     fn uniform_sample_band_and_mean() {
-        let s = DelayStrategy::uniform(30.0);
+        let s = DelayStrategy::Uniform { mean: 30.0 };
         let mut r = rng();
         let mut total = 0.0;
         for _ in 0..50_000 {
@@ -221,13 +181,13 @@ mod tests {
     fn constant_and_none_are_degenerate() {
         let mut r = rng();
         assert_eq!(
-            DelayStrategy::constant(5.0).sample(&mut r),
+            DelayStrategy::Constant { delay: 5.0 }.sample(&mut r),
             SimDuration::from_units(5.0)
         );
         assert_eq!(DelayStrategy::None.sample(&mut r), SimDuration::ZERO);
         assert!(DelayStrategy::None.is_none());
         assert_eq!(DelayStrategy::None.mean(), 0.0);
-        assert_eq!(DelayStrategy::constant(5.0).variance(), 0.0);
+        assert_eq!(DelayStrategy::Constant { delay: 5.0 }.variance(), 0.0);
     }
 
     #[test]
@@ -235,8 +195,8 @@ mod tests {
         let plan = DelayPlan::shared_exponential(30.0);
         assert_eq!(plan.for_node(NodeId(0)).mean(), 30.0);
         assert_eq!(plan.for_node(NodeId(999)).mean(), 30.0);
-        assert!(!plan.is_no_delay());
-        assert!(DelayPlan::no_delay().is_no_delay());
+        assert!(!plan.for_node(NodeId(3)).is_none());
+        assert!(DelayPlan::no_delay().for_node(NodeId(3)).is_none());
     }
 
     #[test]

@@ -404,41 +404,6 @@ impl SimOutcome {
         hasher.finish()
     }
 
-    /// Per-packet latencies of `flow` in arrival order (reconstructed
-    /// from the observation and truth logs).
-    #[must_use]
-    pub fn latency_series(&self, flow: FlowId) -> Vec<f64> {
-        self.observations
-            .iter()
-            .filter(|o| o.flow == flow)
-            .map(|o| (o.arrival - self.creation_time(o.packet)).as_units())
-            .collect()
-    }
-
-    /// Latency statistics of `flow` with the first `discard_frac` and
-    /// last `discard_frac` of arrivals dropped — the steady-state view
-    /// that excludes the cold-start ramp (an M/M/∞ station started empty
-    /// holds `ρ·(1 − e^{−μt})` packets on average at time `t`) and the
-    /// drain tail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `discard_frac` is not in `[0, 0.5)`.
-    #[must_use]
-    pub fn steady_state_latency(&self, flow: FlowId, discard_frac: f64) -> OnlineStats {
-        assert!(
-            (0.0..0.5).contains(&discard_frac),
-            "discard fraction must be in [0, 0.5), got {discard_frac}"
-        );
-        let series = self.latency_series(flow);
-        let skip = (series.len() as f64 * discard_frac) as usize;
-        let mut stats = OnlineStats::new();
-        for &l in &series[skip..series.len() - skip] {
-            stats.record(l);
-        }
-        stats
-    }
-
     /// Fraction of adjacent sink arrivals of `flow` that are out of
     /// application order — how thoroughly independent per-hop delays
     /// scramble the sequence (§3.2: the adversary only ever sees the
@@ -664,10 +629,9 @@ mod tests {
     #[test]
     fn latency_series_and_steady_state() {
         let outcome = outcome_with_one_flow();
-        assert_eq!(outcome.latency_series(FlowId(0)), vec![90.0, 110.0]);
-        let ss = outcome.steady_state_latency(FlowId(0), 0.0);
-        assert_eq!(ss.count(), 2);
-        assert_eq!(ss.mean(), 100.0);
+        let (xs, zs) = outcome.creation_arrival_pairs(FlowId(0));
+        let latencies: Vec<f64> = zs.iter().zip(&xs).map(|(z, x)| z - x).collect();
+        assert_eq!(latencies, vec![90.0, 110.0]);
     }
 
     #[test]

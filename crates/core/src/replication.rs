@@ -79,12 +79,6 @@ impl ReplicatedMetric {
             n: values.len() as u32,
         }
     }
-
-    /// `true` if `value` lies within the 95% interval around the mean.
-    #[must_use]
-    pub fn covers(&self, value: f64) -> bool {
-        (value - self.mean).abs() <= self.ci95
-    }
 }
 
 #[cfg(test)]
@@ -126,8 +120,6 @@ mod tests {
         assert_eq!(m.min, 1.0);
         assert_eq!(m.max, 3.0);
         assert_eq!(m.n, 3);
-        assert!(m.covers(2.0));
-        assert!(!m.covers(100.0));
     }
 
     #[test]

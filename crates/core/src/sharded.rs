@@ -53,6 +53,11 @@ use crate::metrics::{ShardStats, SimOutcome, TruthRecord};
 use crate::node_table::node_reports;
 use crate::sim_driver::{streams, Driver, Ev, NetworkSimulation, Workload};
 
+/// Most engine shards one simulation may be cut into. Every shard
+/// carries its own engine, packet store and report row, so the CLI,
+/// serve and the perf baseline reject a larger count before running.
+pub const MAX_SHARDS: u32 = 64;
+
 /// A partition of the routing tree's nodes into shards, built by one of
 /// two strategies with different contracts:
 ///

@@ -1,11 +1,8 @@
 //! Zero-allocation struct-of-arrays packet data plane.
 //!
-//! The simulation driver used to carry 80-byte [`Packet`] values inside
-//! events and park them in per-node `BTreeMap`s, paying one or more heap
-//! allocations per hop. [`PacketStore`] replaces that with a slab: every
-//! in-flight packet is a dense `u32` slot into parallel column `Vec`s
-//! (flow, origin, hop count, creation time, buffer timestamps), and a
-//! free list recycles slots so the steady-state path allocates nothing.
+//! [`PacketStore`] is a slab: every in-flight packet is a dense `u32`
+//! slot into parallel column `Vec`s (flow, origin, hop count, creation
+//! time, buffer timestamps), and a free list recycles slots so the steady-state path allocates nothing.
 //! Events and cross-shard handoffs ship plain slot indices.
 //!
 //! [`StoreBuffer`] is the companion per-node buffer: a `PacketId`-sorted
@@ -13,8 +10,6 @@
 //! `Vec`. The property tests (`tests/properties.rs`) pit it against a
 //! linear-scan reference model over a plain `Vec` — same victims, same
 //! smallest-`PacketId` tie-breaks, same RNG draw counts.
-//!
-//! [`Packet`]: tempriv_net::packet::Packet
 
 use tempriv_net::ids::{FlowId, NodeId, PacketId};
 use tempriv_sim::queue::EventId;
@@ -47,23 +42,6 @@ impl PacketStore {
     #[must_use]
     pub fn new() -> Self {
         PacketStore::default()
-    }
-
-    /// An empty store with column capacity for `cap` concurrent packets.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        PacketStore {
-            pid: Vec::with_capacity(cap),
-            flow: Vec::with_capacity(cap),
-            origin: Vec::with_capacity(cap),
-            hop_count: Vec::with_capacity(cap),
-            created_at: Vec::with_capacity(cap),
-            reading: Vec::with_capacity(cap),
-            buffered_at: Vec::with_capacity(cap),
-            release_at: Vec::with_capacity(cap),
-            timer: Vec::with_capacity(cap),
-            free: Vec::new(),
-        }
     }
 
     /// Admits a fresh packet, reusing a freed slot when one exists.

@@ -446,7 +446,7 @@ pub struct ScenarioMem {
     /// Scenario label within the job (matches the telemetry label).
     pub label: String,
     /// Per-slot allocation attribution for this scenario's run window
-    /// (kernel phases plus the pipeline layers).
+    /// (kernel phases plus the unscoped residual).
     pub ledger: MemBreakdown,
     /// Heap allocations made on the driver thread during the run.
     pub allocs: u64,
@@ -542,12 +542,6 @@ impl<'a> JobTelemetryCollector<'a> {
             audit: JobAudit::default(),
             mem: JobMem::default(),
         }
-    }
-
-    /// Whether telemetry is being recorded.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.sink.is_some()
     }
 
     /// Runs `sim`, probed iff collection is active. The returned
@@ -1342,7 +1336,7 @@ mod tests {
     fn collector_is_pass_through_without_a_sink() {
         let runtime = Runtime::new(tempriv_runtime::WorkerPool::with_workers(1));
         let mut collector = JobTelemetryCollector::for_job(&runtime, 0);
-        assert!(!collector.enabled());
+        assert!(collector.sink.is_none());
         let sim = paper_sim(BufferPolicy::paper_rcad(), TrafficModel::periodic(2.0));
         let probed = collector.run(&sim, "rcad");
         collector.finish();
@@ -1361,7 +1355,7 @@ mod tests {
             .unwrap();
         let sim = paper_sim(BufferPolicy::Unlimited, TrafficModel::poisson(0.5));
         let mut collector = JobTelemetryCollector::for_job(&runtime, 1);
-        assert!(collector.enabled());
+        assert!(collector.sink.is_some());
         let _ = collector.run(&sim, "unlimited");
         collector.finish();
         assert_eq!(sink.get(BlobKind::Telemetry, 0), None);
@@ -1382,7 +1376,7 @@ mod tests {
         let outcome = sim.run_probed(&mut probe);
         let telemetry = probe.finish(outcome.end_time);
         let theory = theory_report(&sim, &telemetry, &TheoryTolerance::default());
-        let mut spans = SpanSet::new();
+        let mut spans = SpanSet::default();
         spans.record("rcad", 0.25);
         let job = JobTelemetry {
             scenarios: vec![ScenarioTelemetry {
@@ -1431,6 +1425,70 @@ mod tests {
         assert_eq!(back, export);
         // The summary renders without panicking and names the experiment.
         assert!(export.summary_text().contains("experiment=fig2"));
+
+        // A mem blob written while the ledger still carried the
+        // always-zero serve/job/scenario rows parses as a JobMem and
+        // merges with a current one: the totals hold and no row shows for
+        // the retired slots, in the export and in `tempriv profile`'s
+        // merge alike.
+        let mut current = MemBreakdown::empty();
+        let arrive = tempriv_sim::profile::Phase::Arrive.index();
+        let unscoped = current.slots.len() - 1;
+        for (slot, allocs, bytes) in [(arrive, 3, 300), (unscoped, 2, 340)] {
+            current.slots[slot].allocs = allocs;
+            current.slots[slot].bytes = bytes;
+        }
+        current.total_allocs = 5;
+        current.total_bytes = 640;
+        let mut old = current.clone();
+        for (i, slot) in ["serve", "job", "scenario"].into_iter().enumerate() {
+            let row = tempriv_telemetry::SlotMem {
+                slot: slot.to_string(),
+                allocs: 0,
+                bytes: 0,
+            };
+            old.slots.insert(unscoped + i, row);
+        }
+        let blob = |ledger| {
+            let scenario = ScenarioMem {
+                label: "rcad".to_string(),
+                ledger,
+                allocs: 5,
+                alloc_bytes: 640,
+                delivered: 10,
+                allocs_per_delivered: 0.5,
+            };
+            let job = JobMem {
+                scenarios: vec![scenario],
+                process: None,
+                peak_rss_bytes: None,
+            };
+            serde_json::to_string(&job).unwrap()
+        };
+        let blobs = [Some(blob(old)), Some(blob(current.clone()))];
+        let export = TelemetryExport::collect("fig2", &[None, None], &[], &blobs).unwrap();
+        let old_job = export.job_mem[0].as_ref().expect("old blob parses");
+        assert_eq!(
+            old_job.scenarios[0].ledger.slots[unscoped + 2].slot,
+            "scenario"
+        );
+        let mut doubled = current.clone();
+        doubled.merge(&current);
+        let mut merged = MemBreakdown::empty();
+        for job in export.job_mem.iter().flatten() {
+            for scenario in &job.scenarios {
+                merged.merge(&scenario.ledger);
+            }
+        }
+        assert_eq!((merged.total_allocs, merged.total_bytes), (10, 1280));
+        assert_eq!(merged.table(), doubled.table());
+        let text = export.memory_text().expect("two profiled jobs");
+        let ledger: Vec<&str> = text.lines().skip(2).map(str::trim_start).collect();
+        assert_eq!(
+            ledger,
+            doubled.table().lines().collect::<Vec<_>>(),
+            "{text}"
+        );
     }
 
     #[test]

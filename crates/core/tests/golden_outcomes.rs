@@ -195,8 +195,8 @@ fn per_node_plan() -> DelayPlan {
         .map(|i| match i % 4 {
             0 => DelayStrategy::None,
             1 => DelayStrategy::exponential(30.0),
-            2 => DelayStrategy::uniform(20.0),
-            _ => DelayStrategy::constant(10.0),
+            2 => DelayStrategy::Uniform { mean: 20.0 },
+            _ => DelayStrategy::Constant { delay: 10.0 },
         })
         .collect();
     DelayPlan::PerNode {

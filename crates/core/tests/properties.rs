@@ -56,8 +56,8 @@ fn arb_delay() -> impl Strategy<Value = DelayPlan> {
     prop_oneof![
         Just(DelayPlan::no_delay()),
         (1.0f64..60.0).prop_map(DelayPlan::shared_exponential),
-        (1.0f64..60.0).prop_map(|m| DelayPlan::Shared(DelayStrategy::uniform(m))),
-        (1.0f64..60.0).prop_map(|m| DelayPlan::Shared(DelayStrategy::constant(m))),
+        (1.0f64..60.0).prop_map(|m| DelayPlan::Shared(DelayStrategy::Uniform { mean: m })),
+        (1.0f64..60.0).prop_map(|m| DelayPlan::Shared(DelayStrategy::Constant { delay: m })),
     ]
 }
 

@@ -55,27 +55,6 @@ pub fn btq_stream_bound_nats(n: u64, mu: f64, lambda: f64) -> f64 {
     (1..=n).map(|j| (1.0 + j as f64 * mu / lambda).ln()).sum()
 }
 
-/// The delay rate μ that keeps the *first-packet* leakage bound at
-/// `target_nats` for a source of rate λ — the analytic counterpart of
-/// "tune μ small relative to λ" (§3.2).
-///
-/// # Panics
-///
-/// Panics if `target_nats <= 0` or `lambda` is non-positive or not finite.
-#[must_use]
-pub fn mu_for_packet_bound(target_nats: f64, lambda: f64) -> f64 {
-    assert!(
-        target_nats.is_finite() && target_nats > 0.0,
-        "target leakage must be positive, got {target_nats}"
-    );
-    assert!(
-        lambda.is_finite() && lambda > 0.0,
-        "source rate must be positive, got {lambda}"
-    );
-    // ln(1 + mu/lambda) = t  =>  mu = lambda (e^t - 1).
-    lambda * (target_nats.exp() - 1.0)
-}
-
 fn check_rates(mu: f64, lambda: f64) {
     assert!(
         mu.is_finite() && mu > 0.0,
@@ -132,16 +111,6 @@ mod tests {
             let mi = mi_additive_nats(&x, &y, 4_000);
             let bound = btq_packet_bound_nats(j as u64, mu, lambda);
             assert!(mi <= bound + 5e-3, "j = {j}: MI {mi} exceeds bound {bound}");
-        }
-    }
-
-    #[test]
-    fn mu_solver_inverts_bound() {
-        let lambda = 0.5;
-        for &target in &[0.05, 0.2, 1.0] {
-            let mu = mu_for_packet_bound(target, lambda);
-            let achieved = btq_packet_bound_nats(1, mu, lambda);
-            assert!((achieved - target).abs() < 1e-12);
         }
     }
 

@@ -167,37 +167,6 @@ impl GridDensity {
     }
 }
 
-/// Kullback–Leibler divergence `D(f ‖ g)` (nats) between two densities
-/// sampled on the *same* grid — the auxiliary quantity in the paper's
-/// §3.2 derivation (`I = ln(1 + jμ/λ) − D(f_{X+Y} ‖ f_{X̄+Y})`).
-///
-/// Points where `f > 0` but `g = 0` contribute `+∞`.
-///
-/// # Panics
-///
-/// Panics if the grids differ in origin, step, or length.
-#[must_use]
-pub fn kl_divergence_nats(f: &GridDensity, g: &GridDensity) -> f64 {
-    assert_eq!(f.len(), g.len(), "KL divergence needs a common grid");
-    assert!(
-        (f.origin() - g.origin()).abs() < 1e-12 && (f.step() - g.step()).abs() < 1e-12,
-        "KL divergence needs a common grid"
-    );
-    let term = |(&fv, &gv): (&f64, &f64)| -> f64 {
-        if fv == 0.0 {
-            0.0
-        } else if gv == 0.0 {
-            f64::INFINITY
-        } else {
-            fv * (fv / gv).ln()
-        }
-    };
-    let n = f.len();
-    let pairs: Vec<f64> = f.values().iter().zip(g.values()).map(term).collect();
-    let interior: f64 = pairs[1..n - 1].iter().sum();
-    (0.5 * (pairs[0] + pairs[n - 1]) + interior) * f.step()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,38 +246,6 @@ mod tests {
         let a = GridDensity::from_values(0.0, 0.5, vec![1.0, 1.0]);
         let b = GridDensity::from_values(0.0, 0.25, vec![1.0, 1.0]);
         let _ = a.convolve(&b);
-    }
-
-    #[test]
-    fn kl_divergence_zero_on_identical() {
-        let d = Exponential::with_mean(5.0);
-        let g = GridDensity::from_dist(&d, 100.0, 4_000);
-        assert!(kl_divergence_nats(&g, &g).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kl_divergence_exponentials_closed_form() {
-        // D(Exp(a) || Exp(b)) = ln(a/b) + b/a - 1 (rates a, b).
-        let (a, b) = (1.0f64, 0.5f64);
-        let fa = GridDensity::from_dist(&Exponential::new(a), 60.0, 12_000);
-        let fb = GridDensity::from_dist(&Exponential::new(b), 60.0, 12_000);
-        let expected = (a / b).ln() + b / a - 1.0;
-        let measured = kl_divergence_nats(&fa, &fb);
-        assert!(
-            (measured - expected).abs() < 5e-3,
-            "measured {measured} vs {expected}"
-        );
-        // Asymmetry: D(f||g) != D(g||f).
-        let reverse = kl_divergence_nats(&fb, &fa);
-        assert!((reverse - ((b / a).ln() + a / b - 1.0)).abs() < 5e-2);
-        assert!((measured - reverse).abs() > 1e-3);
-    }
-
-    #[test]
-    fn kl_divergence_nonnegative() {
-        let fa = GridDensity::from_dist(&Uniform::new(0.0, 2.0), 4.0, 2_000);
-        let fb = GridDensity::from_dist(&Exponential::new(1.0), 4.0, 2_000);
-        assert!(kl_divergence_nats(&fa, &fb) >= 0.0);
     }
 
     #[test]

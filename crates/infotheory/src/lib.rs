@@ -10,8 +10,7 @@
 //!   fixed mean, the paper's argument for exponential delays),
 //! * [`mutual_information`] — numeric `I(X; Z) = h(X + Y) − h(Y)` (eq. 1)
 //!   and the entropy-power-inequality lower bound (eq. 2),
-//! * [`bounds`] — the bits-through-queues stream bounds (eq. 4) with the
-//!   μ/λ tuning rule,
+//! * [`bounds`] — the bits-through-queues stream bounds (eq. 4),
 //! * [`estimators`] — histogram entropy/MI estimators for simulator output
 //!   and the MSE↔mutual-information bridge behind the paper's privacy
 //!   metric,
@@ -49,12 +48,12 @@ pub mod mutual_information;
 pub mod special;
 pub mod streaming;
 
-pub use bounds::{btq_packet_bound_nats, btq_stream_bound_nats, mu_for_packet_bound};
+pub use bounds::{btq_packet_bound_nats, btq_stream_bound_nats};
 pub use distributions::{ContinuousDist, Degenerate, ErlangDist, Exponential, Gaussian, Uniform};
 pub use estimators::{
     entropy_from_samples_nats, mi_from_samples_nats, mi_lower_bound_from_mse_nats,
     mse_lower_bound_from_mi, EstimateError,
 };
-pub use grid::{kl_divergence_nats, GridDensity};
+pub use grid::GridDensity;
 pub use mutual_information::{epi_lower_bound_nats, gaussian_channel_mi_nats, mi_additive_nats};
 pub use streaming::{StreamingMi, StreamingMse, Welford, DEFAULT_STREAMING_BINS};

@@ -84,12 +84,6 @@ pub fn gaussian_channel_mi_nats(var_x: f64, var_y: f64) -> f64 {
     0.5 * (1.0 + var_x / var_y).ln()
 }
 
-/// Converts nats to bits.
-#[must_use]
-pub fn nats_to_bits(nats: f64) -> f64 {
-    nats / std::f64::consts::LN_2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,11 +151,6 @@ mod tests {
             mi_exp < mi_uni,
             "exponential {mi_exp} should leak less than uniform {mi_uni}"
         );
-    }
-
-    #[test]
-    fn nats_bits_conversion() {
-        assert!((nats_to_bits(std::f64::consts::LN_2) - 1.0).abs() < 1e-12);
     }
 
     #[test]

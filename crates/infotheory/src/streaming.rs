@@ -46,12 +46,6 @@ pub struct Welford {
 }
 
 impl Welford {
-    /// An empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Welford::default()
-    }
-
     /// Folds one sample in. Non-finite samples are ignored so a stray
     /// NaN cannot poison every later read.
     pub fn push(&mut self, x: f64) {
@@ -143,12 +137,6 @@ impl StreamingMi {
             z_min: f64::INFINITY,
             z_max: f64::NEG_INFINITY,
         }
-    }
-
-    /// A fresh estimator with [`DEFAULT_STREAMING_BINS`] cells per axis.
-    #[must_use]
-    pub fn with_default_bins() -> Self {
-        StreamingMi::new(DEFAULT_STREAMING_BINS)
     }
 
     /// Per-axis bin count (fixed at construction).
@@ -426,7 +414,7 @@ mod tests {
     fn welford_matches_two_pass_moments() {
         let mut r = rng(1);
         let samples: Vec<f64> = (0..10_000).map(|_| r.gen::<f64>() * 40.0 - 7.0).collect();
-        let mut w = Welford::new();
+        let mut w = Welford::default();
         for &s in &samples {
             w.push(s);
         }
@@ -444,7 +432,7 @@ mod tests {
 
     #[test]
     fn welford_saturates_instead_of_panicking() {
-        let mut w = Welford::new();
+        let mut w = Welford::default();
         assert_eq!((w.count(), w.mean(), w.variance()), (0, 0.0, 0.0));
         w.push(f64::NAN);
         w.push(f64::INFINITY);
@@ -456,7 +444,7 @@ mod tests {
 
     #[test]
     fn streaming_mi_is_zero_for_tiny_or_rejected_streams() {
-        let mut mi = StreamingMi::with_default_bins();
+        let mut mi = StreamingMi::new(DEFAULT_STREAMING_BINS);
         assert_eq!(mi.mi_nats(), 0.0);
         mi.push(f64::NAN, 1.0);
         mi.push(1.0, f64::INFINITY);

@@ -1,7 +1,7 @@
 //! Property-based tests for the information-theoretic machinery.
 
 use proptest::prelude::*;
-use tempriv_infotheory::bounds::{btq_packet_bound_nats, mu_for_packet_bound};
+use tempriv_infotheory::bounds::btq_packet_bound_nats;
 use tempriv_infotheory::distributions::{
     ContinuousDist, ErlangDist, Exponential, Gaussian, Uniform,
 };
@@ -99,7 +99,7 @@ proptest! {
     }
 
     /// The BTQ bound is positive, increasing in j and mu, decreasing in
-    /// lambda; and its mu-solver inverts exactly.
+    /// lambda.
     #[test]
     fn btq_bound_shape(j in 1u64..1_000, mu in 0.001f64..10.0, lambda in 0.001f64..10.0) {
         let b = btq_packet_bound_nats(j, mu, lambda);
@@ -107,8 +107,6 @@ proptest! {
         prop_assert!(btq_packet_bound_nats(j + 1, mu, lambda) > b);
         prop_assert!(btq_packet_bound_nats(j, mu * 2.0, lambda) > b);
         prop_assert!(btq_packet_bound_nats(j, mu, lambda * 2.0) < b);
-        let solved = mu_for_packet_bound(b, lambda);
-        prop_assert!((btq_packet_bound_nats(1, solved, lambda) - b).abs() < 1e-9);
     }
 
     /// The MSE <-> MI bridge round-trips and is monotone the right way.

@@ -152,16 +152,6 @@ impl Convergecast {
         &self.sources
     }
 
-    /// Source node of `flow`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flow` is out of range.
-    #[must_use]
-    pub fn source(&self, flow: FlowId) -> NodeId {
-        self.sources[flow.index()]
-    }
-
     /// Total hop count of `flow` (source to sink).
     ///
     /// # Panics
@@ -248,7 +238,7 @@ mod tests {
         for (i, &h) in expect.iter().enumerate() {
             let flow = FlowId(i as u32);
             assert_eq!(c.hop_count(flow), h);
-            assert_eq!(c.routing().hops(c.source(flow)), Some(h));
+            assert_eq!(c.routing().hops(c.sources()[flow.index()]), Some(h));
         }
         // Node count: sink + trunk(8) + private chains (7 + 14 + 1 + 3).
         assert_eq!(c.len(), 1 + 8 + 7 + 14 + 1 + 3);
@@ -274,8 +264,8 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.trunk_hops(), 0);
-        let p0 = c.routing().path(c.source(FlowId(0)));
-        let p1 = c.routing().path(c.source(FlowId(1)));
+        let p0 = c.routing().path(c.sources()[0]);
+        let p1 = c.routing().path(c.sources()[1]);
         let shared: Vec<_> = p0.iter().filter(|n| p1.contains(n)).collect();
         assert_eq!(shared, vec![&NodeId(0)]); // only the sink
     }
@@ -287,7 +277,7 @@ mod tests {
             .flows([5])
             .build()
             .unwrap();
-        let path = c.routing().path(c.source(FlowId(0)));
+        let path = c.routing().path(c.sources()[0]);
         assert_eq!(path.len(), 6); // source + 2 private + 2 trunk + sink
         assert_eq!(*path.last().unwrap(), NodeId(0));
         // Last two before the sink are trunk nodes 1 and 2.
@@ -320,6 +310,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.len(), 16);
-        assert_eq!(c.routing().hops(c.source(FlowId(0))), Some(15));
+        assert_eq!(c.routing().hops(c.sources()[0]), Some(15));
     }
 }

@@ -3,9 +3,6 @@
 //! The network model of *Temporal Privacy in Wireless Sensor Networks*
 //! (ICDCS 2007), built from scratch:
 //!
-//! * [`packet`] — packets with TinyOS-MultiHop-style cleartext headers and
-//!   sealed payloads; the type system enforces the paper's threat model
-//!   (adversaries read headers and arrival times, never payloads),
 //! * [`topology`] — deployment graphs (line, grid, explicit),
 //! * [`geometric`] — random unit-disk deployments,
 //! * [`routing`] — min-hop convergecast routing trees (BFS) and the
@@ -24,11 +21,10 @@
 //!
 //! ```
 //! use tempriv_net::convergecast::Convergecast;
-//! use tempriv_net::ids::FlowId;
 //! use tempriv_net::traffic::TrafficModel;
 //!
 //! let layout = Convergecast::paper_figure1();
-//! let s1 = layout.source(FlowId(0));
+//! let s1 = layout.sources()[0];
 //! assert_eq!(layout.routing().hops(s1), Some(15));
 //!
 //! let workload = TrafficModel::periodic(2.0); // the paper's fastest rate
@@ -44,7 +40,6 @@ pub mod geometric;
 pub mod ids;
 pub mod link;
 pub mod mobility;
-pub mod packet;
 pub mod routing;
 pub mod topology;
 pub mod traffic;
@@ -54,7 +49,6 @@ pub use energy::EnergyModel;
 pub use geometric::GeometricDeployment;
 pub use ids::{FlowId, NodeId, PacketId};
 pub use link::LinkModel;
-pub use packet::{CleartextHeader, Packet, PayloadView, SealedPayload, SinkKey};
 pub use routing::{RoutingError, RoutingTree};
 pub use topology::Topology;
 pub use traffic::TrafficModel;

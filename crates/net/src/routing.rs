@@ -189,12 +189,6 @@ impl RoutingTree {
         }
         counts
     }
-
-    /// Number of routing children of `node` (nodes whose next hop is it).
-    #[must_use]
-    pub fn child_count(&self, node: NodeId) -> usize {
-        self.next_hop.iter().filter(|&&nh| nh == Some(node)).count()
-    }
 }
 
 /// Errors from routing-tree construction.
@@ -310,8 +304,8 @@ mod tests {
         .unwrap();
         assert_eq!(tree.hops(NodeId(2)), Some(2));
         assert_eq!(tree.hops(NodeId(3)), Some(1));
-        assert_eq!(tree.child_count(NodeId(0)), 2);
-        assert_eq!(tree.child_count(NodeId(2)), 0);
+        assert_eq!(tree.next_hop(NodeId(2)), Some(NodeId(1)));
+        assert_eq!(tree.next_hop(NodeId(3)), Some(NodeId(0)));
     }
 
     #[test]

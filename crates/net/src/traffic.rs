@@ -134,12 +134,6 @@ impl TrafficModel {
         }
     }
 
-    /// Mean inter-arrival time `1/λ`.
-    #[must_use]
-    pub fn mean_interval(&self) -> f64 {
-        1.0 / self.mean_rate()
-    }
-
     /// Samples the gap to the next packet creation for *memoryless*
     /// models.
     ///
@@ -238,7 +232,6 @@ mod tests {
             assert_eq!(m.next_interarrival(&mut r), SimDuration::from_units(2.0));
         }
         assert_eq!(m.mean_rate(), 0.5);
-        assert_eq!(m.mean_interval(), 2.0);
     }
 
     #[test]

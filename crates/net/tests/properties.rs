@@ -52,7 +52,7 @@ proptest! {
         for (i, &h) in flows.iter().enumerate() {
             let flow = FlowId(i as u32);
             prop_assert_eq!(layout.hop_count(flow), h);
-            prop_assert_eq!(layout.routing().hops(layout.source(flow)), Some(h));
+            prop_assert_eq!(layout.routing().hops(layout.sources()[flow.index()]), Some(h));
         }
         // Every trunk node carries all flows.
         let counts = layout.routing().flows_per_node(layout.sources());

@@ -229,12 +229,6 @@ impl ManifestReader {
         }
         Ok(ManifestReader { header, records })
     }
-
-    /// Indices of jobs the manifest records as finished.
-    #[must_use]
-    pub fn completed_indices(&self) -> Vec<usize> {
-        self.records.iter().map(|r| r.index).collect()
-    }
 }
 
 #[cfg(test)]
@@ -310,7 +304,6 @@ mod tests {
         let back = ManifestReader::read(&path).unwrap();
         assert_eq!(back.header, header());
         assert_eq!(back.records, vec![record(0), record(1)]);
-        assert_eq!(back.completed_indices(), vec![0, 1]);
         let _ = std::fs::remove_file(&path);
     }
 

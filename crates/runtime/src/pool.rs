@@ -100,16 +100,6 @@ impl WorkerPool {
             .map(|(idx, slot)| slot.unwrap_or_else(|| panic!("job {idx} never ran")))
             .collect()
     }
-
-    /// Convenience: maps `f` over a slice, preserving element order.
-    pub fn map_slice<T, U, F>(&self, items: &[U], f: F) -> Vec<T>
-    where
-        T: Send,
-        U: Sync,
-        F: Fn(&U) -> T + Sync,
-    {
-        self.map_indexed(items.len(), |i| f(&items[i]))
-    }
 }
 
 impl Default for WorkerPool {
@@ -166,7 +156,6 @@ mod tests {
         let pool = WorkerPool::with_workers(4);
         assert_eq!(pool.map_indexed(0, |i| i), Vec::<usize>::new());
         assert_eq!(pool.map_indexed(1, |i| i + 1), vec![1]);
-        assert_eq!(pool.map_slice(&[10, 20], |x| x * 2), vec![20, 40]);
     }
 
     #[test]

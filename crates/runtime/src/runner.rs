@@ -365,7 +365,7 @@ mod tests {
         assert_eq!(manifest.header.params_json, "{\"p\":1}");
         assert_eq!(manifest.header.jobs, 5);
         assert_eq!(manifest.records.len(), 5);
-        let mut indices = manifest.completed_indices();
+        let mut indices: Vec<usize> = manifest.records.iter().map(|r| r.index).collect();
         indices.sort_unstable();
         assert_eq!(indices, vec![0, 1, 2, 3, 4]);
         assert!(manifest

@@ -93,18 +93,6 @@ impl Admission {
         }
     }
 
-    /// Active (queued + running) jobs across all tenants.
-    #[must_use]
-    pub fn active(&self) -> usize {
-        self.active_total
-    }
-
-    /// Active jobs of one tenant.
-    #[must_use]
-    pub fn tenant_active(&self, tenant: &str) -> usize {
-        self.per_tenant.get(tenant).copied().unwrap_or(0)
-    }
-
     /// The shared queued-or-running bound.
     #[must_use]
     pub fn max_queue(&self) -> usize {
@@ -135,7 +123,7 @@ mod tests {
         assert_eq!(adm.try_admit("a"), Err(RejectReason::QueueFull));
         adm.release("a");
         assert_eq!(adm.try_admit("c"), Ok(()));
-        assert_eq!(adm.active(), 2);
+        assert_eq!(adm.active_total, 2);
     }
 
     #[test]
@@ -147,9 +135,9 @@ mod tests {
             adm.try_admit("noisy").unwrap();
         }
         assert_eq!(adm.try_admit("noisy"), Err(RejectReason::TenantQuota));
-        assert_eq!(adm.tenant_active("noisy"), 3);
+        assert_eq!(adm.per_tenant.get("noisy").copied().unwrap_or(0), 3);
         assert_eq!(adm.try_admit("quiet"), Ok(()), "quiet tenant unaffected");
-        assert_eq!(adm.tenant_active("quiet"), 1);
+        assert_eq!(adm.per_tenant.get("quiet").copied().unwrap_or(0), 1);
         // Releasing one of the noisy tenant's jobs reopens its quota.
         adm.release("noisy");
         assert_eq!(adm.try_admit("noisy"), Ok(()));
@@ -159,12 +147,12 @@ mod tests {
     fn release_of_unknown_tenant_is_harmless() {
         let mut adm = Admission::new(4, 4);
         adm.release("ghost");
-        assert_eq!(adm.active(), 0);
+        assert_eq!(adm.active_total, 0);
         adm.try_admit("a").unwrap();
         adm.release("a");
         adm.release("a");
-        assert_eq!(adm.active(), 0);
-        assert_eq!(adm.tenant_active("a"), 0);
+        assert_eq!(adm.active_total, 0);
+        assert_eq!(adm.per_tenant.get("a").copied().unwrap_or(0), 0);
     }
 
     #[test]
@@ -172,7 +160,7 @@ mod tests {
         let mut adm = Admission::new(1, 1);
         adm.force_admit("t");
         adm.force_admit("t");
-        assert_eq!(adm.active(), 2);
+        assert_eq!(adm.active_total, 2);
         assert_eq!(adm.try_admit("t"), Err(RejectReason::QueueFull));
     }
 

@@ -12,6 +12,7 @@
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tempriv_core::experiment::{Sweep, SweepParams};
+use tempriv_core::sharded::MAX_SHARDS;
 use tempriv_core::telemetry::JobAudit;
 use tempriv_net::FlowId;
 use tempriv_runtime::{content_digest, BlobKind, Runtime, TelemetrySink};
@@ -107,8 +108,8 @@ impl JobSpec {
         if self.packets_per_source > 100_000 {
             return Err("packets_per_source too large (max 100000)".to_string());
         }
-        if self.shards > 64 {
-            return Err("at most 64 engine shards per simulation".to_string());
+        if self.shards > MAX_SHARDS {
+            return Err(format!("at most {MAX_SHARDS} engine shards per simulation"));
         }
         if self.shards > 1 && (self.privacy_interval > 0 || self.trace) {
             return Err("sharded jobs cannot attach per-event instrumentation: \

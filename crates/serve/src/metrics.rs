@@ -190,12 +190,6 @@ impl ServeMetrics {
         self.registry.set(self.jobs_running, running as f64);
     }
 
-    /// Current hit / (hit + miss) ratio, 0 before any lookup.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        self.registry.gauge_value(self.cache_hit_rate)
-    }
-
     /// Writes the process memory gauges from a counting-allocator
     /// snapshot and the kernel's peak-RSS reading (`None` off-Linux
     /// leaves the RSS gauge at its last value).
@@ -251,12 +245,21 @@ mod tests {
 
     #[test]
     fn hit_rate_tracks_lookups() {
+        let hit_rate = |m: &ServeMetrics| {
+            m.registry
+                .snapshot()
+                .gauges
+                .into_iter()
+                .find(|g| g.name == "tempriv_serve_cache_hit_rate")
+                .expect("hit-rate gauge registered")
+                .value
+        };
         let mut m = ServeMetrics::new();
-        assert_eq!(m.hit_rate(), 0.0);
+        assert_eq!(hit_rate(&m), 0.0);
         m.cache_lookup(false);
         m.cache_lookup(true);
         m.cache_lookup(true);
-        assert!((m.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert!((hit_rate(&m) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

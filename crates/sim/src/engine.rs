@@ -17,8 +17,6 @@ pub enum StopReason {
     Exhausted,
     /// The configured horizon was reached with events still pending.
     HorizonReached,
-    /// The handler requested a stop via [`Scheduler::request_stop`].
-    Requested,
     /// The configured event budget was spent.
     EventBudget,
 }
@@ -31,7 +29,6 @@ pub enum StopReason {
 pub struct Scheduler<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
-    stop: &'a mut bool,
 }
 
 impl<'a, E> Scheduler<'a, E> {
@@ -74,11 +71,6 @@ impl<'a, E> Scheduler<'a, E> {
     #[must_use]
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Asks the engine to stop after the current event completes.
-    pub fn request_stop(&mut self) {
-        *self.stop = true;
     }
 }
 
@@ -195,8 +187,8 @@ impl<E> Engine<E> {
         self.queue.peek_time()
     }
 
-    /// Runs until the queue drains, the horizon passes, the event budget is
-    /// spent, or the handler requests a stop. Returns why it stopped.
+    /// Runs until the queue drains, the horizon passes or the event budget
+    /// is spent. Returns why it stopped.
     ///
     /// The handler is invoked once per delivered event with a [`Scheduler`]
     /// positioned at the event's timestamp.
@@ -244,18 +236,13 @@ impl<E> Engine<E> {
             let (time, payload) = self.queue.pop().expect("peeked event must pop");
             debug_assert!(time >= self.now, "event queue violated time order");
             self.now = time;
-            let mut stop = false;
             let mut sched = Scheduler {
                 now: time,
                 queue: &mut self.queue,
-                stop: &mut stop,
             };
             handler(&mut sched, payload);
             if let Some(r) = remaining.as_mut() {
                 *r -= 1;
-            }
-            if stop {
-                return StopReason::Requested;
             }
         }
     }
@@ -331,24 +318,6 @@ mod tests {
             }
         });
         assert_eq!(log, vec!["seed", "kept"]);
-    }
-
-    #[test]
-    fn request_stop_halts_immediately() {
-        let mut engine = Engine::new();
-        for i in 0..5 {
-            engine.schedule_at(t(i as f64), i).unwrap();
-        }
-        let mut seen = Vec::new();
-        let reason = engine.run(|sched, ev| {
-            seen.push(ev);
-            if ev == 2 {
-                sched.request_stop();
-            }
-        });
-        assert_eq!(reason, StopReason::Requested);
-        assert_eq!(seen, vec![0, 1, 2]);
-        assert_eq!(engine.pending(), 2);
     }
 
     #[test]
@@ -450,17 +419,15 @@ mod tests {
         for i in 0..4 {
             engine.schedule_at(t(i as f64), i).unwrap();
         }
+        engine.event_budget(2);
         let mut first = Vec::new();
-        engine.run(|sched, ev| {
-            first.push(ev);
-            if ev == 1 {
-                sched.request_stop();
-            }
-        });
+        let reason = engine.run(|_, ev| first.push(ev));
+        assert_eq!(reason, StopReason::EventBudget);
+        assert_eq!(engine.pending(), 2);
         let mut second = Vec::new();
-        let reason = engine.run(|_, ev| second.push(ev));
+        engine.run(|_, ev| second.push(ev));
         assert_eq!(first, vec![0, 1]);
         assert_eq!(second, vec![2, 3]);
-        assert_eq!(reason, StopReason::Exhausted);
+        assert_eq!(engine.pending(), 0);
     }
 }

@@ -14,7 +14,7 @@
 //! * [`rng`] — a master-seeded [`rng::RngFactory`] deriving independent
 //!   per-component streams,
 //! * [`stats`] — single-pass measurement accumulators (Welford, MSE,
-//!   time-weighted occupancy, histograms),
+//!   time-weighted occupancy PMFs, histograms),
 //! * [`trace`] — bounded debugging traces.
 //!
 //! # Examples
@@ -25,7 +25,7 @@
 //! ```
 //! use tempriv_sim::engine::Engine;
 //! use tempriv_sim::rng::RngFactory;
-//! use tempriv_sim::stats::TimeWeighted;
+//! use tempriv_sim::stats::StateDwell;
 //! use tempriv_sim::time::{SimDuration, SimTime};
 //!
 //! #[derive(Debug)]
@@ -39,24 +39,24 @@
 //! engine.schedule_at(SimTime::ZERO, Ev::Arrive).unwrap();
 //!
 //! let (lambda, mu) = (1.0, 0.5);
-//! let mut in_system = 0.0;
-//! let mut occupancy = TimeWeighted::new(SimTime::ZERO, 0.0);
+//! let mut in_system = 0;
+//! let mut occupancy = StateDwell::new(SimTime::ZERO, 0);
 //! engine.run(|sched, ev| match ev {
 //!     Ev::Arrive => {
-//!         in_system += 1.0;
-//!         occupancy.update(sched.now(), in_system);
+//!         in_system += 1;
+//!         occupancy.transition(sched.now(), in_system);
 //!         let next = SimDuration::from_units(arrivals.sample_exp(1.0 / lambda));
 //!         sched.schedule_in(next, Ev::Arrive);
 //!         let hold = SimDuration::from_units(services.sample_exp(1.0 / mu));
 //!         sched.schedule_in(hold, Ev::Depart);
 //!     }
 //!     Ev::Depart => {
-//!         in_system -= 1.0;
-//!         occupancy.update(sched.now(), in_system);
+//!         in_system -= 1;
+//!         occupancy.transition(sched.now(), in_system);
 //!     }
 //! });
 //! // E[N] = lambda / mu = 2 for M/M/inf.
-//! let avg = occupancy.average(engine.now());
+//! let avg = occupancy.mean(engine.now());
 //! assert!((avg - 2.0).abs() < 0.2, "measured {avg}");
 //! ```
 

@@ -23,14 +23,6 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(u64);
 
-impl EventId {
-    /// The raw id value (for logging).
-    #[must_use]
-    pub const fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
 #[derive(Debug)]
 struct Slot<E> {
     time: SimTime,
@@ -571,13 +563,13 @@ mod tests {
         }
         for (id, time, payload) in &ids {
             if q.is_pending(*id) {
-                expect.push((*time, id.as_u64(), *payload));
+                expect.push((*time, id.0, *payload));
             }
         }
         expect.sort_by_key(|&(time, seq, _)| (time, seq));
         let mut got = Vec::new();
         while let Some((time, id, payload)) = q.pop_with_id() {
-            got.push((time, id.as_u64(), payload));
+            got.push((time, id.0, payload));
         }
         assert_eq!(got, expect);
     }

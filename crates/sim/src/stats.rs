@@ -118,12 +118,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
     /// Smallest observation; `None` if empty.
     #[must_use]
     pub fn min(&self) -> Option<f64> {
@@ -144,7 +138,7 @@ impl OnlineStats {
 }
 
 /// Mean-square accumulator for estimation error: records raw errors
-/// `x̂ − x` and reports MSE, bias, and RMSE — the paper's privacy metric
+/// `x̂ − x` and reports MSE and bias — the paper's privacy metric
 /// (§2.1: `MSE = Σ (x̂_i − x_i)² / m`).
 ///
 /// # Examples
@@ -177,11 +171,6 @@ impl MseAccumulator {
         self.sum_sq += error * error;
     }
 
-    /// Records an (estimate, truth) pair.
-    pub fn record_pair(&mut self, estimate: f64, truth: f64) {
-        self.record_error(estimate - truth);
-    }
-
     /// Mean square error; 0 if empty.
     #[must_use]
     pub fn mse(&self) -> f64 {
@@ -190,12 +179,6 @@ impl MseAccumulator {
         } else {
             self.sum_sq / self.errors.count() as f64
         }
-    }
-
-    /// Root mean square error.
-    #[must_use]
-    pub fn rmse(&self) -> f64 {
-        self.mse().sqrt()
     }
 
     /// Mean error (systematic bias of the estimator).
@@ -210,12 +193,6 @@ impl MseAccumulator {
         self.errors.count()
     }
 
-    /// Variance of the error around its bias.
-    #[must_use]
-    pub fn error_variance(&self) -> f64 {
-        self.errors.population_variance()
-    }
-
     /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &MseAccumulator) {
         self.errors.merge(&other.errors);
@@ -223,88 +200,22 @@ impl MseAccumulator {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal, e.g. buffer
-/// occupancy over simulated time.
+/// Exact empirical PMF over non-negative integers (e.g. "buffer holds k
+/// packets"), weighted by the simulated time spent in each state. Used to
+/// compare against the Poisson occupancy law of §4.
 ///
 /// # Examples
 ///
 /// ```
-/// use tempriv_sim::stats::TimeWeighted;
+/// use tempriv_sim::stats::StateDwell;
 /// use tempriv_sim::time::SimTime;
 ///
-/// let mut occ = TimeWeighted::new(SimTime::ZERO, 0.0);
-/// occ.update(SimTime::from_units(10.0), 2.0); // was 0 for 10 units
-/// occ.update(SimTime::from_units(20.0), 0.0); // was 2 for 10 units
-/// assert_eq!(occ.average(SimTime::from_units(20.0)), 1.0);
+/// let mut occ = StateDwell::new(SimTime::ZERO, 0);
+/// occ.transition(SimTime::from_units(10.0), 2); // held 0 for 10 units
+/// occ.transition(SimTime::from_units(20.0), 0); // held 2 for 10 units
+/// assert_eq!(occ.pmf(SimTime::from_units(20.0)), vec![(0, 0.5), (2, 0.5)]);
+/// assert_eq!(occ.mean(SimTime::from_units(20.0)), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TimeWeighted {
-    start: SimTime,
-    last_time: SimTime,
-    last_value: f64,
-    integral: f64,
-    peak: f64,
-}
-
-impl TimeWeighted {
-    /// Starts tracking at `start` with initial value `value`.
-    #[must_use]
-    pub fn new(start: SimTime, value: f64) -> Self {
-        TimeWeighted {
-            start,
-            last_time: start,
-            last_value: value,
-            integral: 0.0,
-            peak: value,
-        }
-    }
-
-    /// Records that the signal changed to `value` at time `now`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes the previous update.
-    pub fn update(&mut self, now: SimTime, value: f64) {
-        let dt = now
-            .checked_duration_since(self.last_time)
-            .expect("TimeWeighted updates must be in time order");
-        self.integral += self.last_value * dt.as_units();
-        self.last_time = now;
-        self.last_value = value;
-        self.peak = self.peak.max(value);
-    }
-
-    /// Time-weighted mean over `[start, now]`; 0 over an empty interval.
-    #[must_use]
-    pub fn average(&self, now: SimTime) -> f64 {
-        let mut integral = self.integral;
-        if let Some(dt) = now.checked_duration_since(self.last_time) {
-            integral += self.last_value * dt.as_units();
-        }
-        let span = now.saturating_duration_since(self.start).as_units();
-        if span == 0.0 {
-            0.0
-        } else {
-            integral / span
-        }
-    }
-
-    /// Largest value seen.
-    #[must_use]
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-
-    /// Current value of the signal.
-    #[must_use]
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
-}
-
-/// Exact empirical PMF over non-negative integers (e.g. "buffer holds k
-/// packets"), weighted by the simulated time spent in each state. Used to
-/// compare against the Poisson occupancy law of §4.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct StateDwell {
     /// Dwell for states `0..64` — the per-event hot path for buffer
@@ -561,16 +472,6 @@ impl Histogram {
         self.total
     }
 
-    /// In-range probability density per bin: count / (total · width).
-    #[must_use]
-    pub fn densities(&self) -> Vec<f64> {
-        let norm = self.total as f64 * self.bin_width();
-        self.counts
-            .iter()
-            .map(|&c| if norm == 0.0 { 0.0 } else { c as f64 / norm })
-            .collect()
-    }
-
     /// Approximate quantile (linear in the bin), `q` in `[0, 1]`.
     ///
     /// Out-of-range mass is counted at the range ends. Returns `None` if
@@ -676,14 +577,11 @@ mod tests {
     #[test]
     fn mse_matches_definition() {
         let mut m = MseAccumulator::new();
-        m.record_pair(10.0, 7.0); // error 3
-        m.record_pair(5.0, 6.0); // error -1
+        m.record_error(3.0);
+        m.record_error(-1.0);
         assert_eq!(m.count(), 2);
         assert_eq!(m.mse(), 5.0);
-        assert!((m.rmse() - 5.0f64.sqrt()).abs() < 1e-12);
         assert_eq!(m.bias(), 1.0);
-        // MSE = bias^2 + variance decomposition
-        assert!((m.mse() - (m.bias().powi(2) + m.error_variance())).abs() < 1e-12);
     }
 
     #[test]
@@ -699,18 +597,18 @@ mod tests {
 
     #[test]
     fn time_weighted_average() {
-        let mut tw = TimeWeighted::new(t(0.0), 1.0);
-        tw.update(t(4.0), 3.0);
-        // value 1 for 4 units, then 3 for 6 units => (4 + 18) / 10
-        assert!((tw.average(t(10.0)) - 2.2).abs() < 1e-12);
-        assert_eq!(tw.peak(), 3.0);
-        assert_eq!(tw.current(), 3.0);
+        let mut sd = StateDwell::new(t(0.0), 1);
+        sd.transition(t(4.0), 3);
+        // state 1 for 4 units, then 3 for 6 units => (4 + 18) / 10
+        assert!((sd.mean(t(10.0)) - 2.2).abs() < 1e-12);
+        assert_eq!(sd.current(), 3);
     }
 
     #[test]
     fn time_weighted_empty_interval() {
-        let tw = TimeWeighted::new(t(5.0), 7.0);
-        assert_eq!(tw.average(t(5.0)), 0.0);
+        let sd = StateDwell::new(t(5.0), 7);
+        assert!(sd.pmf(t(5.0)).is_empty());
+        assert_eq!(sd.mean(t(5.0)), 0.0);
     }
 
     #[test]
@@ -785,16 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_densities_integrate_to_in_range_mass() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        for i in 0..100 {
-            h.record(i as f64 / 100.0);
-        }
-        let sum: f64 = h.densities().iter().map(|d| d * h.bin_width()).sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn histogram_quantiles() {
         let mut h = Histogram::new(0.0, 100.0, 100);
         for i in 0..1000 {
@@ -808,7 +696,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "time order")]
     fn time_weighted_rejects_backwards_updates() {
-        let mut tw = TimeWeighted::new(t(5.0), 0.0);
-        tw.update(t(1.0), 1.0);
+        let mut sd = StateDwell::new(t(5.0), 0);
+        sd.transition(t(1.0), 1);
     }
 }

@@ -118,12 +118,6 @@ impl SimDuration {
     /// The largest representable span.
     pub const MAX: SimDuration = SimDuration(u64::MAX);
 
-    /// Creates a span from raw ticks.
-    #[must_use]
-    pub const fn from_ticks(ticks: u64) -> Self {
-        SimDuration(ticks)
-    }
-
     /// Creates a span from fractional paper time units.
     ///
     /// # Panics

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use tempriv_sim::queue::EventQueue;
 use tempriv_sim::rng::{splitmix64, RngFactory};
-use tempriv_sim::stats::{MseAccumulator, OnlineStats, TimeWeighted};
-use tempriv_sim::time::{SimDuration, SimTime};
+use tempriv_sim::stats::{MseAccumulator, OnlineStats, StateDwell};
+use tempriv_sim::time::SimTime;
 
 proptest! {
     /// Popping always yields events in non-decreasing time order, with
@@ -57,7 +57,7 @@ proptest! {
     #[test]
     fn time_arithmetic_round_trips(a in 0u64..1u64 << 40, b in 0u64..1u64 << 40) {
         let t = SimTime::from_ticks(a);
-        let d = SimDuration::from_ticks(b);
+        let d = SimTime::from_ticks(b) - SimTime::ZERO;
         let later = t + d;
         prop_assert_eq!(later - t, d);
         prop_assert_eq!(later - d, t);
@@ -98,31 +98,37 @@ proptest! {
     #[test]
     fn mse_bias_variance_decomposition(errs in prop::collection::vec(-1e3f64..1e3, 1..100)) {
         let mut acc = MseAccumulator::new();
+        let mut moments = OnlineStats::new();
         for &e in &errs {
             acc.record_error(e);
+            moments.record(e);
         }
-        let decomposed = acc.bias().powi(2) + acc.error_variance();
+        let decomposed = moments.mean().powi(2) + moments.population_variance();
         prop_assert!((acc.mse() - decomposed).abs() < 1e-6 * (1.0 + acc.mse()));
     }
 
-    /// Time-weighted average always lies within [min, max] of the values.
+    /// The time-weighted mean state always lies within [min, max] of the
+    /// states visited.
     #[test]
     fn time_weighted_average_is_bounded(
-        steps in prop::collection::vec((1u64..1_000, -100f64..100.0), 1..50),
+        steps in prop::collection::vec((1u64..1_000, 0u64..200), 1..50),
     ) {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
+        let mut sd = StateDwell::new(SimTime::ZERO, 0);
         let mut now = SimTime::ZERO;
-        let mut lo = 0.0f64;
-        let mut hi = 0.0f64;
-        for &(dt, v) in &steps {
-            now += SimDuration::from_ticks(dt);
-            tw.update(now, v);
-            lo = lo.min(v);
-            hi = hi.max(v);
+        let mut lo = 0u64;
+        let mut hi = 0u64;
+        for &(dt, state) in &steps {
+            now = SimTime::from_ticks(now.ticks() + dt);
+            sd.transition(now, state);
+            lo = lo.min(state);
+            hi = hi.max(state);
         }
-        let end = now + SimDuration::from_ticks(1);
-        let avg = tw.average(end);
-        prop_assert!(avg >= lo - 1e-9 && avg <= hi + 1e-9, "avg {avg} not in [{lo}, {hi}]");
+        let end = SimTime::from_ticks(now.ticks() + 1);
+        let mean = sd.mean(end);
+        prop_assert!(
+            mean >= lo as f64 - 1e-9 && mean <= hi as f64 + 1e-9,
+            "mean {mean} not in [{lo}, {hi}]"
+        );
     }
 
     /// Identical (seed, stream) pairs agree; different streams diverge

@@ -29,11 +29,11 @@
 //!   against the `crates/queueing` predictions, with configurable
 //!   tolerances, collected into a [`TheoryReport`];
 //! * [`span`] — wall-clock spans for timing pipeline stages, plus the
-//!   cross-layer span tracer ([`TraceCtx`], [`SpanRecord`], [`SpanRing`])
+//!   cross-layer span tracer ([`TraceCtx`], [`SpanRecord`])
 //!   whose Chrome-trace export merges with the flight recorder's;
 //! * [`memprof`] — the memory observatory: a counting
 //!   [`CountingAlloc`] global-allocator wrapper with thread-local
-//!   [`AllocScope`] attribution to kernel phases and pipeline layers,
+//!   [`MemScopeTimer`] attribution to kernel phases,
 //!   serializable [`MemBreakdown`] ledgers, and peak-RSS gauges;
 //! * [`audit`] — the determinism observatory: a [`DigestProbe`] folding
 //!   the packet events into windowed checkpoint digests and a
@@ -67,8 +67,7 @@ pub use audit::{
     EventDivergence, RunDigest, WindowCapture, WindowDigest, DEFAULT_DIGEST_WINDOW,
 };
 pub use memprof::{
-    AllocLayer, AllocScope, CountingAlloc, MemBreakdown, MemScopeTimer, MemSnapshot, SlotMem,
-    ThreadMemSnapshot,
+    CountingAlloc, MemBreakdown, MemScopeTimer, MemSnapshot, SlotMem, ThreadMemSnapshot,
 };
 
 pub use flight::{
@@ -85,6 +84,6 @@ pub use registry::{
     CounterId, GaugeId, HistogramId, HistogramSample, MetricsRegistry, TelemetrySnapshot,
 };
 pub use span::{
-    chrome_span_events, json_escape, wrap_chrome_events, SpanRecord, SpanRing, SpanSet, TraceCtx,
+    chrome_span_events, json_escape, wrap_chrome_events, SpanRecord, SpanSet, TraceCtx,
 };
 pub use theory::{TheoryCheck, TheoryReport, TheoryTolerance};

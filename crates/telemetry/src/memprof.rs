@@ -13,10 +13,9 @@
 //!   gate off (the default) every hook is one relaxed load plus the
 //!   delegated call — effectively free.
 //! * Each counting thread additionally attributes its allocations to an
-//!   *attribution slot*: the seven kernel [`Phase`]s plus the
-//!   serve/job/scenario layers and an `unscoped` residual. The slot is a
-//!   plain thread-local [`Cell`], switched by [`MemScopeTimer`] (driver
-//!   phases) and [`AllocScope`] (pipeline layers).
+//!   *attribution slot*: the kernel [`Phase`]s plus an `unscoped`
+//!   residual. The slot is a plain thread-local [`Cell`], switched by
+//!   [`MemScopeTimer`] while a driver run is profiled.
 //! * [`MemBreakdown`] is the serializable per-slot ledger, with a text
 //!   table and Chrome `"ph":"C"` counter events that merge into the
 //!   profiler's phase timeline.
@@ -39,50 +38,20 @@ use tempriv_sim::profile::{Phase, PhaseTimer, PHASE_COUNT};
 use crate::profiler::PhaseBreakdown;
 use crate::span::{json_escape, PHASE_PID};
 
-/// Number of attribution slots: the seven kernel phases plus
-/// serve/job/scenario layers and the `unscoped` residual.
-pub const SLOT_COUNT: usize = PHASE_COUNT + 4;
+/// Number of attribution slots: the kernel phases plus the
+/// `unscoped` residual.
+pub const SLOT_COUNT: usize = PHASE_COUNT + 1;
 
-const SLOT_SERVE: usize = PHASE_COUNT;
-const SLOT_JOB: usize = PHASE_COUNT + 1;
-const SLOT_SCENARIO: usize = PHASE_COUNT + 2;
-const SLOT_UNSCOPED: usize = PHASE_COUNT + 3;
+const SLOT_UNSCOPED: usize = PHASE_COUNT;
 
 /// Stable display name of an attribution slot (phase names for
-/// `0..PHASE_COUNT`, then `serve`/`job`/`scenario`/`unscoped`).
+/// `0..PHASE_COUNT`, then `unscoped`).
 #[must_use]
 pub fn slot_name(slot: usize) -> &'static str {
     if slot < PHASE_COUNT {
         Phase::ALL[slot].name()
     } else {
-        match slot {
-            SLOT_SERVE => "serve",
-            SLOT_JOB => "job",
-            SLOT_SCENARIO => "scenario",
-            _ => "unscoped",
-        }
-    }
-}
-
-/// A pipeline layer an [`AllocScope`] attributes allocations to,
-/// mirroring the span tracer's serve → job → scenario hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocLayer {
-    /// The HTTP serve layer (request handling, admission, cache).
-    Serve,
-    /// One runtime job (a scenario batch on a worker thread).
-    Job,
-    /// One scenario: config build, simulation run, telemetry flush.
-    Scenario,
-}
-
-impl AllocLayer {
-    const fn slot(self) -> usize {
-        match self {
-            AllocLayer::Serve => SLOT_SERVE,
-            AllocLayer::Job => SLOT_JOB,
-            AllocLayer::Scenario => SLOT_SCENARIO,
-        }
+        "unscoped"
     }
 }
 
@@ -313,39 +282,10 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// RAII guard attributing this thread's allocations to a pipeline
-/// [`AllocLayer`] until dropped; restores the previous slot on drop.
-#[derive(Debug)]
-pub struct AllocScope {
-    prev: usize,
-}
-
-impl AllocScope {
-    /// Enters `layer`: subsequent allocations on this thread land in
-    /// its slot. Construction itself does not allocate.
-    #[must_use]
-    pub fn enter(layer: AllocLayer) -> AllocScope {
-        let prev = MEM_TLS
-            .try_with(|t| {
-                let prev = t.slot.get();
-                t.slot.set(layer.slot());
-                prev
-            })
-            .unwrap_or(SLOT_UNSCOPED);
-        AllocScope { prev }
-    }
-}
-
-impl Drop for AllocScope {
-    fn drop(&mut self) {
-        let _ = MEM_TLS.try_with(|t| t.slot.set(self.prev));
-    }
-}
-
 /// Per-slot allocation counters for one [`MemBreakdown`] row.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SlotMem {
-    /// Slot display name (a phase name, or serve/job/scenario/unscoped).
+    /// Slot display name (a phase name, or `unscoped`).
     pub slot: String,
     /// Allocation calls attributed to this slot.
     pub allocs: u64,
@@ -397,17 +337,9 @@ impl MemBreakdown {
             .map_or(0, |s| s.bytes)
     }
 
-    /// Allocation calls attributed to the slot named `slot`, 0 if absent.
-    #[must_use]
-    pub fn allocs_for(&self, slot: &str) -> u64 {
-        self.slots
-            .iter()
-            .find(|s| s.slot == slot)
-            .map_or(0, |s| s.allocs)
-    }
-
     /// Folds `other` into `self`, matching rows by slot name and
-    /// appending unknown slots.
+    /// appending unknown slots (so ledgers written with other slot sets,
+    /// such as the retired `serve`/`job`/`scenario` rows, still merge).
     pub fn merge(&mut self, other: &MemBreakdown) {
         for row in &other.slots {
             if let Some(mine) = self.slots.iter_mut().find(|s| s.slot == row.slot) {
@@ -607,21 +539,19 @@ mod tests {
     #[test]
     fn thread_slots_attribute_to_the_active_scope() {
         with_counting(|| {
+            // Outside any timer, allocations land in the unscoped residual.
+            assert_eq!(MEM_TLS.with(|t| t.slot.get()), SLOT_UNSCOPED);
             let before = thread_snapshot();
-            let scenario_before = MEM_TLS.with(|t| t.bytes[SLOT_SCENARIO].get());
-            let held;
-            {
-                let _scope = AllocScope::enter(AllocLayer::Scenario);
-                held = vec![0u8; 4096];
-            }
+            let unscoped_before = MEM_TLS.with(|t| t.bytes[SLOT_UNSCOPED].get());
+            let held = vec![0u8; 4096];
             std::hint::black_box(&held);
             let after = thread_snapshot();
-            let scenario_after = MEM_TLS.with(|t| t.bytes[SLOT_SCENARIO].get());
+            let unscoped_after = MEM_TLS.with(|t| t.bytes[SLOT_UNSCOPED].get());
             assert!(after.allocs > before.allocs);
             assert!(
-                scenario_after >= scenario_before + 4096,
-                "scenario slot grew by {} (< 4096)",
-                scenario_after - scenario_before
+                unscoped_after >= unscoped_before + 4096,
+                "unscoped slot grew by {} (< 4096)",
+                unscoped_after - unscoped_before
             );
         });
     }
@@ -630,15 +560,11 @@ mod tests {
     fn alloc_scope_restores_the_previous_slot() {
         with_counting(|| {
             let outer = MEM_TLS.with(|t| t.slot.get());
-            {
-                let _a = AllocScope::enter(AllocLayer::Job);
-                assert_eq!(MEM_TLS.with(|t| t.slot.get()), SLOT_JOB);
-                {
-                    let _b = AllocScope::enter(AllocLayer::Scenario);
-                    assert_eq!(MEM_TLS.with(|t| t.slot.get()), SLOT_SCENARIO);
-                }
-                assert_eq!(MEM_TLS.with(|t| t.slot.get()), SLOT_JOB);
-            }
+            let mut timer = MemScopeTimer::new();
+            assert_eq!(MEM_TLS.with(|t| t.slot.get()), Phase::EngineLoop.index());
+            timer.switch(Phase::Release);
+            assert_eq!(MEM_TLS.with(|t| t.slot.get()), Phase::Release.index());
+            let _ = timer.finish();
             assert_eq!(MEM_TLS.with(|t| t.slot.get()), outer);
         });
     }
@@ -656,7 +582,7 @@ mod tests {
             std::hint::black_box(&c);
             let breakdown = timer.finish();
             assert!(breakdown.bytes_for("victim_select") >= 4096);
-            assert!(breakdown.allocs_for("create") >= 1);
+            assert!(breakdown.slots[Phase::Create.index()].allocs >= 1);
             assert_eq!(
                 breakdown.total_allocs,
                 breakdown.slots.iter().map(|s| s.allocs).sum::<u64>()
@@ -719,16 +645,16 @@ mod tests {
         a.total_allocs = 3;
         a.total_bytes = 300;
         let mut b = MemBreakdown::empty();
-        b.slots[SLOT_SCENARIO].allocs = 2;
-        b.slots[SLOT_SCENARIO].bytes = 200;
+        b.slots[SLOT_UNSCOPED].allocs = 2;
+        b.slots[SLOT_UNSCOPED].bytes = 200;
         b.total_allocs = 2;
         b.total_bytes = 200;
         a.merge(&b);
         assert_eq!(a.total_allocs, 5);
-        assert_eq!(a.bytes_for("scenario"), 200);
+        assert_eq!(a.bytes_for("unscoped"), 200);
         let table = a.table();
         assert!(table.contains("arrive"), "{table}");
-        assert!(table.contains("scenario"), "{table}");
+        assert!(table.contains("unscoped"), "{table}");
         assert!(table.contains("total"), "{table}");
 
         let json = serde_json::to_string(&a).unwrap();

@@ -8,8 +8,9 @@
 //! (`x̂ = z − offset`, the constant-offset estimator of §2.1/§5.1). At a
 //! configurable delivery interval it freezes [`FlowPrivacySummary`]
 //! snapshots into a bounded, decimated time series, so a finished run
-//! yields replayable convergence curves; [`PrivacySeries::publish_gauges`]
-//! exposes the final state as `tempriv_privacy_*{flow="i"}` gauges.
+//! yields replayable convergence curves. `TelemetryExport::collect` in
+//! `tempriv-core` turns the final summaries into
+//! `tempriv_privacy_*{flow="i"}` gauges.
 //!
 //! Like every probe it only observes: it consumes no RNG draws and
 //! mutates no simulation state, so outcomes are byte-identical with the
@@ -18,7 +19,6 @@
 
 use crate::flight::PacketEvent;
 use crate::probe::{ProbeEvent, SimProbe};
-use crate::registry::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 use tempriv_infotheory::bounds::btq_stream_bound_nats;
 use tempriv_infotheory::streaming::{StreamingMi, StreamingMse};
@@ -107,38 +107,6 @@ pub struct PrivacySeries {
     pub summary: Vec<FlowPrivacySummary>,
 }
 
-impl PrivacySeries {
-    /// Publishes the final per-flow state as
-    /// `tempriv_privacy_mi_nats{flow="i"}`,
-    /// `tempriv_privacy_margin_nats{flow="i"}`, and
-    /// `tempriv_privacy_adversary_mse{flow="i"}` gauges. Unknown values
-    /// (no envelope, too few packets) are skipped, not published as 0.
-    pub fn publish_gauges(&self, registry: &mut MetricsRegistry) {
-        for s in &self.summary {
-            let flow = s.flow;
-            let id = registry.gauge(
-                format!("tempriv_privacy_mi_nats{{flow=\"{flow}\"}}"),
-                "streaming estimate of I(X;Z) between creation and arrival times",
-            );
-            registry.set(id, s.mi_nats);
-            if let Some(margin) = s.margin_nats {
-                let id = registry.gauge(
-                    format!("tempriv_privacy_margin_nats{{flow=\"{flow}\"}}"),
-                    "eq. 4 mean per-packet bound minus the empirical streaming MI",
-                );
-                registry.set(id, margin);
-            }
-            if let Some(mse) = s.mse {
-                let id = registry.gauge(
-                    format!("tempriv_privacy_adversary_mse{{flow=\"{flow}\"}}"),
-                    "running mean square error of the baseline creation-time adversary",
-                );
-                registry.set(id, mse);
-            }
-        }
-    }
-}
-
 /// Default number of retained snapshots; older points are decimated with
 /// a doubling stride, exactly like the occupancy series in
 /// [`crate::probe::RecordingProbe`].
@@ -173,7 +141,8 @@ pub struct PrivacyProbe {
 impl PrivacyProbe {
     /// A probe for `flows.len()` flows, snapshotting every `interval`
     /// deliveries (`interval == 0` keeps only the final summary) with
-    /// [`StreamingMi::with_default_bins`]-sized histograms.
+    /// [`DEFAULT_STREAMING_BINS`](tempriv_infotheory::streaming::DEFAULT_STREAMING_BINS)-sized
+    /// histograms.
     #[must_use]
     pub fn new(flows: Vec<FlowPrivacyConfig>, interval: u64) -> Self {
         Self::with_bins(
@@ -470,41 +439,6 @@ mod tests {
         assert_eq!(series.summary[0].packets, 1);
         assert_eq!(series.summary[0].btq_mean_bound_nats, None);
         assert_eq!(series.summary[0].margin_nats, None);
-    }
-
-    #[test]
-    fn gauges_publish_only_known_values() {
-        let mut probe = probe_with(2, 0);
-        drive(&mut probe, 60);
-        let series = probe.finish(SimTime::from_units(200.0));
-        let mut registry = MetricsRegistry::new();
-        series.publish_gauges(&mut registry);
-        let snap = registry.snapshot();
-        let names: Vec<&str> = snap.gauges.iter().map(|g| g.name.as_str()).collect();
-        assert!(
-            names.contains(&"tempriv_privacy_mi_nats{flow=\"0\"}"),
-            "{names:?}"
-        );
-        assert!(names.contains(&"tempriv_privacy_margin_nats{flow=\"1\"}"));
-        assert!(names.contains(&"tempriv_privacy_adversary_mse{flow=\"0\"}"));
-
-        // A flow with no envelope publishes MI but no margin.
-        let mut bare = PrivacyProbe::new(
-            vec![FlowPrivacyConfig {
-                adversary_offset: 0.0,
-                btq: None,
-            }],
-            0,
-        );
-        deliver(&mut bare, 0, 0.5, 0.5);
-        deliver(&mut bare, 0, 2.5, 0.5);
-        let mut registry = MetricsRegistry::new();
-        bare.finish(SimTime::from_units(3.0))
-            .publish_gauges(&mut registry);
-        let snap = registry.snapshot();
-        let names: Vec<&str> = snap.gauges.iter().map(|g| g.name.as_str()).collect();
-        assert!(names.contains(&"tempriv_privacy_mi_nats{flow=\"0\"}"));
-        assert!(!names.iter().any(|n| n.contains("margin")), "{names:?}");
     }
 
     #[test]

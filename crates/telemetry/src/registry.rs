@@ -144,12 +144,6 @@ impl MetricsRegistry {
         self.counters[id.0].value
     }
 
-    /// Current gauge value.
-    #[must_use]
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].value
-    }
-
     /// Freezes the current values into a serializable snapshot.
     #[must_use]
     pub fn snapshot(&self) -> TelemetrySnapshot {
@@ -400,7 +394,7 @@ mod tests {
         reg.set(g, 2.5);
         assert_eq!(reg.counter_value(a), 3);
         assert_eq!(reg.counter_value(b), 5);
-        assert_eq!(reg.gauge_value(g), 2.5);
+        assert_eq!(reg.gauges[g.0].value, 2.5);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! anything that must be deterministic (cache keys, result digests,
 //! byte-identical output checks).
 //!
-//! The cross-layer tracer adds three pieces on top of the simple
+//! The cross-layer tracer adds two pieces on top of the simple
 //! [`SpanSet`]:
 //!
 //! * [`TraceCtx`] — a `(trace id, span id)` pair derived with
@@ -14,9 +14,7 @@
 //!   request/job identity and runs remain reproducible;
 //! * [`SpanRecord`] — one named wall-time interval stamped with its
 //!   trace lineage and originating layer (`serve`, `queue`, `job`,
-//!   `scenario`);
-//! * [`SpanRing`] — a bounded overwrite-oldest buffer of records, the
-//!   same semantics as the flight recorder's ring.
+//!   `scenario`).
 //!
 //! [`chrome_span_events`] renders records as Chrome `trace_event`
 //! objects so they merge with flight-recorder and phase-profile events
@@ -24,7 +22,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::time::Instant;
 use tempriv_sim::rng::splitmix64;
@@ -36,7 +33,7 @@ use tempriv_sim::rng::splitmix64;
 /// ```
 /// use tempriv_telemetry::SpanSet;
 ///
-/// let mut spans = SpanSet::new();
+/// let mut spans = SpanSet::default();
 /// let answer = spans.time("simulate", || 6 * 7);
 /// assert_eq!(answer, 42);
 /// assert_eq!(spans.spans().len(), 1);
@@ -48,12 +45,6 @@ pub struct SpanSet {
 }
 
 impl SpanSet {
-    /// An empty span set.
-    #[must_use]
-    pub fn new() -> Self {
-        SpanSet::default()
-    }
-
     /// Runs `f`, recording its wall time under `name`.
     pub fn time<R>(&mut self, name: impl Into<String>, f: impl FnOnce() -> R) -> R {
         let started = Instant::now();
@@ -164,73 +155,6 @@ pub struct SpanRecord {
     pub dur_us: u64,
 }
 
-/// A bounded overwrite-oldest buffer of [`SpanRecord`]s.
-///
-/// Mirrors the flight recorder's ring semantics: pushing into a full
-/// ring evicts the oldest record and advances the eviction counter, so
-/// long runs keep the most recent spans in fixed memory.
-#[derive(Debug, Clone, Default)]
-pub struct SpanRing {
-    spans: VecDeque<SpanRecord>,
-    capacity: usize,
-    evicted: u64,
-}
-
-impl SpanRing {
-    /// A ring retaining at most `capacity` spans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "span ring capacity must be positive");
-        SpanRing {
-            spans: VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
-            evicted: 0,
-        }
-    }
-
-    /// Appends a span, evicting the oldest if at capacity.
-    pub fn push(&mut self, span: SpanRecord) {
-        if self.spans.len() == self.capacity {
-            self.spans.pop_front();
-            self.evicted += 1;
-        }
-        self.spans.push_back(span);
-    }
-
-    /// Retained spans, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
-        self.spans.iter()
-    }
-
-    /// Number of retained spans.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// `true` when nothing is retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Spans evicted because the ring was full.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Drains the ring into a `Vec`, oldest first.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<SpanRecord> {
-        self.spans.into_iter().collect()
-    }
-}
-
 /// Chrome `pid` under which cross-layer wall-clock spans are exported.
 pub const SPAN_PID: u64 = 1000;
 
@@ -304,7 +228,7 @@ mod tests {
 
     #[test]
     fn spans_accumulate_in_order() {
-        let mut spans = SpanSet::new();
+        let mut spans = SpanSet::default();
         spans.record("build", 0.5);
         spans.record("simulate", 1.5);
         assert_eq!(spans.spans().len(), 2);
@@ -314,7 +238,7 @@ mod tests {
 
     #[test]
     fn time_returns_the_closure_result() {
-        let mut spans = SpanSet::new();
+        let mut spans = SpanSet::default();
         let got = spans.time("work", || "done");
         assert_eq!(got, "done");
         assert!(spans.spans()[0].1 >= 0.0);
@@ -322,7 +246,7 @@ mod tests {
 
     #[test]
     fn span_set_round_trips_through_json() {
-        let mut spans = SpanSet::new();
+        let mut spans = SpanSet::default();
         spans.record("a", 0.25);
         let json = serde_json::to_string(&spans).unwrap();
         let back: SpanSet = serde_json::from_str(&json).unwrap();
@@ -362,27 +286,6 @@ mod tests {
             start_us: i * 100,
             dur_us: 50,
         }
-    }
-
-    #[test]
-    fn span_ring_overwrites_oldest_and_counts_evictions() {
-        let mut ring = SpanRing::with_capacity(2);
-        for i in 0..5 {
-            ring.push(rec(i));
-        }
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.evicted(), 3);
-        let kept: Vec<u64> = ring.iter().map(|s| s.span_id).collect();
-        assert_eq!(kept, vec![13, 14], "newest spans survive");
-        let drained = ring.into_vec();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].span_id, 13);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_span_ring_panics() {
-        let _ = SpanRing::with_capacity(0);
     }
 
     #[test]

@@ -27,8 +27,8 @@ fn per_node_delay_plans_are_configurable_from_json() {
             strategies: vec![
                 DelayStrategy::None,
                 DelayStrategy::exponential(5.0),
-                DelayStrategy::uniform(10.0),
-                DelayStrategy::constant(2.0),
+                DelayStrategy::Uniform { mean: 10.0 },
+                DelayStrategy::Constant { delay: 2.0 },
                 DelayStrategy::exponential(20.0),
             ],
             fallback: DelayStrategy::None,
