@@ -338,3 +338,158 @@ fn telemetry_does_not_change_sweep_rows() {
         "telemetry collection must not change experiment outputs"
     );
 }
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One scenario on the Figure-1 layout under every probe the export
+/// reads: recorder (with theory and residence checks), flight log (for
+/// AoI) and privacy series.
+fn observed_scenario(
+    buffer: BufferPolicy,
+    label: &str,
+) -> (
+    tempriv_core::telemetry::ScenarioTelemetry,
+    tempriv_core::telemetry::ScenarioPrivacy,
+) {
+    use tempriv_core::telemetry::{
+        privacy_probe_for, residence_checks, ScenarioPrivacy, ScenarioTelemetry,
+    };
+    let layout = Convergecast::paper_figure1();
+    let sim = NetworkSimulation::builder(layout.routing().clone(), layout.sources().to_vec())
+        .traffic(TrafficModel::poisson(0.5))
+        .packets_per_source(120)
+        .delay_plan(DelayPlan::shared_exponential(30.0))
+        .buffer_policy(buffer)
+        .seed(11)
+        .build()
+        .unwrap();
+    let mut metrics = RecordingProbe::new(sim.routing().len());
+    let mut flight = FlightRecorder::with_capacity(1 << 16);
+    let mut privacy = privacy_probe_for(&sim, 50);
+    let outcome = sim.run_probed(&mut ((&mut metrics, &mut flight), &mut privacy));
+    let log = flight.finish(outcome.end_time);
+    let telemetry = metrics.finish(outcome.end_time);
+    let tol = TheoryTolerance::default();
+    let mut theory = theory_report(&sim, &telemetry, &tol);
+    for check in residence_checks(&sim, &log, &tol) {
+        theory.push(check);
+    }
+    let scenario = ScenarioTelemetry {
+        label: label.to_string(),
+        sim: telemetry,
+        theory,
+        aoi: log.aoi_by_flow(),
+    };
+    let series = ScenarioPrivacy {
+        label: label.to_string(),
+        series: privacy.finish(outcome.end_time),
+    };
+    (scenario, series)
+}
+
+/// A mem blob with hand-set ledger, process and RSS fields (the live
+/// allocator's numbers vary from run to run).
+fn fixed_mem_blob(label: &str, allocs: u64, delivered: u64, peak_live: u64) -> String {
+    use tempriv_core::telemetry::{JobMem, ScenarioMem};
+    use tempriv_telemetry::{MemBreakdown, MemSnapshot};
+    let mut ledger = MemBreakdown::empty();
+    let arrive = tempriv_sim::profile::Phase::Arrive.index();
+    let unscoped = ledger.slots.len() - 1;
+    for (slot, n, bytes) in [(arrive, allocs - 2, 96 * allocs), (unscoped, 2, 512)] {
+        ledger.slots[slot].allocs = n;
+        ledger.slots[slot].bytes = bytes;
+    }
+    ledger.total_allocs = allocs;
+    ledger.total_bytes = 96 * allocs + 512;
+    let job = JobMem {
+        scenarios: vec![ScenarioMem {
+            label: label.to_string(),
+            ledger,
+            allocs,
+            alloc_bytes: 96 * allocs + 512,
+            delivered,
+            allocs_per_delivered: allocs as f64 / delivered as f64,
+        }],
+        process: Some(MemSnapshot {
+            allocs: 4 * allocs,
+            deallocs: 3 * allocs,
+            reallocs: 17,
+            alloc_bytes: 400 * allocs,
+            live_bytes: 65_536,
+            peak_live_bytes: peak_live,
+        }),
+        peak_rss_bytes: Some(8 * peak_live),
+    };
+    serde_json::to_string(&job).unwrap()
+}
+
+#[test]
+fn export_bytes_are_pinned() {
+    use tempriv_core::telemetry::{JobPrivacy, JobTelemetry};
+    use tempriv_telemetry::SpanSet;
+    // Job 0 carries every family the export reads, job 1 only the
+    // metrics family, job 2 no metrics blob, job 3 nothing at all.
+    let (unlimited, unlimited_privacy) = observed_scenario(BufferPolicy::Unlimited, "unlimited");
+    let random = BufferPolicy::Rcad {
+        capacity: 3,
+        victim: VictimPolicy::Random,
+    };
+    let (rcad, rcad_privacy) = observed_scenario(random, "rcad");
+    let (drop_tail, _) = observed_scenario(BufferPolicy::DropTail { capacity: 2 }, "droptail");
+    let (_, shortest_privacy) = observed_scenario(BufferPolicy::paper_rcad(), "shortest");
+    let telemetry_blob = |scenarios: Vec<_>, secs: &[f64]| {
+        let mut spans = SpanSet::default();
+        for (s, &t) in scenarios.iter().zip(secs) {
+            let s: &tempriv_core::telemetry::ScenarioTelemetry = s;
+            spans.record(s.label.clone(), t);
+        }
+        serde_json::to_string(&JobTelemetry { scenarios, spans }).unwrap()
+    };
+    let privacy_blob = |scenarios| serde_json::to_string(&JobPrivacy { scenarios }).unwrap();
+    let blobs = [
+        Some(telemetry_blob(vec![unlimited, rcad], &[0.125, 0.375])),
+        Some(telemetry_blob(vec![drop_tail], &[0.5])),
+        None,
+        None,
+    ];
+    let privacy = [
+        Some(privacy_blob(vec![unlimited_privacy, rcad_privacy])),
+        None,
+        Some(privacy_blob(vec![shortest_privacy])),
+        None,
+    ];
+    let mem = [
+        Some(fixed_mem_blob("unlimited", 40, 400, 1 << 20)),
+        None,
+        Some(fixed_mem_blob("shortest", 12, 300, 3 << 19)),
+        None,
+    ];
+    let export = TelemetryExport::collect("fig2+fig3", &blobs, &privacy, &mem).unwrap();
+    // The hashes pin the canonical JSON, the Prometheus text and the
+    // text summary of the aggregation: registration order, names, help
+    // strings and floating-point summation order.
+    assert_eq!(export.jobs, 4);
+    assert_eq!(export.instrumented_jobs, 2);
+    assert!(export.theory_flagged > 0, "some check is flagged");
+    let json = export.to_canonical_json();
+    let prometheus = export.metrics.to_prometheus();
+    let text = export.summary_text();
+    assert_eq!(
+        [
+            fnv1a(json.as_bytes()),
+            fnv1a(prometheus.as_bytes()),
+            fnv1a(text.as_bytes())
+        ],
+        [
+            0x58c7_0635_7d4c_34e0,
+            0x52ad_f825_1768_1e36,
+            0x84fb_d06d_811c_cf64
+        ],
+        "{text}"
+    );
+}
