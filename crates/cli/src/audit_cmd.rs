@@ -32,7 +32,7 @@ use tempriv_telemetry::audit::{
 use tempriv_telemetry::DEFAULT_DIGEST_WINDOW;
 
 use crate::args::Args;
-use crate::commands::{check_shardable, io_err, optional, CliError};
+use crate::commands::{check_shardable, io_err, load_config, optional, CliError};
 
 const AUDIT_USAGE: &str = "usage: tempriv audit <run|diff|bisect|ledger>; \
                            try `tempriv help` for the flag list";
@@ -80,22 +80,6 @@ fn fail_on_divergence(args: &Args, message: String) -> Result<(), CliError> {
     } else {
         Ok(())
     }
-}
-
-/// Loads the experiment config at `path` (the paper default when
-/// absent) and applies the `--seed` / `--packets` overrides.
-fn audit_config(args: &Args, path: Option<&str>) -> Result<ExperimentConfig, String> {
-    let mut cfg = match path {
-        Some(p) => {
-            let raw = std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?;
-            serde_json::from_str::<ExperimentConfig>(&raw)
-                .map_err(|e| format!("invalid config {p}: {e}"))?
-        }
-        None => ExperimentConfig::paper_default(),
-    };
-    cfg.seed = args.option_as("seed", cfg.seed)?;
-    cfg.packets_per_source = args.option_as("packets", cfg.packets_per_source)?;
-    Ok(cfg)
 }
 
 /// Parses `--window`, defaulting to [`DEFAULT_DIGEST_WINDOW`].
@@ -193,7 +177,7 @@ fn audit_run<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         &["outcome"],
     )
     .map_err(|e| format!("{e}\n{RUN_USAGE}"))?;
-    let cfg = audit_config(args, args.positional(2))?;
+    let cfg = load_config(args, args.positional(2))?;
     let window = window_arg(args)?;
     let shards: u32 = args.option_as("shards", 1)?;
     let workers: usize = args.option_as("workers", 1)?;
@@ -286,9 +270,9 @@ fn audit_bisect<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         &["fail-on-divergence"],
     )
     .map_err(|e| format!("{e}\n{BISECT_USAGE}"))?;
-    let left_cfg = audit_config(args, args.positional(2))?;
+    let left_cfg = load_config(args, args.positional(2))?;
     let mut right_cfg = match args.option("against") {
-        Some(path) => audit_config(args, Some(path))?,
+        Some(path) => load_config(args, Some(path))?,
         None => left_cfg.clone(),
     };
     match optional::<u64>(args, "against-seed")? {

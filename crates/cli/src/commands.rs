@@ -12,7 +12,9 @@ use tempriv_core::experiment::{fig2_sweep_with, Sweep, SweepParams};
 use tempriv_core::replication::{replicate, ReplicatedMetric};
 use tempriv_core::report::PrivacyAssessment;
 use tempriv_core::sharded::MAX_SHARDS;
-use tempriv_core::telemetry::{privacy_flow_configs, JobMem, JobSpans, JobTrace, TelemetryExport};
+use tempriv_core::telemetry::{
+    chrome_timeline, parse_blobs, privacy_flow_configs, JobMem, JobSpans, JobTrace, TelemetryExport,
+};
 use tempriv_core::SimOutcome;
 use tempriv_infotheory::bounds::{btq_packet_bound_nats, btq_stream_bound_nats};
 use tempriv_infotheory::DEFAULT_STREAMING_BINS;
@@ -22,10 +24,9 @@ use tempriv_runtime::{
     BlobKind, ManifestReader, ResultCache, Runtime, StderrReporter, TelemetrySink, WorkerPool,
 };
 use tempriv_telemetry::{
-    chrome_span_events, memprof, wrap_chrome_events, DigestProbe, FlightRecorder,
-    FlowPrivacySummary, LineageOutcome, MemBreakdown, PacketEvent, PhaseBreakdown, PrivacyProbe,
-    ProbeEvent, SimProbe, SpanRecord, TraceCtx, DEFAULT_DIGEST_WINDOW, DEFAULT_FLIGHT_CAPACITY,
-    DEFAULT_PHASE_BATCH,
+    memprof, DigestProbe, FlightRecorder, FlowPrivacySummary, LineageOutcome, MemBreakdown,
+    PacketEvent, PhaseBreakdown, PrivacyProbe, ProbeEvent, SimProbe, TraceCtx,
+    DEFAULT_DIGEST_WINDOW, DEFAULT_FLIGHT_CAPACITY, DEFAULT_PHASE_BATCH,
 };
 
 use crate::args::Args;
@@ -253,6 +254,24 @@ pub(crate) fn io_err(e: std::io::Error) -> String {
     format!("I/O error: {e}")
 }
 
+/// Reads and parses the experiment config at `path`.
+fn read_config(path: &str) -> Result<ExperimentConfig, String> {
+    let raw = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    serde_json::from_str(&raw).map_err(|e| format!("invalid config {path}: {e}"))
+}
+
+/// Loads the experiment config at `path` (the paper default when
+/// absent) and applies the `--seed` / `--packets` overrides.
+pub(crate) fn load_config(args: &Args, path: Option<&str>) -> Result<ExperimentConfig, String> {
+    let mut cfg = match path {
+        Some(path) => read_config(path)?,
+        None => ExperimentConfig::paper_default(),
+    };
+    cfg.seed = args.option_as("seed", cfg.seed)?;
+    cfg.packets_per_source = args.option_as("packets", cfg.packets_per_source)?;
+    Ok(cfg)
+}
+
 /// `--shards N` above 1 runs the sharded engine, whose conservative
 /// lookahead is the link delay: a config that rounds it to zero ticks
 /// cannot be sharded. `N` is at most [`MAX_SHARDS`].
@@ -279,9 +298,7 @@ fn cmd_run<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let path = args.positional(1).ok_or(RUN_USAGE)?;
     args.expect_only(2, &["seed", "out", "shards", "workers"], &[])
         .map_err(|e| format!("{e}\n{RUN_USAGE}"))?;
-    let raw = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut cfg: ExperimentConfig =
-        serde_json::from_str(&raw).map_err(|e| format!("invalid config {path}: {e}"))?;
+    let mut cfg = read_config(path)?;
     if let Some(seed) = args.option("seed") {
         cfg.seed = seed
             .parse()
@@ -407,9 +424,7 @@ fn cmd_assess<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let path = args.positional(1).ok_or(ASSESS_USAGE)?;
     args.expect_only(2, &["replications"], &[])
         .map_err(|e| format!("{e}\n{ASSESS_USAGE}"))?;
-    let raw = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let cfg: ExperimentConfig =
-        serde_json::from_str(&raw).map_err(|e| format!("invalid config {path}: {e}"))?;
+    let cfg = read_config(path)?;
     let replications: u32 = args.option_as("replications", 5)?;
     if replications == 0 {
         return Err("--replications must be positive".into());
@@ -1133,17 +1148,7 @@ fn cmd_trace<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
         &["fail-on-divergence"],
     )
     .map_err(|e| format!("{e}\n{TRACE_USAGE}"))?;
-    let mut cfg = match args.positional(1) {
-        Some(path) => {
-            let raw =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            serde_json::from_str::<ExperimentConfig>(&raw)
-                .map_err(|e| format!("invalid config {path}: {e}"))?
-        }
-        None => ExperimentConfig::paper_default(),
-    };
-    cfg.seed = args.option_as("seed", cfg.seed)?;
-    cfg.packets_per_source = args.option_as("packets", cfg.packets_per_source)?;
+    let cfg = load_config(args, args.positional(1))?;
     let capacity: usize = args.option_as("capacity", DEFAULT_FLIGHT_CAPACITY)?;
     if capacity == 0 {
         return Err("--capacity must be positive".into());
@@ -1236,20 +1241,6 @@ fn cmd_trace<W: Write>(args: &Args, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Drains the sink's `kind` blobs and parses every attached one.
-fn take_blobs<T: serde::Deserialize>(
-    sink: &TelemetrySink,
-    kind: BlobKind,
-) -> Result<Vec<T>, String> {
-    sink.take_all(kind)
-        .iter()
-        .flatten()
-        .map(|blob| {
-            serde_json::from_str(blob).map_err(|e| format!("malformed {} blob: {e}", kind.name()))
-        })
-        .collect()
-}
-
 /// `tempriv profile`: run a sweep on a single-worker runtime with the
 /// span tracer and engine self-profiler on, then print the per-phase
 /// wall-time attribution merged across every scenario. The sweep's own
@@ -1297,17 +1288,16 @@ fn cmd_profile<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     let mut rows = Vec::new();
     run_experiment(&experiment, &params, &runtime, &mut rows)?;
 
-    let jobs: Vec<JobSpans> = take_blobs(&sink, BlobKind::Spans)?;
-    let mem_jobs: Vec<JobMem> = take_blobs(&sink, BlobKind::Mem)?;
+    let drain = |kind| sink.take_all(kind);
+    let spans: Vec<Option<JobSpans>> = parse_blobs(BlobKind::Spans, &drain(BlobKind::Spans))?;
+    let mems: Vec<Option<JobMem>> = parse_blobs(BlobKind::Mem, &drain(BlobKind::Mem))?;
     let mut merged: Option<PhaseBreakdown> = None;
     let mut scenarios = 0usize;
-    for job in &jobs {
-        for scenario in &job.profiles {
-            scenarios += 1;
-            match &mut merged {
-                Some(acc) => acc.merge(&scenario.profile),
-                None => merged = Some(scenario.profile.clone()),
-            }
+    for scenario in spans.iter().flatten().flat_map(|job| &job.profiles) {
+        scenarios += 1;
+        match &mut merged {
+            Some(acc) => acc.merge(&scenario.profile),
+            None => merged = Some(scenario.profile.clone()),
         }
     }
     let merged = merged.ok_or("no phase profiles recorded (empty sweep?)")?;
@@ -1320,16 +1310,14 @@ fn cmd_profile<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
         writeln!(
             out,
             "profile {experiment}: {} jobs, {scenarios} scenarios, batch {batch}, seed {}",
-            jobs.len(),
+            spans.iter().flatten().count(),
             params.seed
         )
         .map_err(io_err)?;
         write!(out, "{}", merged.table()).map_err(io_err)?;
         let mut mem_ledger = MemBreakdown::empty();
-        for job in &mem_jobs {
-            for scenario in &job.scenarios {
-                mem_ledger.merge(&scenario.ledger);
-            }
+        for scenario in mems.iter().flatten().flat_map(|job| &job.scenarios) {
+            mem_ledger.merge(&scenario.ledger);
         }
         if !mem_ledger.is_empty() {
             writeln!(out, "memory (allocations by phase):").map_err(io_err)?;
@@ -1341,38 +1329,9 @@ fn cmd_profile<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
     }
 
     if let Some(path) = chrome_out {
-        let spans: Vec<SpanRecord> = jobs.iter().flat_map(|j| j.spans.clone()).collect();
-        let mut events = chrome_span_events(&spans, 0);
-        let mut phase_tid = 0u64;
-        for (job_idx, job) in jobs.iter().enumerate() {
-            for (i, scenario) in job.profiles.iter().enumerate() {
-                // Anchor each phase band at its scenario span (index 0
-                // is the job span, scenarios follow in order).
-                let anchor = job.spans.get(i + 1).map_or(0, |s| s.start_us);
-                events.extend(scenario.profile.chrome_phase_events(
-                    &scenario.label,
-                    anchor,
-                    phase_tid,
-                ));
-                // Live-bytes counter track riding the same thread lane
-                // as the scenario's phase bands.
-                if let Some(smem) = mem_jobs.get(job_idx).and_then(|m| m.scenarios.get(i)) {
-                    events.extend(smem.ledger.chrome_counter_events(
-                        anchor,
-                        phase_tid,
-                        &scenario.profile,
-                    ));
-                }
-                phase_tid += 1;
-            }
-        }
-        for trace in take_blobs::<JobTrace>(&sink, BlobKind::Trace)? {
-            for scenario in &trace.scenarios {
-                events.extend(scenario.log.chrome_trace_events());
-            }
-        }
-        std::fs::write(path, wrap_chrome_events(&events))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        let traces: Vec<Option<JobTrace>> = parse_blobs(BlobKind::Trace, &drain(BlobKind::Trace))?;
+        let timeline = chrome_timeline(Vec::new(), &spans, &traces, &mems, 0);
+        std::fs::write(path, timeline).map_err(|e| format!("cannot write {path}: {e}"))?;
         writeln!(out, "[profile trace written to {path}]").map_err(io_err)?;
     }
     Ok(())
@@ -1521,9 +1480,7 @@ fn cmd_watch_oneshot<W: Write>(args: &Args, out: &mut W) -> Result<(), String> {
         &["quiet"],
     )
     .map_err(|e| format!("{e}\n{WATCH_ONESHOT_USAGE}"))?;
-    let mut cfg = ExperimentConfig::paper_default();
-    cfg.seed = args.option_as("seed", cfg.seed)?;
-    cfg.packets_per_source = args.option_as("packets", cfg.packets_per_source)?;
+    let cfg = load_config(args, None)?;
     let interval: u64 = args.option_as("interval", 100)?;
     if interval == 0 {
         return Err("--interval must be positive".into());

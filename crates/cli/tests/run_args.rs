@@ -1,8 +1,9 @@
 //! `tempriv run` rejects input it does not read: the binary exits 1 and
 //! prints the usage line instead of running with the input ignored, and
 //! so does a `--shards` count past the limit. Bad link settings, a delay
-//! plan too long for the clock and `--shards` on a zero link delay exit 1
-//! with a message naming the setting, never a panic.
+//! plan or creation schedule too long for the clock and `--shards` on a
+//! zero link delay exit 1 with a message naming the setting, never a
+//! panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -131,6 +132,25 @@ fn run_rejects_out_of_range_link_settings() {
             "\"mean\": 30.0",
             "\"mean\": 0.0",
             "invalid delay plan: Exponential { mean: 0.0 } needs a positive finite mean",
+        ),
+        // 20 packets at a gap of 1e13 are created past the clock's range.
+        (
+            "schedule_long",
+            "\"interval\": 2.0",
+            "\"interval\": 1e13",
+            "invalid traffic: 20 packets per source at gaps up to 10000000000000.0",
+        ),
+        (
+            "schedule_huge_gap",
+            "\"interval\": 2.0",
+            "\"interval\": 1e300",
+            "invalid traffic: 20 packets per source at gaps up to 1e300",
+        ),
+        (
+            "schedule_negative_gap",
+            "\"interval\": 2.0",
+            "\"interval\": -2.0",
+            "invalid traffic: Periodic { interval: -2.0 } needs positive finite gaps",
         ),
     ] {
         let cfg = config_with(tag, from, to);

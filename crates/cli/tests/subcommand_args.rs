@@ -308,6 +308,19 @@ fn sweep_and_profile_reject_points_that_are_not_positive_and_finite() {
 }
 
 #[test]
+fn sweep_and_profile_reject_points_whose_schedule_overflows_the_clock() {
+    let reason = "point 1/lambda = 10000000000000: invalid traffic: 20 packets per source";
+    assert_fails(
+        &tempriv(&["sweep", "--points", "4,1e13", "--packets", "20", "--quiet"]),
+        reason,
+    );
+    assert_fails(
+        &tempriv(&["profile", "--points", "1e13", "--packets", "20"]),
+        reason,
+    );
+}
+
+#[test]
 fn resume_rejects_out_of_range_recorded_params() {
     let dir = scratch("resume_params");
     for (params, reason) in [
@@ -318,6 +331,10 @@ fn resume_rejects_out_of_range_recorded_params() {
         (
             r#"{\"inv_lambdas\":[-2.0],\"packets_per_source\":60,\"delay_mean\":30.0,\"capacity\":10,\"report_flow\":0,\"seed\":2007}"#,
             "inv_lambdas must be positive and finite",
+        ),
+        (
+            r#"{\"inv_lambdas\":[1e13],\"packets_per_source\":20,\"delay_mean\":30.0,\"capacity\":10,\"report_flow\":0,\"seed\":2007}"#,
+            "overflow the simulation clock",
         ),
     ] {
         let manifest = dir.join("run.jsonl");

@@ -72,8 +72,9 @@ impl SweepParams {
     }
 
     /// Checks the ranges every sweep runs in: positive finite
-    /// inter-arrival times, at least one packet per source, and a
-    /// non-negative finite delay mean.
+    /// inter-arrival times, at least one packet per source, a
+    /// non-negative finite delay mean, and a config each point can build
+    /// (its creation schedule and route fit on the simulation clock).
     ///
     /// # Errors
     ///
@@ -87,6 +88,13 @@ impl SweepParams {
         }
         if !self.delay_mean.is_finite() || self.delay_mean < 0.0 {
             return Err("delay_mean must be non-negative and finite".to_string());
+        }
+        // Each point must also build: its creation schedule and route
+        // must fit on the simulation clock.
+        for &inv_lambda in &self.inv_lambdas {
+            self.config(inv_lambda)
+                .build()
+                .map_err(|e| format!("point 1/lambda = {inv_lambda}: {e}"))?;
         }
         Ok(())
     }

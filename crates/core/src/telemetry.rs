@@ -37,10 +37,11 @@ use tempriv_net::traffic::TrafficModel;
 use tempriv_queueing::erlang::erlang_b;
 use tempriv_runtime::{BlobKind, Runtime, TelemetrySink};
 use tempriv_telemetry::{
-    memprof, BtqParams, DigestProbe, FlightLog, FlightRecorder, FlowAoi, FlowPrivacyConfig,
-    MemBreakdown, MemScopeTimer, MemSnapshot, MetricsRegistry, PhaseBreakdown, PhaseProfiler,
-    PrivacyProbe, PrivacySeries, RecordingProbe, RunDigest, SimTelemetry, SpanRecord, SpanSet,
-    TelemetrySnapshot, TheoryCheck, TheoryReport, TheoryTolerance, TraceCtx,
+    chrome_span_events, memprof, wrap_chrome_events, BtqParams, DigestProbe, FlightLog,
+    FlightRecorder, FlowAoi, FlowPrivacyConfig, MemBreakdown, MemScopeTimer, MemSnapshot,
+    MetricsRegistry, PhaseBreakdown, PhaseProfiler, PrivacyProbe, PrivacySeries, RecordingProbe,
+    RunDigest, SimTelemetry, SpanRecord, SpanSet, TelemetrySnapshot, TheoryCheck, TheoryReport,
+    TheoryTolerance, TraceCtx,
 };
 
 use crate::buffer::BufferPolicy;
@@ -778,75 +779,17 @@ impl TelemetryExport {
         privacy_blobs: &[Option<String>],
         mem_blobs: &[Option<String>],
     ) -> Result<Self, String> {
-        let mut job_telemetry: Vec<Option<JobTelemetry>> = Vec::with_capacity(blobs.len());
-        for (i, blob) in blobs.iter().enumerate() {
-            match blob {
-                None => job_telemetry.push(None),
-                Some(json) => job_telemetry.push(Some(
-                    serde_json::from_str(json)
-                        .map_err(|e| format!("job {i}: bad telemetry blob: {e}"))?,
-                )),
-            }
-        }
-        let mut job_privacy: Vec<Option<JobPrivacy>> = Vec::with_capacity(blobs.len());
-        for i in 0..blobs.len() {
-            match privacy_blobs.get(i).and_then(Option::as_ref) {
-                None => job_privacy.push(None),
-                Some(json) => job_privacy.push(Some(
-                    serde_json::from_str(json)
-                        .map_err(|e| format!("job {i}: bad privacy blob: {e}"))?,
-                )),
-            }
-        }
-
-        let mut job_mem: Vec<Option<JobMem>> = Vec::with_capacity(blobs.len());
-        for i in 0..blobs.len() {
-            match mem_blobs.get(i).and_then(Option::as_ref) {
-                None => job_mem.push(None),
-                Some(json) => job_mem.push(Some(
-                    serde_json::from_str(json)
-                        .map_err(|e| format!("job {i}: bad mem blob: {e}"))?,
-                )),
-            }
-        }
+        let job_telemetry: Vec<Option<JobTelemetry>> = parse_blobs(BlobKind::Telemetry, blobs)?;
+        let mut job_privacy: Vec<Option<JobPrivacy>> =
+            parse_blobs(BlobKind::Privacy, privacy_blobs)?;
+        let mut job_mem: Vec<Option<JobMem>> = parse_blobs(BlobKind::Mem, mem_blobs)?;
+        // A run without an observatory passes no blobs for it; its list
+        // still holds one entry per job.
+        job_privacy.resize_with(blobs.len(), || None);
+        job_mem.resize_with(blobs.len(), || None);
 
         let mut registry = MetricsRegistry::new();
-        let deliveries = registry.counter(
-            "tempriv_deliveries_total",
-            "Packets delivered to the sink across instrumented scenarios",
-        );
-        let preemptions = registry.counter(
-            "tempriv_preemptions_total",
-            "RCAD victim preemptions across instrumented scenarios",
-        );
-        let drops = registry.counter(
-            "tempriv_drops_total",
-            "DropTail rejections across instrumented scenarios",
-        );
-        let flushes = registry.counter(
-            "tempriv_flushes_total",
-            "Threshold-mix batch flushes across instrumented scenarios",
-        );
-        let evicted = registry.counter(
-            "tempriv_trace_evicted_total",
-            "Probe trace records evicted by the bounded ring buffer",
-        );
-        let checks_total = registry.counter(
-            "tempriv_theory_checks_total",
-            "Queueing-theory cross-checks evaluated",
-        );
-        let flagged_total = registry.counter(
-            "tempriv_theory_flagged_total",
-            "Queueing-theory cross-checks outside tolerance",
-        );
-        let engine_events = registry.counter(
-            "tempriv_engine_events_total",
-            "Discrete events executed by the simulation engine across instrumented scenarios",
-        );
-        let queue_compactions = registry.counter(
-            "tempriv_engine_queue_compactions_total",
-            "Tombstone compaction sweeps run by the future-event queue across instrumented scenarios",
-        );
+        let counters = SCENARIO_COUNTERS.map(|(name, help, _)| registry.counter(name, help));
         let latency_hist = registry.histogram(
             "tempriv_scenario_mean_latency",
             "Mean end-to-end delivery latency per instrumented scenario (time units)",
@@ -858,18 +801,9 @@ impl TelemetryExport {
         // Per-node aggregates across every instrumented scenario: the
         // occupancy gauge averages scenario means, peak and high-water
         // take the max.
-        let n_nodes = job_telemetry
-            .iter()
-            .flatten()
-            .flat_map(|j| &j.scenarios)
-            .map(|s| s.sim.nodes.len())
-            .max()
-            .unwrap_or(0);
-        let mut occ_sum = vec![0.0f64; n_nodes];
-        let mut occ_count = vec![0u64; n_nodes];
-        let mut peak = vec![0u64; n_nodes];
-        let mut high_water = vec![0u64; n_nodes];
-
+        let mut occupancy = MeanByIndex::default();
+        let mut node_peak = Vec::new();
+        let mut node_high_water = Vec::new();
         let mut instrumented_jobs = 0;
         let mut scenarios = 0;
         let mut theory_checks = 0;
@@ -886,13 +820,9 @@ impl TelemetryExport {
             theory_flagged += job.theory_flagged();
             engine_wall_secs += job.spans.total_seconds();
             for scenario in &job.scenarios {
-                registry.inc(deliveries, scenario.sim.deliveries);
-                registry.inc(preemptions, scenario.sim.total_preemptions());
-                registry.inc(drops, scenario.sim.total_drops());
-                registry.inc(flushes, scenario.sim.total_flushes());
-                registry.inc(evicted, scenario.sim.trace_evicted);
-                registry.inc(engine_events, scenario.sim.engine_events);
-                registry.inc(queue_compactions, scenario.sim.queue_compactions);
+                for (&id, (_, _, value)) in counters.iter().zip(&SCENARIO_COUNTERS) {
+                    registry.inc(id, value(scenario));
+                }
                 engine_events_total += scenario.sim.engine_events;
                 peak_fes = peak_fes.max(scenario.sim.peak_fes);
                 queue_footprint = queue_footprint.max(scenario.sim.queue_footprint);
@@ -900,174 +830,12 @@ impl TelemetryExport {
                     registry.observe(latency_hist, scenario.sim.mean_latency);
                 }
                 for node in &scenario.sim.nodes {
-                    let i = node.node;
-                    occ_sum[i] += node.mean_occupancy;
-                    occ_count[i] += 1;
-                    peak[i] = peak[i].max(node.peak_occupancy);
-                    high_water[i] = high_water[i].max(node.high_water);
+                    occupancy.add(node.node, node.mean_occupancy);
+                    raise(&mut node_peak, node.node, node.peak_occupancy as f64);
+                    raise(&mut node_high_water, node.node, node.high_water as f64);
                 }
                 flagged.extend(scenario.theory.checks.iter().filter(|c| !c.passed).cloned());
             }
-        }
-        registry.inc(checks_total, theory_checks as u64);
-        registry.inc(flagged_total, theory_flagged as u64);
-
-        // Engine throughput gauges: events/sec over the jobs' recorded
-        // wall-time spans, peak future-event-set size as a high-water
-        // mark. Pre-overhaul blobs default both fields to zero and get
-        // no gauges, so old manifests render unchanged.
-        if engine_events_total > 0 {
-            if engine_wall_secs > 0.0 {
-                let g = registry.gauge(
-                    "tempriv_engine_events_per_sec",
-                    "Engine event throughput: events executed over recorded scenario wall time",
-                );
-                #[allow(clippy::cast_precision_loss)]
-                registry.set(g, engine_events_total as f64 / engine_wall_secs);
-            }
-            let g = registry.gauge(
-                "tempriv_engine_peak_fes",
-                "Peak future-event-set size across instrumented scenarios",
-            );
-            #[allow(clippy::cast_precision_loss)]
-            registry.set(g, peak_fes as f64);
-        }
-        // Queue-memory introspection: pre-audit blobs default the
-        // footprint to zero and get no gauge, so old manifests render
-        // unchanged.
-        if queue_footprint > 0 {
-            let g = registry.gauge(
-                "tempriv_engine_queue_footprint_bytes",
-                "Event-queue heap footprint in bytes, max across instrumented scenarios",
-            );
-            #[allow(clippy::cast_precision_loss)]
-            registry.set(g, queue_footprint as f64);
-        }
-        for i in 0..n_nodes {
-            if occ_count[i] == 0 {
-                continue;
-            }
-            #[allow(clippy::cast_precision_loss)]
-            let mean = occ_sum[i] / occ_count[i] as f64;
-            let g = registry.gauge(
-                format!("tempriv_node_occupancy_mean{{node=\"{i}\"}}"),
-                "Time-weighted mean buffer occupancy, averaged over instrumented scenarios",
-            );
-            registry.set(g, mean);
-            let g = registry.gauge(
-                format!("tempriv_node_occupancy_peak{{node=\"{i}\"}}"),
-                "Peak instantaneous buffer occupancy across instrumented scenarios",
-            );
-            #[allow(clippy::cast_precision_loss)]
-            registry.set(g, peak[i] as f64);
-            let g = registry.gauge(
-                format!("tempriv_node_high_water{{node=\"{i}\"}}"),
-                "Buffer high-water mark across instrumented scenarios",
-            );
-            #[allow(clippy::cast_precision_loss)]
-            registry.set(g, high_water[i] as f64);
-        }
-
-        // Per-flow privacy aggregates across every observed scenario:
-        // the MI / margin / adversary-MSE gauges average scenario-final
-        // summaries, mirroring the occupancy-mean convention above.
-        let n_flows = job_privacy
-            .iter()
-            .flatten()
-            .flat_map(|j| &j.scenarios)
-            .flat_map(|s| &s.series.summary)
-            .map(|f| f.flow + 1)
-            .max()
-            .unwrap_or(0);
-        let mut mi_sum = vec![0.0f64; n_flows];
-        let mut mi_count = vec![0u64; n_flows];
-        let mut margin_sum = vec![0.0f64; n_flows];
-        let mut margin_count = vec![0u64; n_flows];
-        let mut mse_sum = vec![0.0f64; n_flows];
-        let mut mse_count = vec![0u64; n_flows];
-        for flow in job_privacy
-            .iter()
-            .flatten()
-            .flat_map(|j| &j.scenarios)
-            .flat_map(|s| &s.series.summary)
-        {
-            mi_sum[flow.flow] += flow.mi_nats;
-            mi_count[flow.flow] += 1;
-            if let Some(margin) = flow.margin_nats {
-                margin_sum[flow.flow] += margin;
-                margin_count[flow.flow] += 1;
-            }
-            if let Some(mse) = flow.mse {
-                mse_sum[flow.flow] += mse;
-                mse_count[flow.flow] += 1;
-            }
-        }
-        for i in 0..n_flows {
-            #[allow(clippy::cast_precision_loss)]
-            if mi_count[i] > 0 {
-                let g = registry.gauge(
-                    format!("tempriv_privacy_mi_nats{{flow=\"{i}\"}}"),
-                    "Empirical streaming I(X;Z) in nats, averaged over observed scenarios",
-                );
-                registry.set(g, mi_sum[i] / mi_count[i] as f64);
-            }
-            #[allow(clippy::cast_precision_loss)]
-            if margin_count[i] > 0 {
-                let g = registry.gauge(
-                    format!("tempriv_privacy_margin_nats{{flow=\"{i}\"}}"),
-                    "Analytic BTQ bound minus empirical MI (nats), averaged over observed scenarios",
-                );
-                registry.set(g, margin_sum[i] / margin_count[i] as f64);
-            }
-            #[allow(clippy::cast_precision_loss)]
-            if mse_count[i] > 0 {
-                let g = registry.gauge(
-                    format!("tempriv_privacy_adversary_mse{{flow=\"{i}\"}}"),
-                    "Baseline adversary mean squared error, averaged over observed scenarios",
-                );
-                registry.set(g, mse_sum[i] / mse_count[i] as f64);
-            }
-        }
-
-        // Per-flow Age-of-Information gauges from the flight recorder's
-        // creation→arrival spans: mean AoI averages over traced
-        // scenarios, peak AoI takes the max (it is a worst case).
-        let n_aoi_flows = job_telemetry
-            .iter()
-            .flatten()
-            .flat_map(|j| &j.scenarios)
-            .flat_map(|s| &s.aoi)
-            .map(|a| a.flow + 1)
-            .max()
-            .unwrap_or(0);
-        let mut aoi_mean_sum = vec![0.0f64; n_aoi_flows];
-        let mut aoi_count = vec![0u64; n_aoi_flows];
-        let mut aoi_peak = vec![0.0f64; n_aoi_flows];
-        for aoi in job_telemetry
-            .iter()
-            .flatten()
-            .flat_map(|j| &j.scenarios)
-            .flat_map(|s| &s.aoi)
-        {
-            aoi_mean_sum[aoi.flow] += aoi.mean;
-            aoi_count[aoi.flow] += 1;
-            aoi_peak[aoi.flow] = aoi_peak[aoi.flow].max(aoi.peak);
-        }
-        for i in 0..n_aoi_flows {
-            if aoi_count[i] == 0 {
-                continue;
-            }
-            let g = registry.gauge(
-                format!("tempriv_aoi_mean{{flow=\"{i}\"}}"),
-                "Time-averaged Age of Information at the sink (time units), averaged over traced scenarios",
-            );
-            #[allow(clippy::cast_precision_loss)]
-            registry.set(g, aoi_mean_sum[i] / aoi_count[i] as f64);
-            let g = registry.gauge(
-                format!("tempriv_aoi_peak{{flow=\"{i}\"}}"),
-                "Peak Age of Information at the sink (time units), max across traced scenarios",
-            );
-            registry.set(g, aoi_peak[i]);
         }
 
         // Allocation-observatory aggregates: totals sum over scenario
@@ -1104,30 +872,153 @@ impl TelemetryExport {
                 "Heap bytes requested inside instrumented simulation runs",
             );
             registry.inc(c, mem_bytes);
-            if mem_delivered > 0 {
-                let g = registry.gauge(
-                    "tempriv_allocs_per_delivered",
-                    "Heap allocations per delivered packet across instrumented scenarios",
+        }
+
+        // Engine throughput gauges: events/sec over the jobs' recorded
+        // wall-time spans, peak future-event-set size as a high-water
+        // mark. Pre-overhaul blobs default both fields to zero and get
+        // no gauges, so old manifests render unchanged.
+        let mut set_gauge = |name: String, help: &str, value: f64| {
+            let g = registry.gauge(name, help);
+            registry.set(g, value);
+        };
+        if engine_events_total > 0 {
+            if engine_wall_secs > 0.0 {
+                set_gauge(
+                    "tempriv_engine_events_per_sec".into(),
+                    "Engine event throughput: events executed over recorded scenario wall time",
+                    engine_events_total as f64 / engine_wall_secs,
                 );
-                #[allow(clippy::cast_precision_loss)]
-                registry.set(g, mem_allocs as f64 / mem_delivered as f64);
+            }
+            set_gauge(
+                "tempriv_engine_peak_fes".into(),
+                "Peak future-event-set size across instrumented scenarios",
+                peak_fes as f64,
+            );
+        }
+        // Queue-memory introspection: pre-audit blobs default the
+        // footprint to zero and get no gauge, so old manifests render
+        // unchanged.
+        if queue_footprint > 0 {
+            set_gauge(
+                "tempriv_engine_queue_footprint_bytes".into(),
+                "Event-queue heap footprint in bytes, max across instrumented scenarios",
+                queue_footprint as f64,
+            );
+        }
+        for (i, (&peak, &high_water)) in node_peak.iter().zip(&node_high_water).enumerate() {
+            let Some(mean) = occupancy.mean(i) else {
+                continue;
+            };
+            set_gauge(
+                format!("tempriv_node_occupancy_mean{{node=\"{i}\"}}"),
+                "Time-weighted mean buffer occupancy, averaged over instrumented scenarios",
+                mean,
+            );
+            set_gauge(
+                format!("tempriv_node_occupancy_peak{{node=\"{i}\"}}"),
+                "Peak instantaneous buffer occupancy across instrumented scenarios",
+                peak,
+            );
+            set_gauge(
+                format!("tempriv_node_high_water{{node=\"{i}\"}}"),
+                "Buffer high-water mark across instrumented scenarios",
+                high_water,
+            );
+        }
+
+        // Per-flow privacy aggregates across every observed scenario:
+        // the MI / margin / adversary-MSE gauges average scenario-final
+        // summaries, mirroring the occupancy-mean convention above.
+        let [mut mi, mut margin, mut mse] = <[MeanByIndex; 3]>::default();
+        for flow in job_privacy
+            .iter()
+            .flatten()
+            .flat_map(|j| &j.scenarios)
+            .flat_map(|s| &s.series.summary)
+        {
+            mi.add(flow.flow, flow.mi_nats);
+            if let Some(x) = flow.margin_nats {
+                margin.add(flow.flow, x);
+            }
+            if let Some(x) = flow.mse {
+                mse.add(flow.flow, x);
             }
         }
-        if mem_peak_live > 0 {
-            let g = registry.gauge(
-                "tempriv_mem_peak_live_bytes",
-                "Peak live heap bytes observed by the counting allocator",
+        for i in 0..mi.len() {
+            for (means, name, help) in [
+                (
+                    &mi,
+                    "tempriv_privacy_mi_nats",
+                    "Empirical streaming I(X;Z) in nats, averaged over observed scenarios",
+                ),
+                (
+                    &margin,
+                    "tempriv_privacy_margin_nats",
+                    "Analytic BTQ bound minus empirical MI (nats), averaged over observed scenarios",
+                ),
+                (
+                    &mse,
+                    "tempriv_privacy_adversary_mse",
+                    "Baseline adversary mean squared error, averaged over observed scenarios",
+                ),
+            ] {
+                if let Some(mean) = means.mean(i) {
+                    set_gauge(format!("{name}{{flow=\"{i}\"}}"), help, mean);
+                }
+            }
+        }
+
+        // Per-flow Age-of-Information gauges from the flight recorder's
+        // creation→arrival spans: mean AoI averages over traced
+        // scenarios, peak AoI takes the max (it is a worst case).
+        let mut aoi_mean = MeanByIndex::default();
+        let mut aoi_peak = Vec::new();
+        for aoi in job_telemetry
+            .iter()
+            .flatten()
+            .flat_map(|j| &j.scenarios)
+            .flat_map(|s| &s.aoi)
+        {
+            aoi_mean.add(aoi.flow, aoi.mean);
+            raise(&mut aoi_peak, aoi.flow, aoi.peak);
+        }
+        for (i, &peak) in aoi_peak.iter().enumerate() {
+            let Some(mean) = aoi_mean.mean(i) else {
+                continue;
+            };
+            set_gauge(
+                format!("tempriv_aoi_mean{{flow=\"{i}\"}}"),
+                "Time-averaged Age of Information at the sink (time units), averaged over traced scenarios",
+                mean,
             );
-            #[allow(clippy::cast_precision_loss)]
-            registry.set(g, mem_peak_live as f64);
+            set_gauge(
+                format!("tempriv_aoi_peak{{flow=\"{i}\"}}"),
+                "Peak Age of Information at the sink (time units), max across traced scenarios",
+                peak,
+            );
+        }
+
+        if mem_allocs > 0 && mem_delivered > 0 {
+            set_gauge(
+                "tempriv_allocs_per_delivered".into(),
+                "Heap allocations per delivered packet across instrumented scenarios",
+                mem_allocs as f64 / mem_delivered as f64,
+            );
+        }
+        if mem_peak_live > 0 {
+            set_gauge(
+                "tempriv_mem_peak_live_bytes".into(),
+                "Peak live heap bytes observed by the counting allocator",
+                mem_peak_live as f64,
+            );
         }
         if mem_peak_rss > 0 {
-            let g = registry.gauge(
-                "tempriv_mem_peak_rss_bytes",
+            set_gauge(
+                "tempriv_mem_peak_rss_bytes".into(),
                 "Peak resident set size (VmHWM) of the sweep process",
+                mem_peak_rss as f64,
             );
-            #[allow(clippy::cast_precision_loss)]
-            registry.set(g, mem_peak_rss as f64);
         }
 
         Ok(TelemetryExport {
@@ -1244,6 +1135,169 @@ impl TelemetryExport {
         }
         Some(out)
     }
+}
+
+/// A counter of the export: name, help and one scenario's contribution.
+type ScenarioCounter = (&'static str, &'static str, fn(&ScenarioTelemetry) -> u64);
+
+/// The export's per-scenario counters, in registration order.
+const SCENARIO_COUNTERS: [ScenarioCounter; 9] = [
+    (
+        "tempriv_deliveries_total",
+        "Packets delivered to the sink across instrumented scenarios",
+        |s| s.sim.deliveries,
+    ),
+    (
+        "tempriv_preemptions_total",
+        "RCAD victim preemptions across instrumented scenarios",
+        |s| s.sim.total_preemptions(),
+    ),
+    (
+        "tempriv_drops_total",
+        "DropTail rejections across instrumented scenarios",
+        |s| s.sim.total_drops(),
+    ),
+    (
+        "tempriv_flushes_total",
+        "Threshold-mix batch flushes across instrumented scenarios",
+        |s| s.sim.total_flushes(),
+    ),
+    (
+        "tempriv_trace_evicted_total",
+        "Probe trace records evicted by the bounded ring buffer",
+        |s| s.sim.trace_evicted,
+    ),
+    (
+        "tempriv_theory_checks_total",
+        "Queueing-theory cross-checks evaluated",
+        |s| s.theory.checks.len() as u64,
+    ),
+    (
+        "tempriv_theory_flagged_total",
+        "Queueing-theory cross-checks outside tolerance",
+        |s| s.theory.checks.iter().filter(|c| !c.passed).count() as u64,
+    ),
+    (
+        "tempriv_engine_events_total",
+        "Discrete events executed by the simulation engine across instrumented scenarios",
+        |s| s.sim.engine_events,
+    ),
+    (
+        "tempriv_engine_queue_compactions_total",
+        "Tombstone compaction sweeps run by the future-event queue across instrumented scenarios",
+        |s| s.sim.queue_compactions,
+    ),
+];
+
+/// Per-index running means (one node's or one flow's value averaged
+/// over scenarios), summed in the order values arrive.
+#[derive(Default)]
+struct MeanByIndex {
+    sum: Vec<f64>,
+    count: Vec<u64>,
+}
+
+impl MeanByIndex {
+    fn add(&mut self, i: usize, x: f64) {
+        if i >= self.sum.len() {
+            self.sum.resize(i + 1, 0.0);
+            self.count.resize(i + 1, 0);
+        }
+        self.sum[i] += x;
+        self.count[i] += 1;
+    }
+
+    /// The mean at `i`; `None` where nothing was added.
+    fn mean(&self, i: usize) -> Option<f64> {
+        let n = *self.count.get(i)?;
+        (n > 0).then(|| self.sum[i] / n as f64)
+    }
+
+    fn len(&self) -> usize {
+        self.sum.len()
+    }
+}
+
+/// Raises `max[i]` to at least `x`, growing `max` with zeros.
+fn raise(max: &mut Vec<f64>, i: usize, x: f64) {
+    if i >= max.len() {
+        max.resize(i + 1, 0.0);
+    }
+    max[i] = max[i].max(x);
+}
+
+/// Parses every job's `kind` blob, keeping the job index: `None` where
+/// a job attached no blob. The one reader of journaled, drained and
+/// live sink blobs alike.
+///
+/// # Errors
+///
+/// Names the first job whose blob does not parse as `T`.
+pub fn parse_blobs<T: serde::Deserialize>(
+    kind: BlobKind,
+    blobs: &[Option<String>],
+) -> Result<Vec<Option<T>>, String> {
+    blobs
+        .iter()
+        .enumerate()
+        .map(|(i, blob)| {
+            blob.as_deref()
+                .map(serde_json::from_str)
+                .transpose()
+                .map_err(|e| format!("job {i}: bad {} blob: {e}", kind.name()))
+        })
+        .collect()
+}
+
+/// One Chrome `trace_event` file for a traced run, with all slices
+/// indexed by job: the `lead` spans plus every job's spans (shifted by
+/// `offset_us`, clamped at zero), each profiled scenario's phase bands
+/// on its own thread `job {i}: {label}` anchored at its scenario span,
+/// with the scenario's live-bytes counter track when the job carries a
+/// mem blob, then the flight recorder's packet residences on their
+/// sim-time axis.
+#[must_use]
+#[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+pub fn chrome_timeline(
+    mut lead: Vec<SpanRecord>,
+    spans: &[Option<JobSpans>],
+    traces: &[Option<JobTrace>],
+    mems: &[Option<JobMem>],
+    offset_us: i64,
+) -> String {
+    let rebase = |us: u64| (us as i64 + offset_us).max(0) as u64;
+    let mut bands = Vec::new();
+    let mut tid = 0u64;
+    for (i, job) in spans.iter().enumerate() {
+        let Some(job) = job else { continue };
+        lead.extend(job.spans.iter().map(|span| SpanRecord {
+            start_us: rebase(span.start_us),
+            ..span.clone()
+        }));
+        let mem = mems.get(i).and_then(Option::as_ref);
+        for (s, scenario) in job.profiles.iter().enumerate() {
+            // Profile s belongs to scenario span s + 1 (span 0 is the
+            // job's own).
+            let anchor = job.spans.get(s + 1).map_or(0, |span| rebase(span.start_us));
+            let label = format!("job {i}: {}", scenario.label);
+            bands.extend(scenario.profile.chrome_phase_events(&label, anchor, tid));
+            if let Some(smem) = mem.and_then(|m| m.scenarios.get(s)) {
+                bands.extend(
+                    smem.ledger
+                        .chrome_counter_events(anchor, tid, &scenario.profile),
+                );
+            }
+            tid += 1;
+        }
+    }
+    let mut events = chrome_span_events(&lead, 0);
+    events.append(&mut bands);
+    for trace in traces.iter().flatten() {
+        for scenario in &trace.scenarios {
+            events.extend(scenario.log.chrome_trace_events());
+        }
+    }
+    wrap_chrome_events(&events)
 }
 
 #[cfg(test)]

@@ -101,13 +101,13 @@ impl JobSpec {
         if self.shards == 0 {
             self.shards = 1;
         }
-        self.sweep_params().check()?;
         if self.inv_lambdas.len() > 64 {
             return Err("at most 64 sweep points per job".to_string());
         }
         if self.packets_per_source > 100_000 {
             return Err("packets_per_source too large (max 100000)".to_string());
         }
+        self.sweep_params().check()?;
         if self.shards > MAX_SHARDS {
             return Err(format!("at most {MAX_SHARDS} engine shards per simulation"));
         }

@@ -28,9 +28,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use tempriv_core::telemetry::{JobSpans, JobTrace};
+use tempriv_core::telemetry::{chrome_timeline, parse_blobs};
 use tempriv_runtime::{content_digest, BlobKind, ResultCache, TelemetrySink};
-use tempriv_telemetry::{chrome_span_events, wrap_chrome_events, SpanRecord, TraceCtx};
+use tempriv_telemetry::{SpanRecord, TraceCtx};
 
 /// Server configuration (the `tempriv serve` flags).
 #[derive(Debug, Clone)]
@@ -514,13 +514,18 @@ fn route(state: &ServerState, request: &Request) -> Response {
         ("GET", path) => {
             if let Some(rest) = path.strip_prefix("/v1/jobs/") {
                 if let Some(id) = rest.strip_suffix("/result") {
-                    return job_result(state, id);
+                    return cached_answer(state, id, str::to_string, "result evicted from cache");
                 }
                 if let Some(id) = rest.strip_suffix("/trace") {
                     return job_trace(state, id);
                 }
                 if let Some(id) = rest.strip_suffix("/digest") {
-                    return job_digest(state, id);
+                    return cached_answer(
+                        state,
+                        id,
+                        digest_key,
+                        "no digest recorded for this job (result predates the audit)",
+                    );
                 }
                 if !rest.contains('/') {
                     return job_status(state, rest, request);
@@ -740,39 +745,25 @@ fn status_json(entry: &JobEntry, outcome: &Outcome, result: Option<&str>) -> Str
     out
 }
 
-/// Serves the determinism-audit digest summary a cold run froze next to
-/// its result rows. Warm submissions of the same spec share the cache
-/// key, so they return the byte-identical summary — and root — the cold
-/// run produced.
-fn job_digest(state: &ServerState, id: &str) -> Response {
+/// Serves what a finished job left in the cache under `key(job key)`:
+/// its result rows, or the determinism-audit digest summary a cold run
+/// froze next to them. Warm submissions of the same spec share the cache
+/// key, so they return the byte-identical bytes the cold run produced.
+/// `missing` is the 404 text when the cache holds no such entry.
+fn cached_answer(
+    state: &ServerState,
+    id: &str,
+    key: fn(&str) -> String,
+    missing: &str,
+) -> Response {
     let inner = state.inner.lock().expect("store lock");
     let Some(entry) = inner.entries.get(id) else {
         return Response::error(404, &format!("no such job: {id}"));
     };
     match &entry.state {
-        JobState::Done(outcome) if outcome.ok => match state.cache.get(&digest_key(&entry.key)) {
-            Some(digest) => Response::json(200, digest),
-            None => Response::error(
-                404,
-                "no digest recorded for this job (result predates the audit)",
-            ),
-        },
-        JobState::Done(outcome) => {
-            Response::error(404, outcome.error.as_deref().unwrap_or("job failed"))
-        }
-        _ => Response::error(404, &format!("job {id} not finished")),
-    }
-}
-
-fn job_result(state: &ServerState, id: &str) -> Response {
-    let inner = state.inner.lock().expect("store lock");
-    let Some(entry) = inner.entries.get(id) else {
-        return Response::error(404, &format!("no such job: {id}"));
-    };
-    match &entry.state {
-        JobState::Done(outcome) if outcome.ok => match state.cache.get(&entry.key) {
-            Some(rows) => Response::json(200, rows),
-            None => Response::error(404, "result evicted from cache"),
+        JobState::Done(outcome) if outcome.ok => match state.cache.get(&key(&entry.key)) {
+            Some(body) => Response::json(200, body),
+            None => Response::error(404, missing),
         },
         JobState::Done(outcome) => {
             Response::error(404, outcome.error.as_deref().unwrap_or("job failed"))
@@ -838,54 +829,24 @@ fn job_trace(state: &ServerState, id: &str) -> Response {
             dur_us: picked.saturating_duration_since(submitted_at).as_micros() as u64,
         });
     }
-    let mut phase_events = Vec::new();
-    let mut flight_events = Vec::new();
-    let mut phase_tid = 0u64;
-    if let Some(sink) = &sink {
-        // Job-local timestamps count from the sink's epoch, which the
-        // worker created at pickup: rebase them onto the server epoch.
-        let offset = picked_at.map_or(0i64, |p| {
-            p.saturating_duration_since(epoch).as_micros() as i64
-        });
-        for job_index in 0..jobs {
-            if let Some(blob) = sink.get(BlobKind::Spans, job_index) {
-                if let Ok(job) = serde_json::from_str::<JobSpans>(&blob) {
-                    for span in &job.spans {
-                        let start = (span.start_us as i64 + offset).max(0) as u64;
-                        spans.push(SpanRecord {
-                            start_us: start,
-                            ..span.clone()
-                        });
-                    }
-                    // Profile i belongs to scenario span i (spans[0] is
-                    // the job span): anchor its phase bands there.
-                    for (i, profile) in job.profiles.iter().enumerate() {
-                        let anchor = job
-                            .spans
-                            .get(i + 1)
-                            .map_or(0, |s| (s.start_us as i64 + offset).max(0) as u64);
-                        phase_events.extend(profile.profile.chrome_phase_events(
-                            &format!("job {job_index}: {}", profile.label),
-                            anchor,
-                            phase_tid,
-                        ));
-                        phase_tid += 1;
-                    }
-                }
-            }
-            if let Some(blob) = sink.get(BlobKind::Trace, job_index) {
-                if let Ok(trace) = serde_json::from_str::<JobTrace>(&blob) {
-                    for scenario in &trace.scenarios {
-                        flight_events.extend(scenario.log.chrome_trace_events());
-                    }
-                }
-            }
-        }
+    // Job-local timestamps count from the sink's epoch, which the
+    // worker created at pickup: rebase them onto the server epoch.
+    let offset = picked_at.map_or(0i64, |p| {
+        p.saturating_duration_since(epoch).as_micros() as i64
+    });
+    // The live sink's blobs, indexed by runtime job.
+    let blobs = |kind| match &sink {
+        Some(sink) => (0..jobs).map(|i| sink.get(kind, i)).collect(),
+        None => Vec::new(),
+    };
+    let timeline = parse_blobs(BlobKind::Spans, &blobs(BlobKind::Spans)).and_then(|job_spans| {
+        let traces = parse_blobs(BlobKind::Trace, &blobs(BlobKind::Trace))?;
+        Ok(chrome_timeline(spans, &job_spans, &traces, &[], offset))
+    });
+    match timeline {
+        Ok(json) => Response::json(200, json),
+        Err(e) => Response::error(500, &e),
     }
-    let mut events = chrome_span_events(&spans, 0);
-    events.extend(phase_events);
-    events.extend(flight_events);
-    Response::json(200, wrap_chrome_events(&events))
 }
 
 /// Streams per-job privacy blobs as SSE `point` events while the job

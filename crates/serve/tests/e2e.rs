@@ -519,6 +519,42 @@ fn unknown_routes_and_bad_specs_are_clean_errors() {
     shutdown(&addr, handle);
 }
 
+#[test]
+fn a_schedule_past_the_clock_is_a_400_and_leaves_the_worker_free() {
+    // One worker: had the overflowing spec been admitted, its panic
+    // would have left it `running` and the next job queued behind it.
+    let (addr, handle) = spawn_server(ephemeral(|cfg| cfg.workers = 1));
+    let bad = submit_job(
+        &addr,
+        "t",
+        "{\"experiment\":\"fig2\",\"inv_lambdas\":[1e13],\"packets_per_source\":20}",
+    )
+    .unwrap();
+    assert_eq!(bad.status, 400, "{}", bad.text());
+    assert!(
+        bad.text().contains("overflow the simulation clock"),
+        "{}",
+        bad.text()
+    );
+
+    let next = submit_job(&addr, "t", &tiny_spec(13)).unwrap();
+    assert_eq!(next.status, 202, "{}", next.text());
+    let id = extract_id(&next.text());
+    let status = request(
+        &addr,
+        "GET",
+        &format!("/v1/jobs/{id}?wait_ms=30000"),
+        &[],
+        &[],
+    )
+    .unwrap()
+    .text();
+    assert!(status.contains("\"state\":\"done\""), "{status}");
+    assert!(status.contains("\"ok\":true"), "{status}");
+
+    shutdown(&addr, handle);
+}
+
 fn extract_id(body: &str) -> String {
     body.split("\"id\":\"")
         .nth(1)
