@@ -60,3 +60,14 @@ fn ten_thousand_node_field_is_pinned() {
     assert_eq!(topo.edge_count(), 61_667);
     assert_eq!(fingerprint(&topo), 0x5998_6d4e_8ed7_2373);
 }
+
+/// The scale bench's `field_100k` geometry. Too slow for a debug build,
+/// so it runs under `cargo test --release -- --include-ignored`.
+#[test]
+#[ignore = "100k-node field: run in release with --include-ignored"]
+fn hundred_thousand_node_field_is_pinned() {
+    let (topo, attempts) = field(100_000);
+    assert_eq!(attempts, 7);
+    assert_eq!(topo.edge_count(), 624_448);
+    assert_eq!(fingerprint(&topo), 0x1b2f_5f5a_e6ac_8144);
+}
