@@ -7,6 +7,8 @@
 //! field is visually one. Used by examples and generalization tests; the
 //! headline experiments keep the calibrated convergecast layout.
 
+use std::ops::Range;
+
 use tempriv_sim::rng::SimRng;
 
 use crate::ids::NodeId;
@@ -60,27 +62,52 @@ impl GeometricDeployment {
     /// byte-identical to the all-pairs scan: the same position draws and
     /// the same ascending neighbour rows.
     ///
+    /// Both scans run on up to one thread per core (at most 8), each
+    /// owning one band of at least 16 384 node ids. A band's counts
+    /// and rows are contiguous slices of `offsets` and `neighbors`, and
+    /// every row lands at the same address whatever the band count, so
+    /// the output does not depend on the number of cores.
+    ///
     /// The result may be disconnected (routing will report unreachable
     /// nodes); see [`GeometricDeployment::sample_connected`].
     #[must_use]
     pub fn sample(&self, rng: &mut SimRng) -> Topology {
+        self.sample_in(rng, default_bands(self.nodes))
+    }
+
+    /// [`GeometricDeployment::sample`] with the scans split into `bands`
+    /// node-id bands; band `b` owns ids `cuts[b]..cuts[b + 1]`.
+    fn sample_in(&self, rng: &mut SimRng, bands: usize) -> Topology {
+        let n = self.nodes;
         let positions = self.sample_positions(rng);
         let grid = CellGrid::new(self, &positions);
-        let mut offsets = vec![0u32; self.nodes + 1];
-        grid.scan(|i, near| offsets[i + 1] = near.len() as u32);
-        for i in 0..self.nodes {
+        let cuts: Vec<usize> = (0..=bands).map(|b| b * n / bands).collect();
+        let mut offsets = vec![0u32; n + 1];
+        // Band b counts into offsets[cuts[b] + 1..=cuts[b + 1]].
+        let counts = split_by(&mut offsets[1..], &cuts);
+        in_bands(counts.into_iter().zip(&cuts), |(counts, &lo)| {
+            grid.scan(lo..lo + counts.len(), |i, near| {
+                counts[i - lo] = near.len() as u32;
+            });
+        });
+        for i in 0..n {
             offsets[i + 1] = offsets[i]
                 .checked_add(offsets[i + 1])
                 .expect("fewer than 2³² adjacencies");
         }
-        let mut neighbors = vec![NodeId(0); offsets[self.nodes] as usize];
-        grid.scan(|i, near| {
-            let row = &mut neighbors[offsets[i] as usize..offsets[i + 1] as usize];
-            for (slot, &j) in row.iter_mut().zip(near) {
-                *slot = NodeId(j);
-            }
-            // `near` comes in cell order, not id order.
-            row.sort_unstable();
+        let mut neighbors = vec![NodeId(0); offsets[n] as usize];
+        let row_cuts: Vec<usize> = cuts.iter().map(|&c| offsets[c] as usize).collect();
+        let rows = split_by(&mut neighbors, &row_cuts);
+        in_bands(rows.into_iter().zip(cuts.windows(2)), |(rows, band)| {
+            let base = offsets[band[0]] as usize;
+            grid.scan(band[0]..band[1], |i, near| {
+                let row = &mut rows[offsets[i] as usize - base..offsets[i + 1] as usize - base];
+                for (slot, &j) in row.iter_mut().zip(near) {
+                    *slot = NodeId(j);
+                }
+                // `near` comes in cell order, not id order.
+                row.sort_unstable();
+            });
         });
         Topology::from_csr(offsets, neighbors, Some(positions))
     }
@@ -140,6 +167,48 @@ impl GeometricDeployment {
     }
 }
 
+/// Most threads one sample uses.
+const MAX_BANDS: usize = 8;
+/// Fewest node ids per band; smaller fields scan on the calling thread.
+const MIN_BAND: usize = 16_384;
+
+/// One band per core, within `MAX_BANDS` and `MIN_BAND`.
+fn default_bands(nodes: usize) -> usize {
+    let most = (nodes / MIN_BAND).clamp(1, MAX_BANDS);
+    if most == 1 {
+        return 1;
+    }
+    std::thread::available_parallelism().map_or(1, |cores| cores.get().min(most))
+}
+
+/// Splits `slice` at `cuts` (ascending, from 0 to `slice.len()`) into
+/// `cuts.len() - 1` disjoint pieces.
+fn split_by<'a, T>(mut slice: &'a mut [T], cuts: &[usize]) -> Vec<&'a mut [T]> {
+    cuts.windows(2)
+        .map(|w| {
+            let (piece, rest) = std::mem::take(&mut slice).split_at_mut(w[1] - w[0]);
+            slice = rest;
+            piece
+        })
+        .collect()
+}
+
+/// Runs `work` on every band: the first on this thread, the others on
+/// scoped threads. A single band spawns nothing.
+fn in_bands<T: Send>(bands: impl IntoIterator<Item = T>, work: impl Fn(T) + Sync) {
+    let work = &work;
+    std::thread::scope(|s| {
+        let mut bands = bands.into_iter();
+        let first = bands.next();
+        for band in bands {
+            s.spawn(move || work(band));
+        }
+        if let Some(band) = first {
+            work(band);
+        }
+    });
+}
+
 /// Nodes counting-sorted into square cells of side `range`: cell `c`
 /// holds `members[start[c]..start[c + 1]]`, ascending by id. Each member
 /// carries its position, so scanning a block of cells reads contiguous
@@ -188,11 +257,11 @@ impl CellGrid {
         (cx, cy)
     }
 
-    /// Calls `visit(i, near)` for every node `i`, cell by cell, where
-    /// `near` lists every node `j ≠ i` within range of `i`. Only the 3×3
-    /// block of cells around `i` can hold one, and consecutive nodes
-    /// share their block.
-    fn scan(&self, mut visit: impl FnMut(usize, &[u32])) {
+    /// Calls `visit(i, near)` for every node `i` in `ids`, cell by cell,
+    /// where `near` lists every node `j ≠ i` within range of `i`. Only
+    /// the 3×3 block of cells around `i` can hold one, and consecutive
+    /// nodes share their block.
+    fn scan(&self, ids: Range<usize>, mut visit: impl FnMut(usize, &[u32])) {
         let r2 = self.range * self.range;
         let mut near: Vec<u32> = Vec::new();
         for cy in 0..self.ny {
@@ -200,21 +269,28 @@ impl CellGrid {
             for cx in 0..self.nx {
                 let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(self.nx - 1));
                 // A block row's cells are adjacent, so their members are
-                // one slice.
-                let blocks = rows.clone().map(|dy| {
-                    &self.members[self.start[dy * self.nx + x0] as usize
-                        ..self.start[dy * self.nx + x1 + 1] as usize]
-                });
-                near.resize(blocks.clone().map(<[_]>::len).sum(), 0);
+                // one slice; an edge cell's missing row stays empty.
+                let mut blocks: [&[(u32, f64, f64)]; 3] = [&[]; 3];
+                for (block, dy) in blocks.iter_mut().zip(rows.clone()) {
+                    *block = &self.members[self.start[dy * self.nx + x0] as usize
+                        ..self.start[dy * self.nx + x1 + 1] as usize];
+                }
+                near.resize(blocks.iter().map(|b| b.len()).sum(), 0);
                 let c = cy * self.nx + cx;
                 for &(i, xi, yi) in
                     &self.members[self.start[c] as usize..self.start[c + 1] as usize]
                 {
+                    if !ids.contains(&(i as usize)) {
+                        continue;
+                    }
                     // Branch-free: write every candidate, keep the hits.
                     let mut hits = 0;
-                    for &(j, xj, yj) in blocks.clone().flatten() {
-                        near[hits] = j;
-                        hits += usize::from(j != i && (xi - xj).powi(2) + (yi - yj).powi(2) <= r2);
+                    for block in blocks {
+                        for &(j, xj, yj) in block {
+                            near[hits] = j;
+                            hits +=
+                                usize::from(j != i && (xi - xj).powi(2) + (yi - yj).powi(2) <= r2);
+                        }
                     }
                     visit(i as usize, &near[..hits]);
                 }
@@ -292,7 +368,9 @@ mod tests {
     fn grid_sampler_matches_all_pairs_reference() {
         // A single node, range > side (one cell), a 40×5 strip, a sparse
         // field that never connects, and two ordinary fields; each over
-        // several seeds.
+        // several seeds and band counts. The single node leaves all but
+        // one band empty, and the sparse field has 1 156 cells for 60
+        // nodes, so every band holds fewer nodes than cells.
         let specs = [
             GeometricDeployment::new(5.0, 5.0, 1, 1.0),
             GeometricDeployment::new(3.0, 3.0, 50, 4.0),
@@ -305,10 +383,16 @@ mod tests {
         for (k, spec) in specs.iter().enumerate() {
             for seed in [99, 7, 4242] {
                 let stream = || RngFactory::new(seed).stream(k as u64);
-                let grid = spec.sample(&mut stream());
                 let naive = spec.sample_all_pairs(&mut stream());
-                assert_eq!(grid, naive, "spec {k}, seed {seed}: grid sampler diverged");
-                disconnected += usize::from(!grid.is_connected());
+                assert_eq!(spec.sample(&mut stream()), naive, "spec {k}, seed {seed}");
+                for bands in [1, 2, 3, 7] {
+                    let grid = spec.sample_in(&mut stream(), bands);
+                    assert_eq!(
+                        grid, naive,
+                        "spec {k}, seed {seed}, {bands} bands: diverged"
+                    );
+                }
+                disconnected += usize::from(!naive.is_connected());
             }
         }
         assert!(disconnected >= 3, "the sparse field must stay disconnected");

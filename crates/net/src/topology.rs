@@ -225,9 +225,18 @@ impl Topology {
     }
 
     /// `true` if every node can reach every other node.
+    ///
+    /// A field of more than one node with an isolated node (an empty row)
+    /// is rejected by one sequential pass over `offsets`, before any
+    /// search: that is the usual way a sampled field near the
+    /// connectivity threshold fails. Otherwise a depth-first search from
+    /// node 0 must reach all `n` nodes.
     #[must_use]
     pub fn is_connected(&self) -> bool {
         let n = self.len();
+        if n > 1 && self.offsets.windows(2).any(|w| w[0] == w[1]) {
+            return false;
+        }
         let mut seen = vec![false; n];
         let mut stack = vec![0usize];
         seen[0] = true;
@@ -279,6 +288,54 @@ mod tests {
     fn disconnected_graph_detected() {
         let t = Topology::from_edges(4, [(NodeId(0), NodeId(1)), (NodeId(2), NodeId(3))]);
         assert!(!t.is_connected());
+    }
+
+    /// Plain DFS from node 0 over the public rows, with no early-out.
+    fn reference_connected(t: &Topology) -> bool {
+        let mut seen = vec![false; t.len()];
+        let mut stack = vec![NodeId(0)];
+        seen[0] = true;
+        while let Some(at) = stack.pop() {
+            for &nb in t.neighbors(at) {
+                if !std::mem::replace(&mut seen[nb.index()], true) {
+                    stack.push(nb);
+                }
+            }
+        }
+        seen.iter().all(|&s| s)
+    }
+
+    #[test]
+    fn is_connected_matches_reference_dfs() {
+        let e = |a: u32, b: u32| (NodeId(a), NodeId(b));
+        let cases = [
+            ("one node", Topology::from_edges(1, []), true),
+            ("two isolated nodes", Topology::from_edges(2, []), false),
+            (
+                "isolated sink",
+                Topology::from_edges(4, [e(1, 2), e(2, 3)]),
+                false,
+            ),
+            (
+                "isolated non-sink",
+                Topology::from_edges(4, [e(0, 1), e(1, 3)]),
+                false,
+            ),
+            (
+                "two components, no isolated node",
+                Topology::from_edges(5, [e(0, 1), e(1, 2), e(3, 4)]),
+                false,
+            ),
+            (
+                "connected",
+                Topology::from_edges(5, [e(0, 3), e(3, 1), e(1, 4), e(4, 2)]),
+                true,
+            ),
+        ];
+        for (name, t, want) in cases {
+            assert_eq!(reference_connected(&t), want, "{name}: reference");
+            assert_eq!(t.is_connected(), want, "{name}");
+        }
     }
 
     #[test]
